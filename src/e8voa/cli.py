@@ -142,7 +142,7 @@ def verify_leech(config: RunConfig):
 
 def verify_griess(config: RunConfig):
     from .griess import (build_hamming_family, build_virasoro_family,
-                         conformal_check, e8_context, inner, product,
+                         conformal_check, inner, product,
                          module_act, ModuleSpace, ModuleVector)
     from .lattice import Coset, coset_min_norm, count_X_eta
     from .mckay import (tau_e_negates_dual_exponentials,

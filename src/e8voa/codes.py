@@ -183,18 +183,23 @@ class Z4Code:
         return hash((self.length, tuple(self.generators)))
 
 
-@lru_cache(maxsize=None)
 def named_code(name: str):
+    """The named code, read from the data directory in effect now."""
+    return _named_code_in(os.path.realpath(data_dir()), name)
+
+
+@lru_cache(maxsize=None)
+def _named_code_in(directory: str, name: str):
     if name == "Hamming8":
-        rows = _load_digit_rows(os.path.join(data_dir(), "hamming8.txt"), {0, 1})
+        rows = _load_digit_rows(os.path.join(directory, "hamming8.txt"), {0, 1})
         return BinaryCode(8, rows)
     if name == "RM41":
-        rows = _load_digit_rows(os.path.join(data_dir(), "rm41.txt"), {0, 1})
+        rows = _load_digit_rows(os.path.join(directory, "rm41.txt"), {0, 1})
         return BinaryCode(16, rows)
     if name == "RM42":
-        return dual_code(named_code("RM41"))
+        return dual_code(_named_code_in(directory, "RM41"))
     if name == "Z4Leech":
-        rows = _load_digit_rows(os.path.join(data_dir(), "z4_leech.txt"),
+        rows = _load_digit_rows(os.path.join(directory, "z4_leech.txt"),
                                 {0, 1, 2, 3})
         return Z4Code(24, rows)
     raise ValueError(f"unknown code name: {name}")
@@ -202,7 +207,6 @@ def named_code(name: str):
 
 def dual_code(c):
     if isinstance(c, BinaryCode):
-        from .linalg import rref
         # kernel of the generator matrix over F2
         gens = c.generators
         if not gens:

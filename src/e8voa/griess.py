@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .lattice import EvenLattice, enumerate_short
-from .linalg import invert, kernel_basis, mat_mul, rref, solve_right
+from .linalg import invert, kernel_basis, mat_mul, rref
 from .scalars import Cyclotomic, half_turn_phase, is_zero
 
 
@@ -140,10 +140,6 @@ class AlgebraContext:
             self._omega = el
         return self._omega.copy()
 
-    def weight2_dim(self) -> int:
-        r = self.rank
-        return r * (r + 1) // 2 + r + len(self.norm4)
-
 
 class GriessElement:
     """Sparse weight-2 vector: quad (a<=b), deriv, and exponential parts."""
@@ -230,9 +226,6 @@ class GriessElement:
 
     def __hash__(self):
         raise TypeError("GriessElement is unhashable")
-
-    def support_classes(self, classifier):
-        return {classifier(k) for k in self.expo}
 
 
 def _neg(key):
@@ -344,7 +337,8 @@ def build_virasoro_family(ctx: AlgebraContext, root_keys):
     from .linalg import rank as mat_rank
     r = mat_rank([list(k) for k in keys])
     h = Fraction(len(keys), r)
-    assert h.denominator == 1
+    if h.denominator != 1:
+        raise EmbeddingError("root count is not a multiple of the rank")
     h = int(h)
     omega_phi = GriessElement(ctx)
     s = GriessElement(ctx)
@@ -488,15 +482,6 @@ class Weight2Basis:
         else:
             el.expo[key[1]] = Fraction(1)
         return el
-
-    def matrix_of(self, operator):
-        """Matrix (rows) of a linear operator given on GriessElements."""
-        cols = []
-        for key in self.keys:
-            img = operator(self.monomial(key))
-            cols.append(self.vector(img))
-        return [[cols[j][i] for j in range(len(cols))]
-                for i in range(len(self.keys))]
 
 
 # ---------------------------------------------------------------------------
@@ -916,16 +901,6 @@ class U2Data:
     @property
     def dim(self):
         return len(self.basis)
-
-    def coords_of(self, el):
-        w2 = Weight2Basis(e8_context())
-        rows = [w2.vector(b) for b in self.basis]
-        target = w2.vector(el)
-        from .linalg import coords_in_rowspan
-        c = coords_in_rowspan(rows, target)
-        if c is None:
-            raise DimensionMismatch("element does not lie in U2")
-        return c
 
     def multiply_coords(self, u, v):
         d = self.dim

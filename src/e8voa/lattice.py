@@ -1,15 +1,23 @@
 """Even lattices: Gram data, duals, exact short-vector enumeration, cosets.
 
-All enumeration is exact (rational LDL decomposition with integer square-root
-bounds); nothing here ever touches floating point.  Vectors of a lattice are
-kept in two parallel pictures: integer coefficient tuples with respect to the
-basis, and the corresponding ambient rational tuples.
+All enumeration is exact and runs on Python ints: the rational LDL
+decomposition of the Gram matrix is brought to integers once per lattice
+(one common denominator for the off-diagonal part, one for the diagonal),
+each search scales its shift and bound alike, and every level's range is an
+integer square root.  The ambient map and the Gram matrix are summed on
+integer basis rows over one denominator.  Nothing here ever touches floating
+point.  Vectors of a lattice are kept in two parallel pictures: integer
+coefficient tuples with respect to the basis, and the corresponding ambient
+rational tuples.
 """
 
 from __future__ import annotations
 
 import time
 from fractions import Fraction
+from functools import lru_cache, partial
+from math import isqrt, lcm
+from operator import mul
 
 from . import linalg
 from .linalg import coords_in_rowspan, det, hermite_normal_form, invert
@@ -25,6 +33,9 @@ class NotMinimal(ValueError):
 
 class BudgetExceeded(RuntimeError):
     pass
+
+
+_ZERO = Fraction(0)
 
 
 def _frac_vec(v):
@@ -43,16 +54,18 @@ class EvenLattice:
         self.basis = tuple(_frac_vec(row) for row in basis)
         self.rank = len(self.basis)
         self.scale = Fraction(scale)
-        if gram is None:
-            gram = [[self.scale * sum(x * y for x, y in zip(u, v))
-                     for v in self.basis] for u in self.basis]
-        self.gram = [[Fraction(x) for x in row] for row in gram]
-        for i in range(self.rank):
-            for j in range(self.rank):
-                if self.gram[i][j] != self.gram[j][i]:
-                    raise ValueError("Gram matrix must be symmetric")
         self._basis_inv = None
         self._ldl = None
+        self._int_rows = None
+        if gram is None:
+            rows, den = self._int_basis()
+            num = self.scale.numerator
+            den = den * den * self.scale.denominator
+            gram = [[Fraction(num * sum(map(mul, u, v)), den) for v in rows]
+                    for u in rows]
+        self.gram = [[Fraction(x) for x in row] for row in gram]
+        if self.gram != [list(col) for col in zip(*self.gram)]:
+            raise ValueError("Gram matrix must be symmetric")
 
     @staticmethod
     def from_gram(gram) -> "EvenLattice":
@@ -83,13 +96,28 @@ class EvenLattice:
             return False
         return all(Fraction(x).denominator == 1 for x in c)
 
+    def _int_basis(self):
+        """The basis as integer rows over one common denominator; cached."""
+        if self._int_rows is None:
+            den = lcm(*(x.denominator for row in self.basis for x in row))
+            rows = [[x.numerator * (den // x.denominator) for x in row]
+                    for row in self.basis]
+            self._int_rows = (rows, den)
+        return self._int_rows
+
     def ambient(self, coeffs):
-        out = [Fraction(0)] * len(self.basis[0])
-        for c, row in zip(coeffs, self.basis):
+        """The ambient vector sum(c_i * basis_i), as Fractions."""
+        rows, den = self._int_basis()
+        coeffs = [c if isinstance(c, (int, Fraction)) else Fraction(c)
+                  for c in coeffs]
+        c_den = lcm(*(c.denominator for c in coeffs))
+        out = [0] * len(rows[0])
+        for c, row in zip(coeffs, rows):
             if c:
-                for j, x in enumerate(row):
-                    out[j] += Fraction(c) * x
-        return tuple(out)
+                c = c.numerator * (c_den // c.denominator)
+                out = [o + c * x for o, x in zip(out, row)]
+        den *= c_den
+        return tuple(Fraction(o, den) if o else _ZERO for o in out)
 
     def norm_of_coeffs(self, z) -> Fraction:
         g = self.gram
@@ -101,53 +129,49 @@ class EvenLattice:
                 total += zi * sum(row[j] * zj for j, zj in enumerate(zz) if zj)
         return total
 
+    def _gram_divisible(self, diag, off) -> bool:
+        """Integral Gram matrix, diagonal divisible by diag, the rest by off."""
+        return all(x.denominator == 1 and x.numerator % (diag if i == j else off) == 0
+                   for i, row in enumerate(self.gram) for j, x in enumerate(row))
+
     def is_even(self) -> bool:
-        g = self.gram
-        n = self.rank
-        diag_even = all(g[i][i].denominator == 1 and g[i][i].numerator % 2 == 0
-                        for i in range(n))
-        off_int = all(g[i][j].denominator == 1
-                      for i in range(n) for j in range(n))
-        return diag_even and off_int
+        return self._gram_divisible(2, 1)
 
     def is_doubly_even(self) -> bool:
         # norms divisible by 4 on the basis and even cross terms close
         # under addition, so the basis check suffices
-        g = self.gram
-        n = self.rank
-        diag = all(g[i][i].denominator == 1 and g[i][i].numerator % 4 == 0
-                   for i in range(n))
-        off = all(g[i][j].denominator == 1 and g[i][j].numerator % 2 == 0
-                  for i in range(n) for j in range(n) if i != j)
-        return diag and off
+        return self._gram_divisible(4, 2)
 
     def dual_basis_rows(self):
-        ginv = invert(self.gram)
-        rows = []
-        for i in range(self.rank):
-            rows.append(self.ambient(ginv[i]))
-        return rows
+        return [self.ambient(row) for row in invert(self.gram)]
 
     def ldl(self):
-        """G = U^T diag(d) U with U unit upper triangular; cached."""
-        if self._ldl is not None:
-            return self._ldl
-        n = self.rank
-        q = [[Fraction(x) for x in row] for row in self.gram]
-        d = [Fraction(0)] * n
-        u = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
-            d[i] = q[i][i]
-            if d[i] <= 0:
-                raise NotPositiveDefinite("Gram matrix is not positive definite")
-            u[i][i] = Fraction(1)
-            for j in range(i + 1, n):
-                u[i][j] = q[i][j] / d[i]
-            for k in range(i + 1, n):
-                for l in range(k, n):
-                    q[k][l] -= d[i] * u[i][k] * u[i][l]
-                    q[l][k] = q[k][l]
-        self._ldl = (d, u)
+        """G = U^T diag(d) U with U unit upper triangular, on ints; cached.
+
+        Returns (M, E, D, U): M and E are the common denominators of the
+        off-diagonal u_ij and of the d_i, D_i = E*d_i, and row i of U holds
+        M*u_ij for j > i.
+        """
+        if self._ldl is None:
+            n = self.rank
+            q = [list(row) for row in self.gram]
+            d, u = [], []
+            for i in range(n):
+                di = q[i][i]
+                if di <= 0:
+                    raise NotPositiveDefinite("Gram matrix is not positive definite")
+                ui = [x / di for x in q[i][i + 1:]]
+                for k in range(i + 1, n):
+                    for l in range(k, n):
+                        q[k][l] -= di * ui[k - i - 1] * ui[l - i - 1]
+                d.append(di)
+                u.append(ui)
+            m_den = lcm(*(x.denominator for row in u for x in row))
+            e_den = lcm(*(x.denominator for x in d))
+            self._ldl = (m_den, e_den,
+                         [x.numerator * (e_den // x.denominator) for x in d],
+                         [[x.numerator * (m_den // x.denominator) for x in row]
+                          for row in u])
         return self._ldl
 
 
@@ -161,64 +185,68 @@ def lattice_invariants(lat: EvenLattice) -> dict:
     }
 
 
-def _isqrt_bounds(center: Fraction, budget: Fraction):
-    """Integer z range with (z + center)^2 <= budget, budget >= 0."""
-    a, b = center.numerator, center.denominator
-    p, q = budget.numerator, budget.denominator
-    # largest m >= 0 with m^2 * q <= b^2 * p
-    t = (b * b * p) // q
-    from math import isqrt
-    m = isqrt(t)
-    while (m + 1) * (m + 1) * q <= b * b * p:
-        m += 1
-    while m * m * q > b * b * p:
-        m -= 1
-    hi = (m - a) // b
-    lo = -((m + a) // b)
-    return lo, hi
-
-
 def enumerate_short(lat: EvenLattice, bound, shift=None,
                     budget_seconds=None):
     """All x = z + shift (z integer coefficients) with norm(x) <= bound.
 
-    Returns a list of (coeff_tuple, norm) pairs, unsorted.  ``shift`` is a
-    rational coefficient vector.  Exceeding ``budget_seconds`` raises
-    BudgetExceeded.
+    Returns a list of (coeff_tuple, norm) pairs of Fractions, levels n-1..0
+    with each coefficient ascending.  ``shift`` is a rational coefficient
+    vector.  Exceeding ``budget_seconds`` raises BudgetExceeded.
+
+    The search runs on ints.  With S the shift's common denominator and
+    M, E, D, U from ``ldl``, X_i = S*x_i is an integer and
+    M*S*(x_i + sum_{j>i} u_ij x_j) = M*S*z_i + C_i, where
+    C_i = M*S*s_i + sum_{j>i} U_ij X_j.  Norms are scaled by
+    K = E*M^2*S^2*den(bound).
     """
     n = lat.rank
     bound = Fraction(bound)
     if bound < 0:
         return []
-    d, u = lat.ldl()
+    m_den, e_den, d_int, urows = lat.ldl()
     s = [Fraction(0)] * n if shift is None else [Fraction(x) for x in shift]
+    if n == 0:
+        return [((), Fraction(0))]
+    s_den = lcm(*(x.denominator for x in s))
+    ms = m_den * s_den
+    scale = e_den * ms * ms
+    r0 = bound.numerator * scale
+    dd = [di * bound.denominator for di in d_int]
+    xs0 = [x.numerator * (s_den // x.denominator) for x in s]
+    xs = [0] * n
+    fx = [None] * n
+    # one Fraction per distinct coordinate and norm, shared by the results
+    coord = lru_cache(None)(partial(Fraction, denominator=s_den))
+    norm_of = lru_cache(None)(partial(Fraction, denominator=scale * bound.denominator))
     results = []
-    x = [Fraction(0)] * n
+    append = results.append
     deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
-    counter = 0
+    nodes = 0
 
     def descend(level, remaining):
-        nonlocal counter
-        counter += 1
-        if deadline is not None and counter % 4096 == 0:
-            if time.monotonic() > deadline:
-                raise BudgetExceeded("short-vector enumeration ran out of time")
-        if level < 0:
-            z = tuple(x[i] - s[i] for i in range(n))
-            assert all(zi.denominator == 1 for zi in z)
-            results.append((tuple(x), bound - remaining))
+        nonlocal nodes
+        nodes += 1
+        if deadline is not None and nodes % 4096 == 0 and time.monotonic() > deadline:
+            raise BudgetExceeded("short-vector enumeration ran out of time")
+        x0, dl = xs0[level], dd[level]
+        c = m_den * x0 + sum(map(mul, urows[level], xs[level + 1:]))
+        m = isqrt(remaining // dl)
+        z_range = range(-((m + c) // ms), (m - c) // ms + 1)
+        if level == 0:
+            tail = tuple(fx[1:])
+            base = remaining - r0
+            for z in z_range:
+                y = ms * z + c
+                append(((coord(s_den * z + x0),) + tail, norm_of(dl * y * y - base)))
             return
-        center = s[level] + sum(u[level][j] * x[j] for j in range(level + 1, n))
-        lo, hi = _isqrt_bounds(center, remaining / d[level])
-        for z in range(lo, hi + 1):
-            x[level] = z + s[level]
-            term = d[level] * (x[level] + center - s[level]) ** 2
-            # x[level] already includes the shift; the squared term uses
-            # the full affine coordinate x[level] + (center - s[level])
-            descend(level - 1, remaining - term)
-        x[level] = Fraction(0)
+        for z in z_range:
+            xs[level] = big_x = s_den * z + x0
+            fx[level] = coord(big_x)
+            y = ms * z + c
+            descend(level - 1, remaining - dl * y * y)
 
-    descend(n - 1, bound)
+    descend(n - 1, r0)
+    del descend  # free the search state now, not at the next cycle collection
     return results
 
 
@@ -264,28 +292,9 @@ def coset_min_norm(c: Coset, budget_seconds=None) -> dict:
     start = lat.norm_of_coeffs(frac)
     hits = enumerate_short(lat, start, shift=frac, budget_seconds=budget_seconds)
     k = min(nn for _, nn in hits)
-    offset = [Fraction(round(x)) for x in c.shift_coords]
-    reps = []
-    for z, nn in hits:
-        if nn == k:
-            full = [zi + oi - oi for zi, oi in zip(z, offset)]
-            reps.append(lat.ambient(z))
+    reps = [lat.ambient(z) for z, nn in hits if nn == k]
     reps.sort()
     return {"k": k, "reps": reps}
-
-
-def count_roots_in_coset(node, j: int) -> int:
-    """Number of norm-2 vectors of E8 lying in the coset j*alpha_i + L(i)."""
-    if not 1 <= j <= node.n - 1:
-        raise ValueError("coset index out of range")
-    target_shift = tuple(j * a for a in node.alpha_coords[node.i])
-    count = 0
-    for r in node.e8_root_coords:
-        diff = [x - y for x, y in zip(r, target_shift)]
-        c = linalg.vec_mat(diff, node.l_basis_inv)
-        if all(Fraction(x).denominator == 1 for x in c):
-            count += 1
-    return count
 
 
 def count_X_eta(root_system, gamma: Coset, eta) -> int:

@@ -16,8 +16,7 @@ from .codes import (block_subcode, construction_A, find_column_permutation,
                     is_type_II, named_code, residue_code_B)
 from .lattice import (Coset, EvenLattice, coset_min_norm, enumerate_short,
                       lattice_from_integer_rows, size_reduce_basis)
-from .linalg import integer_coords_in_rowspan
-from .rootsys import e8_paper_data
+from .rootsys import _lex_positive, e8_paper_data
 
 
 class CodeCheckFailed(RuntimeError):
@@ -81,7 +80,7 @@ def _paper_frame_in(lat: EvenLattice):
     """
     hits = enumerate_short(lat, 4)
     keys = sorted(tuple(int(x) for x in z) for z, n in hits if n == 4)
-    pos = [k for k in keys if _lex_pos(k)]
+    pos = [k for k in keys if _lex_positive(k)]
     posset = set(pos)
     simple = []
     for p in pos:
@@ -105,15 +104,9 @@ def _pair(lat, u, v) -> int:
     for i, x in enumerate(u):
         if x:
             total += x * sum(g[i][j] * v[j] for j in range(len(v)) if v[j])
-    assert total.denominator == 1
+    if total.denominator != 1:
+        raise EmbeddingNotFound("pairing of lattice vectors is not an integer")
     return int(total)
-
-
-def _lex_pos(v):
-    for x in v:
-        if x != 0:
-            return x > 0
-    return False
 
 
 def _match_diagram(target, source):

@@ -274,9 +274,3 @@ def integer_coords_in_rowspan(basis_rows, v):
     return out
 
 
-def gram_matrix(rows, form=None):
-    """Gram matrix of row vectors under a symmetric bilinear form (default dot)."""
-    if form is None:
-        return [[sum(x * y for x, y in zip(u, v)) for v in rows] for u in rows]
-    fw = [mat_vec(form, list(v)) for v in rows]
-    return [[sum(x * y for x, y in zip(u, w)) for w in fw] for u in rows]

@@ -13,13 +13,13 @@ from functools import lru_cache
 from math import lcm
 
 from .griess import (MODULE_EIGENVALUES, ModuleSpace, Weight2Basis,
-                     apply_sigma, apply_theta, build_node_family,
+                     apply_sigma, build_node_family,
                      conformal_check, coset_U2_cached, e8_context,
                      e_f_coords, generated_closure_coords, inner, product,
                      sigma_phase, tau_from_matrix, theta_split_tau_check)
 from .linalg import hermite_normal_form
 from .rootsys import NODE_LABELS, extended_e8_node
-from .scalars import Cyclotomic, as_rational, is_zero, phase
+from .scalars import Cyclotomic, as_rational, is_zero
 
 
 class TableMismatch(AssertionError):

@@ -501,5 +501,6 @@ def _to_e8_coords_identity(row):
 
 def _index_from_det(coords_rows) -> int:
     d = abs(det([[Fraction(x) for x in r] for r in coords_rows]))
-    assert d.denominator == 1
+    if d.denominator != 1:
+        raise ChainViolation("sublattice index is not an integer")
     return d.numerator

@@ -37,11 +37,13 @@ def _poly_divide_exact(num: list[int], den: list[int]) -> list[int]:
     q = [0] * (len(num) - len(den) + 1)
     for i in range(len(q) - 1, -1, -1):
         c = num[len(den) - 1 + i]
-        assert c % den[-1] == 0
+        if c % den[-1] != 0:
+            raise ArithmeticError("polynomial division is not exact over Z")
         q[i] = c // den[-1]
         for j, d in enumerate(den):
             num[i + j] -= q[i] * d
-    assert all(c == 0 for c in num)
+    if any(c != 0 for c in num):
+        raise ArithmeticError("polynomial division leaves a remainder")
     return q
 
 
@@ -284,10 +286,24 @@ class Cyclotomic:
             return a == b
         return NotImplemented
 
+    def _minimal_form(self):
+        """(m, coeffs) in Q(zeta_m) for the least m; equal values share it,
+        since Q(zeta_a) and Q(zeta_b) meet in Q(zeta_gcd(a, b))."""
+        from .linalg import coords_in_rowspan
+        n = self.order
+        for m in range(3, n):
+            if n % m == 0:
+                rows = [Cyclotomic.zeta(m, j)._embedded_coeffs(n)
+                        for j in range(euler_phi(m))]
+                c = coords_in_rowspan(rows, self.coeffs)
+                if c is not None:
+                    return m, tuple(c)
+        return n, self.coeffs
+
     def __hash__(self):
         if self.is_rational():
             return hash(self.coeffs[0])
-        return hash((self.order, self.coeffs))
+        return hash(self._minimal_form())
 
     def __repr__(self):
         return f"Cyclotomic({self.order}, {list(self.coeffs)})"

@@ -74,7 +74,6 @@ def test_corrupted_data_fails(tmp_path, monkeypatch, capsys):
     bad = good.replace("3012", "3013", 1)
     rows.write_text(bad)
     monkeypatch.setenv("MCKAY_DATA_DIR", str(tmp_path))
-    codes.named_code.cache_clear()
     try:
         rc = main(["verify-codes"])
         out = capsys.readouterr().out
@@ -85,7 +84,6 @@ def test_corrupted_data_fails(tmp_path, monkeypatch, capsys):
         assert "codes/z4/type-II" in failing
     finally:
         monkeypatch.delenv("MCKAY_DATA_DIR")
-        codes.named_code.cache_clear()
 
 
 def test_run_function_returns_report():
@@ -93,3 +91,19 @@ def test_run_function_returns_report():
     assert status == 0
     assert report["version"]
     assert json.loads(text)["pass"] is True
+
+
+def test_verify_codes_runs_the_same_under_python_O():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    runs = [subprocess.run([sys.executable, *flags, "-m", "e8voa.cli", "verify-codes"],
+                           capture_output=True, env=env)
+            for flags in ([], ["-O"])]
+    assert runs[0].returncode == 0
+    assert runs[1].returncode == runs[0].returncode
+    assert runs[1].stdout == runs[0].stdout

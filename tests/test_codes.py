@@ -162,3 +162,15 @@ def test_data_dir_override(tmp_path, monkeypatch):
     rows = codes._load_digit_rows(
         str(tmp_path / "hamming8.txt"), {0, 1})
     assert len(rows) == 4
+
+
+def test_named_code_follows_the_data_dir_without_cache_clear(tmp_path, monkeypatch):
+    default = named_code("Hamming8")
+    assert default.dimension == 4
+    (tmp_path / "hamming8.txt").write_text("11111111\n")
+    monkeypatch.setenv("MCKAY_DATA_DIR", str(tmp_path))
+    switched = named_code("Hamming8")
+    assert switched.dimension == 1
+    assert switched.generators == [(1,) * 8]
+    monkeypatch.delenv("MCKAY_DATA_DIR")
+    assert named_code("Hamming8") is default

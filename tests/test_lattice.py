@@ -1,13 +1,14 @@
 import itertools
 from fractions import Fraction as F
+from math import ceil, floor, isqrt, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from e8voa.lattice import (Coset, EvenLattice, NotMinimal, NotPositiveDefinite,
-                           coset_min_norm, count_X_eta, enumerate_short,
-                           lattice_invariants, short_vectors)
+from e8voa.lattice import (BudgetExceeded, Coset, EvenLattice, NotMinimal,
+                           NotPositiveDefinite, coset_min_norm, count_X_eta,
+                           enumerate_short, lattice_invariants, short_vectors)
 from e8voa.rootsys import build_root_system, e8_paper_data, extended_e8_node
 
 
@@ -92,6 +93,67 @@ def test_enumeration_matches_box_oracle(rank, seed):
     ours = sorted(tuple(z) for z, n in enumerate_short(lat, target)
                   if n == target)
     assert ours == _box_oracle(gram, target)
+
+
+def _shifted_box_search(gram, bound, shift):
+    """Every (z + shift, norm) with norm <= bound, by scanning a box of z.
+
+    |x_i| <= sqrt(bound * Ginv_ii) on the ellipsoid; norms are compared on
+    ints after clearing the denominators of the Gram matrix and the shift.
+    """
+    from e8voa.linalg import invert
+    n = len(gram)
+    ginv = invert(gram)
+    g_den = lcm(*(x.denominator for row in gram for x in row))
+    s_den = lcm(*(x.denominator for x in shift))
+    g_int = [[int(x * g_den) for x in row] for row in gram]
+    scale = g_den * s_den * s_den
+    ranges = []
+    for i in range(n):
+        r = isqrt(floor(bound * ginv[i][i])) + 1
+        ranges.append(range(floor(-shift[i]) - r, ceil(-shift[i]) + r + 1))
+    hits = []
+    for z in itertools.product(*ranges):
+        xs = [int(s_den * (zi + si)) for zi, si in zip(z, shift)]
+        q = sum(xs[i] * g_int[i][j] * xs[j] for i in range(n) for j in range(n))
+        if F(q, scale) <= bound:
+            hits.append((tuple(F(x, s_den) for x in xs), F(q, scale)))
+    return sorted(hits)
+
+
+@st.composite
+def _short_vector_problems(draw):
+    n = draw(st.integers(1, 5))
+    small = st.fractions(-1, 1, max_denominator=3)
+    a = [[draw(small) for _ in range(n)] for _ in range(n)]
+    diag = [draw(st.fractions(F(1, 2), 2, max_denominator=4)) for _ in range(n)]
+    gram = [[sum(a[i][k] * a[j][k] for k in range(n)) + (diag[i] if i == j else 0)
+             for j in range(n)] for i in range(n)]
+    shift = draw(st.lists(st.fractions(-2, 2, max_denominator=6),
+                          min_size=n, max_size=n))
+    bound = draw(st.fractions(0, 2, max_denominator=5))
+    return gram, shift, bound
+
+
+@settings(max_examples=60, deadline=None)
+@given(_short_vector_problems())
+def test_shifted_enumeration_matches_box_search(problem):
+    gram, shift, bound = problem
+    ours = enumerate_short(EvenLattice.from_gram(gram), bound, shift=shift)
+    for coeffs, norm in ours:
+        assert type(norm) is F and all(type(x) is F for x in coeffs)
+    assert sorted(ours) == _shifted_box_search(gram, bound, shift)
+
+
+def test_zero_budget_stops_the_rank24_norm4_search():
+    from e8voa.leech import build_leech
+    with pytest.raises(BudgetExceeded):
+        enumerate_short(build_leech().reduced, 4, budget_seconds=0)
+
+
+def test_leech_kissing_number():
+    from e8voa.leech import kissing_vectors
+    assert len(kissing_vectors()) == 196560
 
 
 def test_coset_min_norm_a2():

@@ -126,3 +126,20 @@ def test_mixed_order_arithmetic(a, b):
     s = a + b
     assert s - b == a.embed(24)
     assert (a * b) - (b * a) == 0
+
+
+def test_equal_values_from_different_fields_hash_alike():
+    pairs = [
+        (zeta(3), zeta(6, 2)),
+        (zeta(4), zeta(12, 3)),
+        (zeta(6), zeta(12, 2)),
+        # sqrt(-3) = 1 + 2 zeta_3, which is not a root of unity
+        (1 + 2 * zeta(3), (1 + 2 * zeta(3)).embed(12)),
+        (F(1, 2) + zeta(5, 2), (F(1, 2) + zeta(5, 2)).embed(10)),
+    ]
+    for a, b in pairs:
+        assert a == b
+        assert a.order != b.order
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+    assert len({zeta(3), zeta(3, 2), zeta(6, 2), zeta(6, 4)}) == 2

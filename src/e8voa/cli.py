@@ -172,10 +172,8 @@ def verify_griess(config: RunConfig):
         _check(results, f"griess/conformal-family/{letter}{rank}", ok,
                f"cc {want}")
         # coset counting and highest-weight checks
-        dual_rows = rs.lattice.dual_basis_rows()
-        reps = _coset_representatives(rs.lattice, dual_rows)
-        for ridx, shift in enumerate(reps):
-            coset = Coset(rs.lattice, shift)
+        for ridx, shift in enumerate(rs.lattice.dual_coset_shifts()):
+            coset = Coset(rs.lattice, rs.lattice.ambient(shift))
             info = coset_min_norm(coset)
             k = info["k"]
             h = rs.coxeter_number
@@ -184,8 +182,7 @@ def verify_griess(config: RunConfig):
             _check(results,
                    f"griess/x-eta/{letter}{rank}/coset-{ridx}", ok,
                    f"kh = {k * h}")
-            shift_coords = rs.lattice.coords(shift)
-            sp = ModuleSpace(ctx, shift_coords)
+            sp = ModuleSpace(ctx, shift)
             v = ModuleVector(sp, {key: Fraction(1) for key in sp.keys})
             sv = module_act(ctx, fam["s"], v)
             wv = module_act(ctx, fam["omega_tilde"], v)
@@ -243,30 +240,6 @@ def verify_griess(config: RunConfig):
     return results
 
 
-def _coset_representatives(lat, dual_rows):
-    """One shift per coset of the lattice in its dual, zero coset first."""
-    zero = tuple(Fraction(0) for _ in dual_rows[0])
-
-    def key_of(v):
-        return tuple(Fraction(c) % 1 for c in lat.coords(v))
-
-    seen = {key_of(zero)}
-    reps = [zero]
-    frontier = [zero]
-    while frontier:
-        new = []
-        for base in frontier:
-            for row in dual_rows:
-                cand = tuple(a + Fraction(b) for a, b in zip(base, row))
-                k = key_of(cand)
-                if k not in seen:
-                    seen.add(k)
-                    new.append(cand)
-                    reps.append(cand)
-        frontier = new
-    return reps
-
-
 def verify_mckay(config: RunConfig):
     from .mckay import node_report, markdown_table, MCKAY_TABLE, ROOT_COUNT_TABLE
     results = []
@@ -274,8 +247,9 @@ def verify_mckay(config: RunConfig):
     for i in _nodes(config):
         try:
             r = node_report(i)
-        except AssertionError as exc:
-            _check(results, f"mckay/node/i={i}", False, actual=str(exc))
+        except Exception as exc:
+            _check(results, f"mckay/node/i={i}", False,
+                   actual=f"{type(exc).__name__}: {exc}")
             continue
         reports.append(r)
         _check(results, f"mckay/inner/i={i}",

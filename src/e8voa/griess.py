@@ -17,8 +17,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .lattice import EvenLattice, enumerate_short
-from .linalg import invert, kernel_basis, mat_mul, rref
+from .lattice import EvenLattice, coset_minimum, enumerate_short
+from .linalg import (coords_in_rowspan, identity, invert, kernel_basis,
+                     mat_mul, rref)
 from .scalars import Cyclotomic, half_turn_phase, is_zero
 
 
@@ -52,15 +53,20 @@ HALF = Fraction(1, 2)
 
 
 class AlgebraContext:
-    """Weight-2 arithmetic for V_N, N given by a doubly even Gram matrix."""
+    """Weight-2 arithmetic for V_N, N given by a doubly even Gram matrix.
 
-    def __init__(self, gram, label: str = "", ambient_rows=None):
+    ``basis``, when given, embeds N in an ambient space (``lattice.ambient``
+    and ``lattice.coords`` map between keys and ambient vectors); by
+    default the basis is the unit vectors.  ``gram`` is kept as int rows.
+    """
+
+    def __init__(self, gram, label: str = "", basis=None):
         self.label = label
-        self.gram = [[Fraction(x) for x in row] for row in gram]
-        self.rank = len(self.gram)
-        self.lattice = EvenLattice.from_gram(self.gram)
+        self.lattice = EvenLattice(basis or identity(len(gram)), gram=gram)
+        self.rank = self.lattice.rank
         if not self.lattice.is_doubly_even():
             raise ValueError("context lattice must be doubly even")
+        self.gram = [[x.numerator for x in row] for row in self.lattice.gram]
         if any(n == 2 for _, n in enumerate_short(self.lattice, 2)):
             raise ValueError("context lattice must have no norm-2 vectors")
         hits = enumerate_short(self.lattice, 4)
@@ -68,13 +74,12 @@ class AlgebraContext:
         self.norm4 = tuple(v for v in norm4 if any(v))
         self.norm4_index = {v: k for k, v in enumerate(self.norm4)}
         self.gram_inv = invert(self.gram)
-        self.ambient_rows = ambient_rows
         self._gvec = {}
         self._omega = None
         self._neighbors = None
 
     def gvec(self, key):
-        """G . key, cached for lattice keys."""
+        """G . key, cached."""
         out = self._gvec.get(key)
         if out is None:
             out = tuple(sum(row[i] * key[i] for i in range(self.rank) if key[i])
@@ -83,11 +88,7 @@ class AlgebraContext:
         return out
 
     def pairing(self, u, v) -> Fraction:
-        gv = self.gvec(tuple(v)) if tuple(v) in self._gvec else None
-        if gv is None:
-            gv = tuple(sum(row[i] * Fraction(v[i]) for i in range(self.rank)
-                           if v[i]) for row in self.gram)
-        return sum(Fraction(u[i]) * gv[i] for i in range(self.rank) if u[i])
+        return self.lattice.pair(u, v)
 
     def minus2_neighbors(self, key):
         """Pairs (y, key+y) over norm-4 y with B(key, y) = -2, cached."""
@@ -103,26 +104,6 @@ class AlgebraContext:
                     out.append((y, tuple(p + q for p, q in zip(key, y))))
             self._neighbors[key] = tuple(out)
         return out
-
-    def ambient_of(self, key):
-        if self.ambient_rows is None:
-            return tuple(Fraction(x) for x in key)
-        out = [Fraction(0)] * len(self.ambient_rows[0])
-        for c, row in zip(key, self.ambient_rows):
-            if c:
-                for j, x in enumerate(row):
-                    out[j] += Fraction(c) * Fraction(x)
-        return tuple(out)
-
-    def key_of_ambient(self, v):
-        """Coefficient key of an ambient vector, when an embedding is set."""
-        if self.ambient_rows is None:
-            return _int_key(v)
-        from .linalg import coords_in_rowspan
-        c = coords_in_rowspan(self.ambient_rows, [Fraction(x) for x in v])
-        if c is None:
-            raise ValueError("vector lies outside the ambient span")
-        return _int_key(c)
 
     def zero(self) -> "GriessElement":
         return GriessElement(self)
@@ -493,14 +474,10 @@ class ModuleSpace:
 
     def __init__(self, ctx: AlgebraContext, shift_coords):
         self.ctx = ctx
-        shift = [Fraction(x) for x in shift_coords]
-        frac = [x - Fraction(round(x)) for x in shift]
-        start = ctx.lattice.norm_of_coeffs(frac)
-        hits = enumerate_short(ctx.lattice, start, shift=frac)
-        k = min(n for _, n in hits)
+        k, zs = coset_minimum(ctx.lattice, shift_coords)
         self.min_norm = k
         self.weight = k / 2
-        self.keys = sorted(z for z, n in hits if n == k)
+        self.keys = sorted(zs)
         self.index = {z: i for i, z in enumerate(self.keys)}
 
     def __len__(self):
@@ -547,8 +524,7 @@ class ModuleVector:
 
 def module_act_on_key(ctx, u: GriessElement, key, index):
     out = {}
-    gx = tuple(sum(row[i] * Fraction(key[i]) for i in range(ctx.rank) if key[i])
-               for row in ctx.gram)
+    gx = ctx.gvec(key)
     acc = 0
     for (a, b), v in u.quad.items():
         w = gx[a] * gx[b]
@@ -560,7 +536,7 @@ def module_act_on_key(ctx, u: GriessElement, key, index):
     if not is_zero(acc):
         out[key] = acc
     for ykey, v in u.expo.items():
-        b = sum(Fraction(ykey[i]) * gx[i] for i in range(ctx.rank) if ykey[i])
+        b = sum(ykey[i] * gx[i] for i in range(ctx.rank) if ykey[i])
         if b > -2:
             continue
         if b < -2:
@@ -797,13 +773,17 @@ def build_node_family(i: int) -> NodeFamilies:
 # the Hamming-model context and its conformal vectors
 
 
-@lru_cache(maxsize=None)
 def hamming_context() -> AlgebraContext:
-    from .codes import construction_A, named_code
-    lat = construction_A(named_code("Hamming8"))
-    gram = [[Fraction(x) for x in row] for row in lat.gram]
-    return AlgebraContext(gram, label="A(H8)",
-                          ambient_rows=[list(r) for r in lat.basis])
+    """The context of the Construction-A lattice of the Hamming code in use now."""
+    from .codes import named_code
+    return _hamming_context(named_code("Hamming8"))
+
+
+@lru_cache(maxsize=None)
+def _hamming_context(code) -> AlgebraContext:
+    from .codes import construction_A
+    lat = construction_A(code)
+    return AlgebraContext(lat.gram, label="A(H8)", basis=lat.basis)
 
 
 def hamming_cosets_even():
@@ -828,13 +808,11 @@ def hamming_cosets_even():
 class HammingFamilies:
     """X^eps_gamma, e-hat^eps_delta, and the standard Virasoro frame."""
 
-    def __init__(self):
-        from .codes import named_code
-        ctx = hamming_context()
+    def __init__(self, code):
+        ctx = _hamming_context(code)
         self.ctx = ctx
-        h8 = named_code("Hamming8")
-        self.code_words = sorted(set(h8.words()))
-        amb = {k: tuple(int(x) for x in ctx.ambient_of(k)) for k in ctx.norm4}
+        self.code_words = sorted(set(code.words()))
+        amb = {k: tuple(int(x) for x in ctx.lattice.ambient(k)) for k in ctx.norm4}
         self.ambient = amb
         self.X = {0: {}, 1: {}}
         for gamma in self.code_words:
@@ -862,7 +840,7 @@ class HammingFamilies:
         frame = []
         for j in range(8):
             lam = tuple(Fraction(2 * int(t == j)) for t in range(8))
-            key = ctx.key_of_ambient(lam)
+            key = _int_key(ctx.lattice.coords(lam))
             for sign in (1, -1):
                 el = GriessElement(ctx)
                 el.add_quad_square(key, Fraction(1, 16))
@@ -880,9 +858,15 @@ class HammingFamilies:
         return out
 
 
-@lru_cache(maxsize=None)
 def build_hamming_family() -> HammingFamilies:
-    return HammingFamilies()
+    """The Hamming-model families of the Hamming code in use now."""
+    from .codes import named_code
+    return _hamming_family(named_code("Hamming8"))
+
+
+@lru_cache(maxsize=None)
+def _hamming_family(code) -> HammingFamilies:
+    return HammingFamilies(code)
 
 
 # ---------------------------------------------------------------------------
@@ -1068,17 +1052,12 @@ def coset_U2(i: int) -> U2Data:
         row = []
         for b in basis:
             prod = product(ctx, a, b)
-            c = coords_in_rowspan_cached(rows, w2.vector(prod))
+            c = coords_in_rowspan(rows, w2.vector(prod))
             if c is None:
                 raise DimensionMismatch(f"node {i}: U2 is not closed under products")
             row.append([Fraction(x) for x in c])
         structure.append(row)
     return U2Data(node, labels, basis, gram, structure, block_dims)
-
-
-def coords_in_rowspan_cached(rows, target):
-    from .linalg import coords_in_rowspan
-    return coords_in_rowspan(rows, target)
 
 
 @lru_cache(maxsize=None)

@@ -1,14 +1,21 @@
-"""Even lattices: Gram data, duals, exact short-vector enumeration, cosets.
+"""Even lattices: the pairing, the ambient map, dual cosets, enumeration.
 
-All enumeration is exact and runs on Python ints: the rational LDL
+``EvenLattice`` is the one owner of the three lattice operations the rest
+of the package uses: the bilinear form u^T G v on coefficient vectors
+(``pair``), the linear-combination map from coefficients to ambient
+vectors (``ambient``), and the enumeration of the cosets of the lattice in
+its dual (``dual_coset_shifts``).  The Gram matrix and the basis are
+scaled to integers over one denominator each, once per lattice, so the
+pairing and the ambient map sum on Python ints.
+
+Short-vector enumeration is exact Fincke-Pohst on ints: the rational LDL
 decomposition of the Gram matrix is brought to integers once per lattice
 (one common denominator for the off-diagonal part, one for the diagonal),
-each search scales its shift and bound alike, and every level's range is an
-integer square root.  The ambient map and the Gram matrix are summed on
-integer basis rows over one denominator.  Nothing here ever touches floating
-point.  Vectors of a lattice are kept in two parallel pictures: integer
-coefficient tuples with respect to the basis, and the corresponding ambient
-rational tuples.
+each search scales its shift and bound alike, and every level's range is
+an integer square root.  Nothing here ever touches floating point.
+Vectors of a lattice are kept in two parallel pictures: integer
+coefficient tuples with respect to the basis, and the corresponding
+ambient rational tuples.
 """
 
 from __future__ import annotations
@@ -42,6 +49,19 @@ def _frac_vec(v):
     return tuple(Fraction(x) for x in v)
 
 
+def _over_one_den(v):
+    """(ints, den) with v_i = ints_i / den, for int or Fraction entries."""
+    v = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v]
+    den = lcm(*(x.denominator for x in v))
+    return [x.numerator * (den // x.denominator) for x in v], den
+
+
+def _scaled_rows(rows):
+    """(int rows, den) with rows[i][j] = int_rows[i][j] / den, Fraction entries."""
+    den = lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
+
+
 class EvenLattice:
     """A positive definite lattice given by basis rows and a Gram matrix.
 
@@ -57,6 +77,7 @@ class EvenLattice:
         self._basis_inv = None
         self._ldl = None
         self._int_rows = None
+        self._int_gram_rows = None
         if gram is None:
             rows, den = self._int_basis()
             num = self.scale.numerator
@@ -99,35 +120,33 @@ class EvenLattice:
     def _int_basis(self):
         """The basis as integer rows over one common denominator; cached."""
         if self._int_rows is None:
-            den = lcm(*(x.denominator for row in self.basis for x in row))
-            rows = [[x.numerator * (den // x.denominator) for x in row]
-                    for row in self.basis]
-            self._int_rows = (rows, den)
+            self._int_rows = _scaled_rows(self.basis)
         return self._int_rows
 
     def ambient(self, coeffs):
         """The ambient vector sum(c_i * basis_i), as Fractions."""
         rows, den = self._int_basis()
-        coeffs = [c if isinstance(c, (int, Fraction)) else Fraction(c)
-                  for c in coeffs]
-        c_den = lcm(*(c.denominator for c in coeffs))
+        coeffs, c_den = _over_one_den(coeffs)
         out = [0] * len(rows[0])
         for c, row in zip(coeffs, rows):
             if c:
-                c = c.numerator * (c_den // c.denominator)
                 out = [o + c * x for o, x in zip(out, row)]
         den *= c_den
         return tuple(Fraction(o, den) if o else _ZERO for o in out)
 
-    def norm_of_coeffs(self, z) -> Fraction:
-        g = self.gram
-        total = Fraction(0)
-        zz = [Fraction(x) for x in z]
-        for i, zi in enumerate(zz):
-            if zi:
-                row = g[i]
-                total += zi * sum(row[j] * zj for j, zj in enumerate(zz) if zj)
-        return total
+    def _int_gram(self):
+        """The Gram matrix as integer rows over one common denominator; cached."""
+        if self._int_gram_rows is None:
+            self._int_gram_rows = _scaled_rows(self.gram)
+        return self._int_gram_rows
+
+    def pair(self, u, v) -> Fraction:
+        """The bilinear form u^T G v on coefficient vectors, as a Fraction."""
+        rows, den = self._int_gram()
+        u, u_den = _over_one_den(u)
+        v, v_den = _over_one_den(v)
+        total = sum(x * sum(map(mul, row, v)) for x, row in zip(u, rows) if x)
+        return Fraction(total, den * u_den * v_den)
 
     def _gram_divisible(self, diag, off) -> bool:
         """Integral Gram matrix, diagonal divisible by diag, the rest by off."""
@@ -144,6 +163,30 @@ class EvenLattice:
 
     def dual_basis_rows(self):
         return [self.ambient(row) for row in invert(self.gram)]
+
+    def dual_coset_shifts(self):
+        """One coefficient shift per coset of the lattice in its dual.
+
+        Breadth-first over the rows of G^-1, the dual basis in coefficient
+        space, yielding the zero coset first; two shifts lie in the same
+        coset exactly when they agree mod 1.
+        """
+        steps = invert(self.gram)
+        zero = (_ZERO,) * self.rank
+        seen = {zero}
+        frontier = [zero]
+        yield zero
+        while frontier:
+            new = []
+            for base in frontier:
+                for row in steps:
+                    cand = tuple(a + b for a, b in zip(base, row))
+                    key = tuple(x % 1 for x in cand)
+                    if key not in seen:
+                        seen.add(key)
+                        new.append(cand)
+                        yield cand
+            frontier = new
 
     def ldl(self):
         """G = U^T diag(d) U with U unit upper triangular, on ints; cached.
@@ -166,12 +209,9 @@ class EvenLattice:
                         q[k][l] -= di * ui[k - i - 1] * ui[l - i - 1]
                 d.append(di)
                 u.append(ui)
-            m_den = lcm(*(x.denominator for row in u for x in row))
-            e_den = lcm(*(x.denominator for x in d))
-            self._ldl = (m_den, e_den,
-                         [x.numerator * (e_den // x.denominator) for x in d],
-                         [[x.numerator * (m_den // x.denominator) for x in row]
-                          for row in u])
+            d_int, e_den = _over_one_den(d)
+            u_int, m_den = _scaled_rows(u)
+            self._ldl = (m_den, e_den, d_int, u_int)
         return self._ldl
 
 
@@ -284,17 +324,21 @@ class Coset:
         return hash((id(self.lattice), key))
 
 
+def coset_minimum(lat: EvenLattice, shift, budget_seconds=None):
+    """(k, zs): the minimal norm over z + shift, z integral, and the
+    coefficient vectors of z + shift that achieve it."""
+    # reduce the shift by rounding to get a finite starting bound
+    frac = [x - round(x) for x in shift]
+    hits = enumerate_short(lat, lat.pair(frac, frac), shift=frac,
+                           budget_seconds=budget_seconds)
+    k = min(nn for _, nn in hits)
+    return k, [z for z, nn in hits if nn == k]
+
+
 def coset_min_norm(c: Coset, budget_seconds=None) -> dict:
     """Exact minimum squared norm over the coset and all achieving vectors."""
-    lat = c.lattice
-    # reduce the shift by rounding to get a finite starting bound
-    frac = [x - Fraction(round(x)) for x in c.shift_coords]
-    start = lat.norm_of_coeffs(frac)
-    hits = enumerate_short(lat, start, shift=frac, budget_seconds=budget_seconds)
-    k = min(nn for _, nn in hits)
-    reps = [lat.ambient(z) for z, nn in hits if nn == k]
-    reps.sort()
-    return {"k": k, "reps": reps}
+    k, zs = coset_minimum(c.lattice, c.shift_coords, budget_seconds)
+    return {"k": k, "reps": sorted(c.lattice.ambient(z) for z in zs)}
 
 
 def count_X_eta(root_system, gamma: Coset, eta) -> int:

@@ -16,6 +16,7 @@ from .codes import (block_subcode, construction_A, find_column_permutation,
                     is_type_II, named_code, residue_code_B)
 from .lattice import (Coset, EvenLattice, coset_min_norm, enumerate_short,
                       lattice_from_integer_rows, size_reduce_basis)
+from .linalg import vec_mat
 from .rootsys import _lex_positive, e8_paper_data
 
 
@@ -40,9 +41,13 @@ class LeechContext:
         self.block_frames = None
 
 
-@lru_cache(maxsize=None)
 def build_leech() -> LeechContext:
-    code = named_code("Z4Leech")
+    """The Leech lattice from the Z4 code in the data directory in use now."""
+    return _leech_from(named_code("Z4Leech"))
+
+
+@lru_cache(maxsize=None)
+def _leech_from(code) -> LeechContext:
     if not is_type_II(code):
         raise CodeCheckFailed("the Z4 code is not type II self-dual")
     lam = construction_A(code)
@@ -89,24 +94,16 @@ def _paper_frame_in(lat: EvenLattice):
             simple.append(p)
     if len(simple) != lat.rank:
         raise EmbeddingNotFound("could not extract a simple system")
-    cartan = [[_pair(lat, u, v) // 2 for v in simple] for u in simple]
+    pairs = [[lat.pair(u, v) for v in simple] for u in simple]
+    if any(x.denominator != 1 for row in pairs for x in row):
+        raise EmbeddingNotFound("pairing of lattice vectors is not an integer")
+    cartan = [[x // 2 for x in row] for row in pairs]
     target = e8_paper_data()["lattice"].gram
     target = [[int(x) for x in row] for row in target]
     perm = _match_diagram(target, cartan)
     if perm is None:
         raise EmbeddingNotFound("simple system does not match the E8 diagram")
     return [simple[perm[i]] for i in range(8)]
-
-
-def _pair(lat, u, v) -> int:
-    g = lat.gram
-    total = Fraction(0)
-    for i, x in enumerate(u):
-        if x:
-            total += x * sum(g[i][j] * v[j] for j in range(len(v)) if v[j])
-    if total.denominator != 1:
-        raise EmbeddingNotFound("pairing of lattice vectors is not an integer")
-    return int(total)
 
 
 def _match_diagram(target, source):
@@ -220,12 +217,7 @@ def sigma_tilde_order(i: int) -> int:
     node = extended_e8_node(i)
     ctx = build_leech()
     embed_sqrt2E8_cubed(ctx)
-    frame = ctx.block_frames[0]
-    beta = [Fraction(0)] * 24
-    for c, m in zip(node.glue_coords, frame):
-        if c:
-            for t in range(24):
-                beta[t] += c * m[t]
+    beta = vec_mat(node.glue_coords, ctx.block_frames[0])
     order = 1
     for row in ctx.lattice.basis:
         t = sum(x * y for x, y in zip(beta, row))
@@ -255,33 +247,21 @@ def _canonical_shape(v):
 _SHAPE_SET = {_canonical_shape(s) for s in MINIMAL_SHAPES}
 
 
-@lru_cache(maxsize=None)
-def hamming_model_dual():
-    """The dual of the Construction-A model of the rescaled E8 lattice."""
-    lat = construction_A(named_code("Hamming8"))
-    dual_rows = lat.dual_basis_rows()
-    return lat, EvenLattice(dual_rows)
-
-
 def minimal_coset_survey():
     """Classify all 256 cosets of the rescaled E8 lattice in its dual.
 
     Each coset gets its exact minimal norm (0, 1, or 2), a minimal
     representative matching one of the eleven coordinate shapes up to
     permutation and overall sign, and for norm 2 an orthogonal splitting
-    into two norm-1 dual vectors.
+    into two norm-1 dual vectors.  The norm-1 dual vectors are exactly the
+    minimal representatives of the norm-1 cosets.
     """
-    lat, dual = hamming_model_dual()
-    norm1 = None
+    lat = construction_A(named_code("Hamming8"))
+    infos = [coset_min_norm(Coset(lat, lat.ambient(shift)))
+             for shift in lat.dual_coset_shifts()]
+    norm1 = [v for info in infos if info["k"] == 1 for v in info["reps"]]
     cosets = []
-    for mask in range(256):
-        shift = [Fraction(0)] * 8
-        for b in range(8):
-            if mask >> b & 1:
-                for t in range(8):
-                    shift[t] += dual.basis[b][t]
-        coset = Coset(lat, shift)
-        info = coset_min_norm(coset)
+    for info in infos:
         k = info["k"]
         if k not in (0, 1, 2):
             raise ShapeMismatch(f"coset has minimal norm {k}")
@@ -296,11 +276,8 @@ def minimal_coset_survey():
             raise ShapeMismatch("no minimal representative matches the shape list")
         split = None
         if k == 2:
-            if norm1 is None:
-                norm1 = _dual_norm1_vectors(lat, dual)
-            alpha = match
             for a in norm1:
-                b = tuple(x - y for x, y in zip(alpha, a))
+                b = tuple(x - y for x, y in zip(match, a))
                 nb = sum(x * x for x in b)
                 ab = sum(x * y for x, y in zip(a, b))
                 if nb == 1 and ab == 0:
@@ -308,11 +285,6 @@ def minimal_coset_survey():
                     break
             if split is None:
                 raise ShapeMismatch("norm-2 representative admits no orthogonal split")
-        cosets.append({"mask": mask, "min_norm": k, "rep": match,
+        cosets.append({"min_norm": k, "rep": match,
                        "n_minimal": len(info["reps"]), "split": split})
     return cosets
-
-
-def _dual_norm1_vectors(lat, dual):
-    hits = enumerate_short(dual, 1)
-    return [dual.ambient(z) for z, n in hits if n == 1]

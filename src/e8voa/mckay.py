@@ -100,24 +100,23 @@ def _phase_order(t: Fraction) -> int:
     return Fraction(t).denominator
 
 
-def sigma_weight2_order(i: int) -> int:
+def sigma_weight2_order(i: int, power: int = 1) -> int:
+    """Order of sigma^power on the weight-2 space.
+
+    sigma multiplies e^x by exp(pi i <glue, x>), so sigma^power has the
+    phase order of power * <glue, x> / 2 on e^x.
+    """
     fams = build_node_family(i)
     ctx = fams.ctx
     order = 1
     for key in ctx.norm4:
         t = ctx.pairing(fams.node.glue_coords, key)
-        order = lcm(order, _phase_order(t / 2))
+        order = lcm(order, _phase_order(t * power / 2))
     return order
 
 
 def sigma_sq_weight2_order(i: int) -> int:
-    fams = build_node_family(i)
-    ctx = fams.ctx
-    order = 1
-    for key in ctx.norm4:
-        t = ctx.pairing(fams.node.glue_coords, key)
-        order = lcm(order, _phase_order(t))
-    return order
+    return sigma_weight2_order(i, 2)
 
 
 def dihedral_check(i: int) -> dict:
@@ -150,15 +149,8 @@ def dihedral_check(i: int) -> dict:
 def dual_coset_spaces():
     """The 255 nontrivial cosets of the lattice in its dual, as modules."""
     ctx = e8_context()
-    dual_rows = ctx.gram_inv
-    spaces = []
-    for mask in range(1, 256):
-        shift = [Fraction(0)] * 8
-        for b in range(8):
-            if mask >> b & 1:
-                for t in range(8):
-                    shift[t] += dual_rows[b][t]
-        spaces.append(ModuleSpace(ctx, shift))
+    shifts = list(ctx.lattice.dual_coset_shifts())
+    spaces = [ModuleSpace(ctx, shift) for shift in shifts[1:]]
     # the minimal keys across all cosets generate the dual lattice
     doubled = []
     for sp in spaces:

@@ -212,11 +212,6 @@ def decompose_root_lattice(lat: EvenLattice):
     if len(h) < lat.rank or abs(det(h)) != 1:
         raise NotRootGenerated("norm-2 vectors do not generate the lattice")
 
-    def pair(u, v):
-        g = lat.gram
-        return sum(u[i] * sum(g[i][j] * v[j] for j in range(len(v)) if v[j])
-                   for i in range(len(u)) if u[i])
-
     pos = [c for c in coords if _lex_positive(c)]
     posset = set(pos)
     simple = []
@@ -228,16 +223,16 @@ def decompose_root_lattice(lat: EvenLattice):
                 break
         if not decomposable:
             simple.append(p)
-    adj, comps = _component_graph(simple, pair)
+    adj, comps = _component_graph(simple, lat.pair)
     out = []
     for nodes in comps:
         letter, rank = _diagram_type(nodes, adj)
         comp_simple = [simple[v] for v in nodes]
         comp_roots = []
         for r in coords:
-            hits = [v for v in nodes if pair(r, simple[v]) != 0]
+            hits = [v for v in nodes if lat.pair(r, simple[v]) != 0]
             others = [v for v in range(len(simple))
-                      if v not in nodes and pair(r, simple[v]) != 0]
+                      if v not in nodes and lat.pair(r, simple[v]) != 0]
             if hits and others:
                 raise NotRootGenerated("root meets two components")
             if hits:
@@ -326,19 +321,14 @@ class ExtendedE8Node:
         data = e8_paper_data()
         self.i = i
         self.label = NODE_LABELS[i]
-        basis = data["basis"]
         highest = data["highest_coords"]
         # alpha_0 is minus the highest root; coordinates over alpha_1..alpha_8
         alpha0_coords = tuple(-x for x in highest)
         self.alpha_coords = [alpha0_coords] + [
             tuple(int(j == k) for j in range(8)) for k in range(8)]
-        self.alphas = [tuple(sum(Fraction(c) * basis[m][t] for m, c in enumerate(cc))
-                             for t in range(8)) for cc in self.alpha_coords]
-        rel = [Fraction(0)] * 8
-        for coeff, cc in zip(EXTENDED_COEFFS, self.alpha_coords):
-            for t in range(8):
-                rel[t] += coeff * cc[t]
-        if any(x != 0 for x in rel):
+        e8 = data["lattice"]
+        self.alphas = [e8.ambient(cc) for cc in self.alpha_coords]
+        if any(vec_mat(EXTENDED_COEFFS, self.alpha_coords)):
             raise AssertionError("extended diagram relation fails")
         self.n = EXTENDED_COEFFS[i]
 
@@ -346,34 +336,27 @@ class ExtendedE8Node:
         self.l_rows_coords = [list(self.alpha_coords[j]) for j in keep]
         self.l_basis_inv = invert(self.l_rows_coords)
         self.lattice = EvenLattice([self.alphas[j] for j in keep])
-        index_sq = self.lattice.det_gram() / data["lattice"].det_gram()
+        index_sq = self.lattice.det_gram() / e8.det_gram()
         if index_sq != self.n * self.n:
             raise AssertionError("index of L(i) in E8 does not match the label")
         self.components = [
             RootComponent(c.letter, c.rank,
-                          [_to_e8_coords(s, self.l_rows_coords) for s in c.simple_coords],
-                          [_to_e8_coords(r, self.l_rows_coords) for r in c.root_coords])
+                          [tuple(vec_mat(s, self.l_rows_coords)) for s in c.simple_coords],
+                          [tuple(vec_mat(r, self.l_rows_coords)) for r in c.root_coords])
         for c in decompose_root_lattice(self.lattice)]
         self.component_types = sorted((c.letter, c.rank) for c in self.components)
 
         self.e8_root_coords = data["root_coords"]
         self.e8_roots_ambient = data["roots_ambient"]
 
-        glue = _glue_coeffs(i)
-        gc = [Fraction(0)] * 8
-        for m, c in enumerate(glue):
-            if c:
-                for t in range(8):
-                    gc[t] += c * self.alpha_coords[m][t]
-        self.glue_coords = tuple(gc)
-        self.glue_ambient = tuple(
-            sum(gc[t] * basis[t][s] for t in range(8)) for s in range(8))
-        self._check_glue()
+        self.glue_coords = tuple(vec_mat(_glue_coeffs(i), self.alpha_coords))
+        self.glue_ambient = e8.ambient(self.glue_coords)
+        self._check_glue(e8)
         self._classes = None
 
-    def _check_glue(self):
+    def _check_glue(self, e8):
         for j in range(9):
-            t = _dot(self.glue_ambient, self.alphas[j])
+            t = e8.pair(self.glue_coords, self.alpha_coords[j])
             if j == self.i:
                 if (t + Fraction(1, self.n)).denominator != 1:
                     raise AssertionError("glue pairing with removed node is wrong")
@@ -411,19 +394,6 @@ class ExtendedE8Node:
         return sum(1 for j in classes.values() if j == 0)
 
 
-def _dot(u, v):
-    return sum(Fraction(x) * Fraction(y) for x, y in zip(u, v))
-
-
-def _to_e8_coords(comp_coords, l_rows):
-    out = [Fraction(0)] * 8
-    for c, row in zip(comp_coords, l_rows):
-        if c:
-            for t in range(8):
-                out[t] += c * row[t]
-    return tuple(out)
-
-
 @lru_cache(maxsize=None)
 def extended_e8_node(i: int) -> ExtendedE8Node:
     return ExtendedE8Node(i)
@@ -449,6 +419,7 @@ def check_intermediate_chains():
         node = extended_e8_node(i)
         type_to_label[tuple(node.component_types)] = node.label
     chains = []
+    e8 = e8_paper_data()["lattice"]
     for i in range(9):
         node = extended_e8_node(i)
         n = node.n
@@ -458,8 +429,7 @@ def check_intermediate_chains():
             rows.append([d * x for x in node.alpha_coords[node.i]])
             h = hermite_normal_form(rows)
             mid_coords = h
-            mid = EvenLattice([_to_e8_coords_identity(r) for r in mid_coords],
-                              gram=_gram_from_coords(mid_coords))
+            mid = EvenLattice([e8.ambient(r) for r in mid_coords])
             mid_types = classify_root_sublattice(mid)
             idx_mid = _index_from_det(mid_coords)
             if idx_mid != d:
@@ -481,22 +451,6 @@ def check_intermediate_chains():
                 "power_map": POWER_MAP_LABELS.get((i, d)),
             })
     return chains
-
-
-def _gram_from_coords(coords_rows):
-    data = e8_paper_data()
-    g = data["lattice"].gram
-    rows = [[Fraction(x) for x in r] for r in coords_rows]
-    return [[sum(rows[a][s] * g[s][t] * rows[b][t]
-                 for s in range(8) for t in range(8))
-             for b in range(len(rows))] for a in range(len(rows))]
-
-
-def _to_e8_coords_identity(row):
-    data = e8_paper_data()
-    basis = data["basis"]
-    return tuple(sum(Fraction(row[t]) * basis[t][s] for t in range(8))
-                 for s in range(8))
 
 
 def _index_from_det(coords_rows) -> int:

@@ -8,7 +8,7 @@ import random
 from fractions import Fraction as F
 
 from e8voa.cli import RunConfig, verify_codes, verify_griess, verify_leech
-from e8voa.griess import (AlgebraContext, GriessElement, ModuleSpace,
+from e8voa.griess import (GriessElement, ModuleSpace,
                           ModuleVector, apply_sigma, apply_theta,
                           build_hamming_family, build_node_family,
                           build_virasoro_family, conformal_check,
@@ -21,8 +21,10 @@ from e8voa.mckay import (MCKAY_TABLE, ROOT_COUNT_TABLE,
                          direct_inner, dual_tau_data, node_report,
                          tau_e_negates_dual_exponentials, tau_product_orders,
                          weight2_tau_theta_verified)
-from e8voa.rootsys import build_root_system, extended_e8_node
+from e8voa.rootsys import extended_e8_node
 from e8voa.scalars import as_rational
+
+from conftest import sqrt2_root_context
 
 
 def _ok(name, condition):
@@ -56,18 +58,12 @@ def _suite_types():
             + [("E", 6), ("E", 7), ("E", 8)])
 
 
-def _ctx_for(letter, rank):
-    rs = build_root_system(letter, rank)
-    gram2 = [[2 * x for x in row] for row in rs.lattice.gram]
-    return rs, AlgebraContext(gram2)
-
-
 def test_criterion_3_conformal_vectors():
     cc = {"A": lambda n: F(2 * n, n + 3), "D": lambda n: F(1),
           "E": {6: F(6, 7), 7: F(7, 10), 8: F(1, 2)}.get}
     ok = True
     for letter, rank in _suite_types():
-        rs, ctx = _ctx_for(letter, rank)
+        rs, ctx = sqrt2_root_context(letter, rank)
         fam = build_virasoro_family(ctx, rs.root_coords)
         ok = ok and as_rational(conformal_check(ctx, fam["omega_tilde"])) == cc[letter](rank)
         conformal_check(ctx, fam["s"])
@@ -116,18 +112,16 @@ def test_criterion_4_virasoro_frames():
 def test_criterion_5_coset_lemma_and_highest_weights():
     ok = True
     for letter, rank in _suite_types():
-        rs, ctx = _ctx_for(letter, rank)
+        rs, ctx = sqrt2_root_context(letter, rank)
         fam = build_virasoro_family(ctx, rs.root_coords)
         h = rs.coxeter_number
-        dual = rs.lattice.dual_basis_rows()
-        from e8voa.cli import _coset_representatives
-        for shift in _coset_representatives(rs.lattice, dual):
-            coset = Coset(rs.lattice, shift)
+        for shift in rs.lattice.dual_coset_shifts():
+            coset = Coset(rs.lattice, rs.lattice.ambient(shift))
             info = coset_min_norm(coset)
             k = info["k"]
             ok = ok and all(count_X_eta(rs, coset, eta) == k * h
                             for eta in info["reps"])
-            sp = ModuleSpace(ctx, rs.lattice.coords(shift))
+            sp = ModuleSpace(ctx, shift)
             v = ModuleVector(sp, {key: F(1) for key in sp.keys})
             ok = ok and module_act(ctx, fam["s"], v).is_zero()
             ok = ok and module_act(ctx, fam["omega_tilde"], v) == v.scaled(k)
@@ -171,7 +165,7 @@ def test_criterion_9_property_suites():
     ok = True
     samples = 0
     for letter, rank, count in (("A", 1, 400), ("A", 2, 400), ("A", 3, 250)):
-        rs, ctx = _ctx_for(letter, rank)
+        rs, ctx = sqrt2_root_context(letter, rank)
         rng = random.Random(9000 + rank)
         seen = set()
         pairs = []

@@ -107,3 +107,19 @@ def test_verify_codes_runs_the_same_under_python_O():
     assert runs[0].returncode == 0
     assert runs[1].returncode == runs[0].returncode
     assert runs[1].stdout == runs[0].stdout
+
+
+def test_verify_mckay_records_any_exception(monkeypatch, capsys):
+    import e8voa.mckay
+
+    def broken(i):
+        raise ValueError(f"node {i} is broken")
+
+    monkeypatch.setattr(e8voa.mckay, "node_report", broken)
+    rc = main(["verify-mckay", "--node", "3"])
+    report = json.loads(capsys.readouterr().out)
+    assert rc == 1
+    assert report["pass"] is False
+    rec = next(r for r in report["results"] if r["claim"] == "mckay/node/i=3")
+    assert rec["pass"] is False
+    assert rec["actual"] == "ValueError: node 3 is broken"

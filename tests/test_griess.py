@@ -2,8 +2,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from e8voa.griess import (AlgebraContext, BadSpectrum, ContextMismatch,
-                          GriessElement, ModuleSpace, ModuleVector,
+from e8voa.griess import (BadSpectrum, ContextMismatch, GriessElement,
+                          ModuleSpace, ModuleVector,
                           NotConformal, Weight2Basis, apply_sigma,
                           apply_theta, apply_weyl, build_hamming_family,
                           build_node_family, build_virasoro_family,
@@ -12,14 +12,10 @@ from e8voa.griess import (AlgebraContext, BadSpectrum, ContextMismatch,
                           hamming_cosets_even, inner, module_act, product,
                           sigma_phase, tau_involution_module,
                           theta_split_tau_check)
-from e8voa.rootsys import build_root_system, extended_e8_node
+from e8voa.rootsys import extended_e8_node
 from e8voa.scalars import Cyclotomic, as_rational
 
-
-def small_ctx(letter, rank):
-    rs = build_root_system(letter, rank)
-    gram2 = [[2 * x for x in row] for row in rs.lattice.gram]
-    return rs, AlgebraContext(gram2, label=f"sqrt2{letter}{rank}")
+from conftest import sqrt2_root_context
 
 
 def e8ctx():
@@ -61,7 +57,7 @@ def test_conformal_check_rejects_non_conformal():
 def test_omega_tilde_central_charges():
     cases = {("A", 4): F(8, 7), ("D", 4): F(1), ("E", 7): F(7, 10)}
     for (letter, rank), want in cases.items():
-        rs, ctx = small_ctx(letter, rank)
+        rs, ctx = sqrt2_root_context(letter, rank)
         fam = build_virasoro_family(ctx, rs.root_coords)
         assert as_rational(conformal_check(ctx, fam["omega_tilde"])) == want
 
@@ -74,7 +70,7 @@ def test_omega_tilde_e8_coincides_with_e_hat():
 
 def test_s_orthogonal_to_omega_tilde_every_type():
     for letter, rank in (("A", 3), ("D", 5), ("E", 6)):
-        rs, ctx = small_ctx(letter, rank)
+        rs, ctx = sqrt2_root_context(letter, rank)
         fam = build_virasoro_family(ctx, rs.root_coords)
         assert product(ctx, fam["s"], fam["omega_tilde"]).is_zero()
         assert inner(ctx, fam["s"], fam["omega_tilde"]) == 0
@@ -197,8 +193,8 @@ def test_weyl_preserves_product_and_form():
 
 
 def test_context_mismatch_detected():
-    _, ctx_a = small_ctx("A", 1)
-    _, ctx_b = small_ctx("A", 2)
+    _, ctx_a = sqrt2_root_context("A", 1)
+    _, ctx_b = sqrt2_root_context("A", 2)
     el_a = ctx_a.omega()
     el_b = ctx_b.omega()
     with pytest.raises(ContextMismatch):
@@ -242,7 +238,7 @@ def test_module_action_norm_one_dual_coset():
 
 
 def test_module_omega_acts_by_minimal_weight():
-    rs, ctx = small_ctx("A", 3)
+    rs, ctx = sqrt2_root_context("A", 3)
     dual = rs.lattice.dual_basis_rows()
     shift = rs.lattice.coords(dual[0])
     sp = ModuleSpace(ctx, shift)
@@ -252,7 +248,7 @@ def test_module_omega_acts_by_minimal_weight():
 
 
 def test_highest_weight_vector_killed_by_s():
-    rs, ctx = small_ctx("D", 4)
+    rs, ctx = sqrt2_root_context("D", 4)
     fam = build_virasoro_family(ctx, rs.root_coords)
     dual = rs.lattice.dual_basis_rows()
     shift = rs.lattice.coords(dual[-1])

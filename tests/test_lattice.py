@@ -235,3 +235,47 @@ def test_load_matrix(tmp_path):
     p = tmp_path / "m.txt"
     p.write_text("# comment\n1/2 0\n0 3\n")
     assert load_matrix(p) == [[F(1, 2), F(0)], [F(0), F(3)]]
+
+
+@st.composite
+def _pairing_problems(draw):
+    n = draw(st.integers(1, 5))
+    entry = st.fractions(-3, 3, max_denominator=4)
+    upper = {(i, j): draw(entry) for i in range(n) for j in range(i, n)}
+    gram = [[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+    vec = st.lists(st.one_of(st.integers(-3, 3), entry), min_size=n, max_size=n)
+    return gram, draw(vec), draw(vec)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_pairing_problems())
+def test_pair_is_symmetric_and_matches_u_gram_v(problem):
+    gram, u, v = problem
+    lat = EvenLattice.from_gram(gram)
+    want = sum(F(u[i]) * gram[i][j] * F(v[j])
+               for i in range(len(u)) for j in range(len(v)))
+    got = lat.pair(u, v)
+    assert type(got) is F
+    assert got == want
+    assert lat.pair(v, u) == got
+
+
+def _griess_root_systems():
+    return ([("A", n) for n in range(1, 9)] + [("D", n) for n in range(3, 9)]
+            + [("E", 6), ("E", 7), ("E", 8)])
+
+
+@pytest.mark.parametrize("lat", [build_root_system(*t).lattice
+                                 for t in _griess_root_systems()]
+                         + [EvenLattice.from_gram([[2 * x for x in row]
+                                                   for row in e8_lattice().gram])],
+                         ids=["%s%d" % t for t in _griess_root_systems()] + ["sqrt2E8"])
+def test_dual_coset_shifts_enumerate_the_discriminant_group(lat):
+    from e8voa.linalg import vec_mat
+    shifts = list(lat.dual_coset_shifts())
+    assert len(shifts) == lat.det_gram()
+    assert all(x == 0 for x in shifts[0])
+    # each shift is a dual vector: its pairings with the basis are integers
+    assert all(x.denominator == 1 for s in shifts for x in vec_mat(s, lat.gram))
+    # no two shifts differ by a lattice vector
+    assert len({tuple(x % 1 for x in s) for s in shifts}) == len(shifts)

@@ -115,3 +115,42 @@ def test_phase_map_is_additive(mask_a, mask_b):
     tb = sum(x * y for x, y in zip(beta, vb))
     tsum = sum(x * y for x, y in zip(beta, [p + q for p, q in zip(va, vb)]))
     assert phase(ta) * phase(tb) == phase(tsum)
+
+
+def _data_copy(tmp_path, corrupt):
+    """A copy of the data directory with the first match of each
+    (file, old, new) replacement applied."""
+    import shutil
+    from e8voa.codes import data_dir
+    for name in ("hamming8.txt", "rm41.txt", "z4_leech.txt"):
+        shutil.copy(f"{data_dir()}/{name}", tmp_path / name)
+    for name, old, new in corrupt:
+        path = tmp_path / name
+        path.write_text(path.read_text().replace(old, new, 1))
+    return tmp_path
+
+
+def test_build_leech_follows_the_data_dir(tmp_path, monkeypatch):
+    from e8voa.leech import CodeCheckFailed
+    first = build_leech()
+    bad = _data_copy(tmp_path, [("z4_leech.txt", "3012", "3013")])
+    monkeypatch.setenv("MCKAY_DATA_DIR", str(bad))
+    with pytest.raises(CodeCheckFailed):
+        build_leech()
+    monkeypatch.delenv("MCKAY_DATA_DIR")
+    assert build_leech() is first
+
+
+def test_hamming_context_follows_the_data_dir(tmp_path, monkeypatch):
+    from e8voa.griess import build_hamming_family, hamming_context
+    first = build_hamming_family()
+    # the row 01100110 becomes 01100111: the code is no longer doubly even
+    bad = _data_copy(tmp_path, [("hamming8.txt", "01100110", "01100111")])
+    monkeypatch.setenv("MCKAY_DATA_DIR", str(bad))
+    with pytest.raises(ValueError, match="doubly even"):
+        hamming_context()
+    with pytest.raises(ValueError, match="doubly even"):
+        build_hamming_family()
+    monkeypatch.delenv("MCKAY_DATA_DIR")
+    assert build_hamming_family() is first
+    assert hamming_context() is first.ctx

@@ -10,16 +10,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from e8voa.griess import (AlgebraContext, GriessElement, apply_sigma,
-                          apply_theta, apply_weyl, build_node_family,
-                          inner, product, weyl_matrix)
-from e8voa.rootsys import build_root_system
+from e8voa.griess import (GriessElement, apply_sigma, apply_theta,
+                          apply_weyl, build_node_family, inner, product,
+                          weyl_matrix)
 
-
-def ctx_for(letter, rank):
-    rs = build_root_system(letter, rank)
-    gram2 = [[2 * x for x in row] for row in rs.lattice.gram]
-    return AlgebraContext(gram2, label=f"sqrt2{letter}{rank}")
+from conftest import sqrt2_root_context
 
 
 def random_theta_even(ctx, rng, density=0.6):
@@ -50,7 +45,7 @@ SAMPLE_SPECS = [("A", 1, 400), ("A", 2, 400), ("A", 3, 200), ("D", 4, 60)]
 def test_commutativity_on_theta_even_triples():
     total = 0
     for letter, rank, count in SAMPLE_SPECS:
-        ctx = ctx_for(letter, rank)
+        _, ctx = sqrt2_root_context(letter, rank)
         rng = random.Random(1000 + rank)
         for _ in range(count):
             u = random_theta_even(ctx, rng)
@@ -63,7 +58,7 @@ def test_commutativity_on_theta_even_triples():
 def test_form_invariance_on_theta_even_triples():
     total = 0
     for letter, rank, count in SAMPLE_SPECS:
-        ctx = ctx_for(letter, rank)
+        _, ctx = sqrt2_root_context(letter, rank)
         rng = random.Random(2000 + rank)
         for _ in range(count):
             u = random_theta_even(ctx, rng)
@@ -75,7 +70,7 @@ def test_form_invariance_on_theta_even_triples():
 
 
 def test_form_symmetry():
-    ctx = ctx_for("A", 3)
+    _, ctx = sqrt2_root_context("A", 3)
     rng = random.Random(5)
     for _ in range(100):
         u = random_theta_even(ctx, rng)
@@ -86,7 +81,7 @@ def test_form_symmetry():
 def test_noncommutativity_across_derivative_sector():
     # the derivative sector genuinely breaks commutativity on the full
     # weight-2 space, which is why sampling stays on the theta-even part
-    ctx = ctx_for("A", 1)
+    _, ctx = sqrt2_root_context("A", 1)
     quad = GriessElement(ctx)
     quad.quad[(0, 0)] = F(1)
     der = GriessElement(ctx)
@@ -96,7 +91,7 @@ def test_noncommutativity_across_derivative_sector():
 
 
 def test_theta_preserves_product_and_form():
-    ctx = ctx_for("A", 2)
+    _, ctx = sqrt2_root_context("A", 2)
     rng = random.Random(31)
 
     def random_full(ctx):
@@ -137,7 +132,7 @@ def test_sigma_preserves_product_and_form():
 
 
 def test_weyl_preserves_product_and_form_random():
-    ctx = ctx_for("D", 4)
+    _, ctx = sqrt2_root_context("D", 4)
     rng = random.Random(13)
     root_key = ctx.norm4[5]
     for _ in range(60):
@@ -149,7 +144,7 @@ def test_weyl_preserves_product_and_form_random():
 
 
 def test_weyl_matrix_is_an_involution():
-    ctx = ctx_for("D", 4)
+    _, ctx = sqrt2_root_context("D", 4)
     m = weyl_matrix(ctx, ctx.norm4[0])
     n = ctx.rank
     sq = [[sum(m[i][k] * m[k][j] for k in range(n)) for j in range(n)]

@@ -287,16 +287,25 @@ def verify_mckay(config: RunConfig):
     return results, table
 
 
+def _section(name, verify, config):
+    """The section's records, or one failing ``<name>/error`` record if it raises."""
+    try:
+        return verify(config)
+    except Exception as exc:
+        results = []
+        _check(results, f"{name}/error", False,
+               actual=f"{type(exc).__name__}: {exc}")
+        return results
+
+
 def run(config: RunConfig):
     """Run the configured command; returns (exit_status, report dict, text)."""
     sections = {}
     table = ""
-    if config.command in ("verify-codes", "verify-all"):
-        sections["codes"] = verify_codes(config)
-    if config.command in ("verify-leech", "verify-all"):
-        sections["leech"] = verify_leech(config)
-    if config.command in ("verify-griess", "verify-all"):
-        sections["griess"] = verify_griess(config)
+    for name, verify in (("codes", verify_codes), ("leech", verify_leech),
+                         ("griess", verify_griess)):
+        if config.command in (f"verify-{name}", "verify-all"):
+            sections[name] = _section(name, verify, config)
     if config.command in ("verify-mckay", "verify-all"):
         sections["mckay"], table = verify_mckay(config)
     results = []

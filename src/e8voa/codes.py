@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .lattice import EvenLattice, lattice_from_integer_rows
-from .linalg import hermite_normal_form, integer_coords_in_rowspan
+from .linalg import hermite_normal_form
 
 
 def data_dir() -> str:
@@ -166,9 +166,7 @@ class Z4Code:
         return k1, k2
 
     def contains(self, word) -> bool:
-        v = [Fraction(int(x)) for x in word]
-        return integer_coords_in_rowspan(
-            [list(r) for r in self.lattice().basis], v) is not None
+        return self.lattice().contains([int(x) for x in word])
 
     def __eq__(self, other):
         if not isinstance(other, Z4Code):

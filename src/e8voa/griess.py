@@ -18,8 +18,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .lattice import EvenLattice, coset_minimum, enumerate_short
-from .linalg import (coords_in_rowspan, identity, invert, kernel_basis,
-                     mat_mul, rref)
+from .linalg import (RowSpace, clear_denominators, identity, invert,
+                     kernel_basis, kernel_basis_int, mat_mul)
 from .scalars import Cyclotomic, half_turn_phase, is_zero
 
 
@@ -76,7 +76,8 @@ class AlgebraContext:
         self.gram_inv = invert(self.gram)
         self._gvec = {}
         self._omega = None
-        self._neighbors = None
+        self._neighbors = {}
+        self._lowering = {}
 
     def gvec(self, key):
         """G . key, cached."""
@@ -92,18 +93,29 @@ class AlgebraContext:
 
     def minus2_neighbors(self, key):
         """Pairs (y, key+y) over norm-4 y with B(key, y) = -2, cached."""
-        if self._neighbors is None:
-            self._neighbors = {}
         out = self._neighbors.get(key)
         if out is None:
-            gx = self.gvec(key)
-            out = []
-            for y in self.norm4:
-                b = sum(gx[i] * y[i] for i in range(self.rank) if y[i])
-                if b == -2:
-                    out.append((y, tuple(p + q for p, q in zip(key, y))))
-            self._neighbors[key] = tuple(out)
+            out = self._neighbors[key] = tuple(
+                (y, target) for y, b, target in self._lowering_scan(key) if b == -2)
         return out
+
+    def lowering(self, key):
+        """Triples (y, B(key, y), key+y) over norm-4 y with B(key, y) <= -2, cached.
+
+        These are the only exponentials whose action on e^key can stay in a
+        minimal-weight space.
+        """
+        out = self._lowering.get(key)
+        if out is None:
+            out = self._lowering[key] = tuple(self._lowering_scan(key))
+        return out
+
+    def _lowering_scan(self, key):
+        gx = self.gvec(key)
+        for y in self.norm4:
+            b = sum(gx[i] * y[i] for i in range(self.rank) if y[i])
+            if b <= -2:
+                yield y, b, tuple(p + q for p, q in zip(key, y))
 
     def zero(self) -> "GriessElement":
         return GriessElement(self)
@@ -315,8 +327,7 @@ def build_virasoro_family(ctx: AlgebraContext, root_keys):
             raise EmbeddingError("root does not lie in the context lattice")
         if _neg(k) not in ctx.norm4_index:
             raise EmbeddingError("root set must be closed under negation")
-    from .linalg import rank as mat_rank
-    r = mat_rank([list(k) for k in keys])
+    r = len(RowSpace(keys).rows)
     h = Fraction(len(keys), r)
     if h.denominator != 1:
         raise EmbeddingError("root count is not a multiple of the rank")
@@ -535,13 +546,12 @@ def module_act_on_key(ctx, u: GriessElement, key, index):
             acc = acc - v * gx[a]
     if not is_zero(acc):
         out[key] = acc
-    for ykey, v in u.expo.items():
-        b = sum(ykey[i] * gx[i] for i in range(ctx.rank) if ykey[i])
-        if b > -2:
+    for ykey, b, target in ctx.lowering(key):
+        v = u.expo.get(ykey)
+        if v is None:
             continue
         if b < -2:
             raise LeavesMinimalSpace("module key is not of minimal norm")
-        target = tuple(p + q for p, q in zip(key, ykey))
         if target not in index:
             raise LeavesMinimalSpace("action leaves the minimal-weight space")
         out[target] = out.get(target, 0) + v
@@ -619,36 +629,14 @@ def tau_involution_module(ctx, e: GriessElement, space: ModuleSpace) -> TauInvol
     return tau_from_matrix(space.act_matrix(e), MODULE_EIGENVALUES)
 
 
-def _scaled_int_matrix(mat, scale):
-    out = []
-    for row in mat:
-        r = []
-        for x in row:
-            v = Fraction(x) * scale
-            if v.denominator != 1:
-                raise ValueError("matrix does not clear denominators")
-            r.append(v.numerator)
-        out.append(r)
-    return out
-
-
-def _int_mat_mul(a, b):
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
-def annihilates(mat, eigenvalues, scale=64) -> bool:
+def annihilates(mat, eigenvalues) -> bool:
     """Whether prod (mat - lam) vanishes, via integer arithmetic."""
-    a = _scaled_int_matrix(mat, scale)
-    n = len(a)
+    *a, lams = clear_denominators([*mat, eigenvalues])[0]
     prod = None
-    for lam in eigenvalues:
-        lam_scaled = Fraction(lam) * scale
-        if lam_scaled.denominator != 1:
-            raise ValueError("scale does not clear the eigenvalue")
-        term = [[a[i][j] - (lam_scaled.numerator if i == j else 0)
-                 for j in range(n)] for i in range(n)]
-        prod = term if prod is None else _int_mat_mul(prod, term)
+    for lam in lams:
+        term = [[x - lam if i == j else x for j, x in enumerate(row)]
+                for i, row in enumerate(a)]
+        prod = term if prod is None else mat_mul(prod, term)
     return all(all(x == 0 for x in row) for row in prod)
 
 
@@ -963,14 +951,13 @@ def _combo_decompose(el, keys):
 
 def _stacked_kernel(ctx, operators, keys):
     """Kernel of several operators restricted to a monomial block."""
-    from .linalg import clear_denominators, kernel_basis_int
     stacked = []
     for op in operators:
         cols = [_combo_decompose(product(ctx, op, _combo_element(ctx, key)),
                                  keys) for key in keys]
         for r in range(len(keys)):
             stacked.append([cols[c][r] for c in range(len(keys))])
-    ints = clear_denominators(stacked)
+    ints, _ = clear_denominators(stacked)
     basis = kernel_basis_int(ints, len(keys))
     out = []
     for vec in basis:
@@ -1041,9 +1028,8 @@ def coset_U2(i: int) -> U2Data:
         for s in fams.s:
             if not product(ctx, s, b).is_zero():
                 raise DimensionMismatch(f"node {i}: claimed U2 vector not in kernel")
-    rows = [w2.vector(b) for b in basis]
-    from .linalg import rank as mat_rank
-    if mat_rank(rows) != expected:
+    space = RowSpace(w2.vector(b) for b in basis)
+    if len(space.rows) != expected:
         raise DimensionMismatch(f"node {i}: claimed U2 basis is dependent")
 
     gram = [[inner(ctx, a, b) for b in basis] for a in basis]
@@ -1052,7 +1038,7 @@ def coset_U2(i: int) -> U2Data:
         row = []
         for b in basis:
             prod = product(ctx, a, b)
-            c = coords_in_rowspan(rows, w2.vector(prod))
+            c = space.coords(w2.vector(prod))
             if c is None:
                 raise DimensionMismatch(f"node {i}: U2 is not closed under products")
             row.append([Fraction(x) for x in c])
@@ -1071,23 +1057,15 @@ def generated_closure_coords(u2: U2Data, seed_coords):
     Everything happens in coordinates over the U2 basis; scalars may be
     cyclotomic.  Returns the dimension and a row-reduced basis.
     """
-    rows = [list(c) for c in seed_coords]
-    span, _ = rref(rows)
-    span = [r for r in span if any(not is_zero(x) for x in r)]
+    space = RowSpace(seed_coords)
     while True:
-        new_rows = list(span)
+        span = list(space.rows)
         added = False
         for a in span:
             for b in span:
-                prod = u2.multiply_coords(a, b)
-                candidate, _ = rref(new_rows + [prod])
-                candidate = [r for r in candidate if any(not is_zero(x) for x in r)]
-                if len(candidate) > len(new_rows):
-                    new_rows = candidate
-                    added = True
-        span = new_rows
+                added = space.add(u2.multiply_coords(a, b)) or added
         if not added:
-            return len(span), span
+            return len(space.rows), space.rows
 
 
 def e_f_coords(u2: U2Data):

@@ -23,11 +23,12 @@ from __future__ import annotations
 import time
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import isqrt, lcm
+from math import isqrt
 from operator import mul
 
 from . import linalg
-from .linalg import coords_in_rowspan, det, hermite_normal_form, invert
+from .linalg import (RowSpace, clear_denominators, det, hermite_normal_form,
+                     invert)
 
 
 class NotPositiveDefinite(ValueError):
@@ -51,15 +52,8 @@ def _frac_vec(v):
 
 def _over_one_den(v):
     """(ints, den) with v_i = ints_i / den, for int or Fraction entries."""
-    v = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v]
-    den = lcm(*(x.denominator for x in v))
-    return [x.numerator * (den // x.denominator) for x in v], den
-
-
-def _scaled_rows(rows):
-    """(int rows, den) with rows[i][j] = int_rows[i][j] / den, Fraction entries."""
-    den = lcm(*(x.denominator for row in rows for x in row))
-    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
+    (ints,), den = clear_denominators([v])
+    return ints, den
 
 
 class EvenLattice:
@@ -74,7 +68,7 @@ class EvenLattice:
         self.basis = tuple(_frac_vec(row) for row in basis)
         self.rank = len(self.basis)
         self.scale = Fraction(scale)
-        self._basis_inv = None
+        self._span = None
         self._ldl = None
         self._int_rows = None
         self._int_gram_rows = None
@@ -96,31 +90,20 @@ class EvenLattice:
     def det_gram(self) -> Fraction:
         return det(self.gram)
 
-    def _inv_basis(self):
-        if self._basis_inv is None:
-            self._basis_inv = invert([list(r) for r in self.basis])
-        return self._basis_inv
-
     def coords(self, ambient_vec):
         """Rational coefficients of an ambient vector over the basis, or None."""
-        if len(ambient_vec) == self.rank and self._square():
-            inv = self._inv_basis()
-            return linalg.vec_mat(_frac_vec(ambient_vec), inv)
-        return coords_in_rowspan([list(r) for r in self.basis], _frac_vec(ambient_vec))
-
-    def _square(self):
-        return all(len(r) == self.rank for r in self.basis)
+        if self._span is None:
+            self._span = RowSpace(self.basis)
+        return self._span.coords(ambient_vec)
 
     def contains(self, ambient_vec) -> bool:
         c = self.coords(ambient_vec)
-        if c is None:
-            return False
-        return all(Fraction(x).denominator == 1 for x in c)
+        return c is not None and all(x.denominator == 1 for x in c)
 
     def _int_basis(self):
         """The basis as integer rows over one common denominator; cached."""
         if self._int_rows is None:
-            self._int_rows = _scaled_rows(self.basis)
+            self._int_rows = clear_denominators(self.basis)
         return self._int_rows
 
     def ambient(self, coeffs):
@@ -137,7 +120,7 @@ class EvenLattice:
     def _int_gram(self):
         """The Gram matrix as integer rows over one common denominator; cached."""
         if self._int_gram_rows is None:
-            self._int_gram_rows = _scaled_rows(self.gram)
+            self._int_gram_rows = clear_denominators(self.gram)
         return self._int_gram_rows
 
     def pair(self, u, v) -> Fraction:
@@ -210,7 +193,7 @@ class EvenLattice:
                 d.append(di)
                 u.append(ui)
             d_int, e_den = _over_one_den(d)
-            u_int, m_den = _scaled_rows(u)
+            u_int, m_den = clear_denominators(u)
             self._ldl = (m_den, e_den, d_int, u_int)
         return self._ldl
 
@@ -247,12 +230,11 @@ def enumerate_short(lat: EvenLattice, bound, shift=None,
     s = [Fraction(0)] * n if shift is None else [Fraction(x) for x in shift]
     if n == 0:
         return [((), Fraction(0))]
-    s_den = lcm(*(x.denominator for x in s))
+    xs0, s_den = _over_one_den(s)
     ms = m_den * s_den
     scale = e_den * ms * ms
     r0 = bound.numerator * scale
     dd = [di * bound.denominator for di in d_int]
-    xs0 = [x.numerator * (s_den // x.denominator) for x in s]
     xs = [0] * n
     fx = [None] * n
     # one Fraction per distinct coordinate and norm, shared by the results

@@ -6,7 +6,9 @@ Cyclotomic; everything here is division-exact, no floating point anywhere.
 
 from __future__ import annotations
 
+from bisect import bisect
 from fractions import Fraction
+from math import lcm
 
 from .scalars import Cyclotomic, is_zero
 
@@ -15,10 +17,6 @@ def _inv(x):
     if isinstance(x, Cyclotomic):
         return x.inverse()
     return Fraction(1) / Fraction(x)
-
-
-def mat_copy(m):
-    return [list(r) for r in m]
 
 
 def identity(n):
@@ -43,7 +41,7 @@ def vec_mat(v, a):
 
 def rref(mat):
     """Reduced row echelon form; returns (rows, pivot_columns)."""
-    m = mat_copy(mat)
+    m = [list(r) for r in mat]
     if not m:
         return m, []
     ncols = len(m[0])
@@ -69,10 +67,6 @@ def rref(mat):
         pivots.append(c)
         r += 1
     return m, pivots
-
-
-def rank(mat) -> int:
-    return len(rref(mat)[1])
 
 
 def kernel_basis(mat):
@@ -144,16 +138,9 @@ def kernel_basis_int(rows, ncols):
 
 
 def clear_denominators(rows):
-    """Scale a rational matrix to integers, row set unchanged up to scale."""
-    from math import lcm
-    denom = 1
-    for row in rows:
-        for x in row:
-            denom = lcm(denom, Fraction(x).denominator)
-    out = []
-    for row in rows:
-        out.append([int(Fraction(x) * denom) for x in row])
-    return out
+    """(int rows, den) with rows[i][j] = int_rows[i][j] / den; int or Fraction entries."""
+    den = lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
 
 
 def det(mat) -> Fraction:
@@ -189,33 +176,6 @@ def invert(mat):
     if pivots != list(range(n)):
         raise ZeroDivisionError("matrix is singular")
     return [row[n:] for row in red]
-
-
-def solve_right(mat, target):
-    """One x with mat . x = target, or None if inconsistent (over a field)."""
-    if not mat:
-        return None
-    ncols = len(mat[0])
-    aug = [list(row) + [t] for row, t in zip(mat, target)]
-    red, pivots = rref(aug)
-    for r in range(len(pivots), len(red)):
-        if not is_zero(red[r][ncols]):
-            return None
-    # any row with pivot in the last column means inconsistent
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = red[r][ncols]
-    return x
-
-
-def coords_in_rowspan(basis_rows, v):
-    """Coefficients c with sum(c_i * basis_rows[i]) = v, or None."""
-    if not basis_rows:
-        return None if any(not is_zero(x) for x in v) else []
-    cols = [list(col) for col in zip(*basis_rows)]
-    return solve_right(cols, list(v))
 
 
 def hermite_normal_form(rows):
@@ -256,17 +216,94 @@ def hermite_normal_form(rows):
     return [row for row in m[:r]]
 
 
-def integer_coords_in_rowspan(basis_rows, v):
-    """Integer coefficients over a rational row basis, or None."""
-    c = coords_in_rowspan(basis_rows, v)
-    if c is None:
-        return None
-    out = []
-    for x in c:
-        q = Fraction(x)
-        if q.denominator != 1:
+class RowSpace:
+    """The span of rows added one at a time, kept in reduced row echelon form.
+
+    Each echelon row records its combination of the input rows, so one
+    reduction answers every later ``coords`` query.  Scalars may be int,
+    Fraction or Cyclotomic, as in ``rref``.
+    """
+
+    def __init__(self, rows=()):
+        self.rows = []  # 1 on its own pivot column, 0 on the other pivots
+        self.pivots = []
+        self.inputs = 0  # input rows added, dependent ones included
+        self._combos = []  # per echelon row: {input index: coefficient}
+        self._tails = None  # per echelon row: its nonzero (column, entry) off the pivots
+        for row in rows:
+            self.add(row)
+
+    def add(self, v) -> bool:
+        """Add one input row; False, with the form unchanged, if it is in the span."""
+        res = list(v)
+        used = []
+        for p, row, c in zip(self.pivots, self.rows, self._combos):
+            f = res[p]
+            if not is_zero(f):
+                res = _minus_scaled(res, f, row)
+                used.append((f, c))
+        self.inputs += 1
+        q = next((j for j, x in enumerate(res) if not is_zero(x)), None)
+        if q is None:
+            return False
+        inv = _inv(res[q])
+        res = [x if is_zero(x) else x * inv for x in res]
+        combo = {self.inputs - 1: inv}
+        for f, c in used:
+            _combo_sub(combo, f * inv, c)
+        for i, row in enumerate(self.rows):
+            f = row[q]
+            if not is_zero(f):
+                self.rows[i] = _minus_scaled(row, f, res)
+                _combo_sub(self._combos[i], f, combo)
+        at = bisect(self.pivots, q)
+        self.rows.insert(at, res)
+        self.pivots.insert(at, q)
+        self._combos.insert(at, combo)
+        self._tails = None
+        return True
+
+    def coords(self, v):
+        """Coefficients c over the input rows with sum(c_i * input_i) = v, or None.
+
+        The residual of v must vanish on every column, not only on the pivots.
+        """
+        if self._tails is None:
+            pivots = set(self.pivots)
+            self._tails = [[(j, x) for j, x in enumerate(row)
+                            if j not in pivots and not is_zero(x)]
+                           for row in self.rows]
+        pivots = self.pivots
+        res = list(v)
+        for p, tail in zip(pivots, self._tails):
+            f = v[p]
+            if not is_zero(f):
+                for j, y in tail:
+                    res[j] = res[j] - f * y
+        for p in pivots:
+            res[p] = 0
+        if any(not is_zero(x) for x in res):
             return None
-        out.append(q.numerator)
-    return out
+        out = [Fraction(0)] * self.inputs
+        for p, combo in zip(pivots, self._combos):
+            f = v[p]
+            if not is_zero(f):
+                for k, y in combo.items():
+                    out[k] = out[k] + f * y
+        return out
 
 
+def _minus_scaled(row, f, other):
+    """row - f * other, skipping the zero entries of other."""
+    return [x if is_zero(y) else x - f * y for x, y in zip(row, other)]
+
+
+def _combo_sub(combo, f, other):
+    """combo -= f * other, on {index: coefficient} dicts."""
+    for k, y in other.items():
+        combo[k] = combo.get(k, 0) - f * y
+
+
+def coords_in_rowspan(basis_rows, v):
+    """Coefficients c with sum(c_i * basis_rows[i]) = v, or None."""
+    return RowSpace(basis_rows).coords(v)

@@ -434,12 +434,8 @@ def check_intermediate_chains():
             idx_mid = _index_from_det(mid_coords)
             if idx_mid != d:
                 raise ChainViolation(f"node {i}, divisor {d}: index {idx_mid}")
-            for row in node.l_rows_coords:
-                from .linalg import integer_coords_in_rowspan
-                if integer_coords_in_rowspan(
-                        [[Fraction(x) for x in rr] for rr in mid_coords],
-                        [Fraction(x) for x in row]) is None:
-                    raise ChainViolation(f"node {i}: L(i) not inside the middle lattice")
+            if not all(mid.contains(v) for v in node.lattice.basis):
+                raise ChainViolation(f"node {i}: L(i) not inside the middle lattice")
             label = type_to_label.get(tuple(mid_types))
             chains.append({
                 "i": i,

@@ -63,7 +63,11 @@ def test_field_order_override(capsys):
                for r in report["results"])
 
 
-def test_corrupted_data_fails(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("command, claim", [
+    ("verify-codes", "codes/z4/type-II"),
+    ("verify-leech", "leech/error"),
+], ids=["verify-codes", "verify-leech"])
+def test_corrupted_data_fails(command, claim, tmp_path, monkeypatch, capsys):
     import e8voa.codes as codes
     src = codes.data_dir()
     import shutil
@@ -75,13 +79,13 @@ def test_corrupted_data_fails(tmp_path, monkeypatch, capsys):
     rows.write_text(bad)
     monkeypatch.setenv("MCKAY_DATA_DIR", str(tmp_path))
     try:
-        rc = main(["verify-codes"])
+        rc = main([command])
         out = capsys.readouterr().out
         report = json.loads(out)
         assert rc == 1
         assert report["pass"] is False
         failing = [r["claim"] for r in report["results"] if not r["pass"]]
-        assert "codes/z4/type-II" in failing
+        assert claim in failing
     finally:
         monkeypatch.delenv("MCKAY_DATA_DIR")
 

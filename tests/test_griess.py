@@ -1,21 +1,24 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from e8voa.griess import (BadSpectrum, ContextMismatch, GriessElement,
-                          ModuleSpace, ModuleVector,
+                          LeavesMinimalSpace, ModuleSpace, ModuleVector,
                           NotConformal, Weight2Basis, apply_sigma,
                           apply_theta, apply_weyl, build_hamming_family,
                           build_node_family, build_virasoro_family,
                           conformal_check, coset_U2_cached, e8_context,
                           e_f_coords, generated_closure_coords,
-                          hamming_cosets_even, inner, module_act, product,
+                          hamming_cosets_even, inner, module_act,
+                          module_act_on_key, product,
                           sigma_phase, tau_involution_module,
                           theta_split_tau_check)
 from e8voa.rootsys import extended_e8_node
 from e8voa.scalars import Cyclotomic, as_rational
 
 from conftest import sqrt2_root_context
+from test_properties import random_theta_even
 
 
 def e8ctx():
@@ -257,6 +260,50 @@ def test_highest_weight_vector_killed_by_s():
     assert module_act(ctx, fam["s"], v).is_zero()
     k = sp.min_norm / 2
     assert module_act(ctx, fam["omega_tilde"], v) == v.scaled(k)
+
+
+def brute_force_act_matrix(ctx, u, sp):
+    """The action on a minimal-weight space, summed over every norm-4 vector."""
+    unit = [tuple(int(i == j) for j in range(ctx.rank)) for i in range(ctx.rank)]
+    cols = []
+    for key in sp.keys:
+        col = [F(0)] * len(sp)
+        gx = [ctx.pairing(key, e) for e in unit]
+        col[sp.index[key]] += sum(v * gx[a] * gx[b] for (a, b), v in u.quad.items())
+        col[sp.index[key]] -= sum(v * gx[a] for a, v in u.deriv.items())
+        for y in ctx.norm4:
+            if y in u.expo and ctx.pairing(key, y) == -2:
+                col[sp.index[tuple(p + q for p, q in zip(key, y))]] += u.expo[y]
+        cols.append(col)
+    return [list(row) for row in zip(*cols)]
+
+
+@pytest.mark.parametrize("letter, rank", [("A", 2), ("A", 3), ("D", 4)])
+def test_act_matrix_matches_a_sum_over_all_norm4_vectors(letter, rank):
+    rs, ctx = sqrt2_root_context(letter, rank)
+    fam = build_virasoro_family(ctx, rs.root_coords)
+    rng = random.Random(rank)
+    elements = [fam["s"], fam["omega_tilde"], random_theta_even(ctx, rng)]
+    for shift in rs.lattice.dual_coset_shifts():
+        sp = ModuleSpace(ctx, shift)
+        for u in elements:
+            assert sp.act_matrix(u) == brute_force_act_matrix(ctx, u, sp)
+
+
+def test_action_off_the_minimal_weight_space_is_rejected():
+    rs, ctx = sqrt2_root_context("A", 2)
+    x = ctx.norm4[0]
+    zero = (0,) * ctx.rank
+    e_minus_x = GriessElement(ctx, expo={tuple(-c for c in x): F(1)})
+    # x is not minimal in the zero coset: B(x, -x) = -4
+    with pytest.raises(LeavesMinimalSpace, match="not of minimal norm"):
+        module_act_on_key(ctx, e_minus_x, x, {zero: 0, x: 1})
+    # e^y with B(x, y) = -2 moves e^x to e^(x+y), missing from this index
+    y, target = ctx.minus2_neighbors(x)[0]
+    e_y = GriessElement(ctx, expo={y: F(1)})
+    assert module_act_on_key(ctx, e_y, x, {x: 0, target: 1}) == {target: 1}
+    with pytest.raises(LeavesMinimalSpace, match="leaves the minimal-weight space"):
+        module_act_on_key(ctx, e_y, x, {x: 0})
 
 
 def test_tau_module_spectrum_and_involution():

@@ -1,0 +1,108 @@
+from fractions import Fraction as F
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from e8voa.linalg import RowSpace, rref
+from e8voa.scalars import Cyclotomic, euler_phi, is_zero
+
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+def cyclotomics(order):
+    deg = euler_phi(order)
+    return st.lists(small_rationals, min_size=deg, max_size=deg).map(
+        lambda cs: Cyclotomic(order, cs))
+
+
+def matrices(entries):
+    """Small matrices whose rows are often dependent: some rows are sums of others."""
+    @st.composite
+    def build(draw):
+        ncols = draw(st.integers(1, 5))
+        row = st.lists(entries, min_size=ncols, max_size=ncols)
+        rows = draw(st.lists(row, min_size=1, max_size=5))
+        for _ in range(draw(st.integers(0, 2))):
+            a = draw(st.sampled_from(rows))
+            b = draw(st.sampled_from(rows))
+            rows.append([x + y for x, y in zip(a, b)])
+        return rows
+    return build()
+
+
+def combine(coeffs, rows):
+    out = [0] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        out = [o + c * x for o, x in zip(out, row)]
+    return out
+
+
+def same(u, v):
+    return all(is_zero(x - y) for x, y in zip(u, v))
+
+
+def check_against_rref(rows, extra):
+    space = RowSpace(rows)
+    red, pivots = rref(rows)
+    assert space.pivots == pivots
+    assert len(space.rows) == len(pivots)
+    assert all(same(a, b) for a, b in zip(space.rows, red))
+    assert space.inputs == len(rows)
+    # a combination of dependent inputs still gets one valid combination
+    target = combine(extra, rows)
+    c = space.coords(target)
+    assert c is not None and len(c) == len(rows)
+    assert same(combine(c, rows), target)
+    # a vector is in the span exactly when adding it keeps the rank
+    probe = [x + 1 for x in target]
+    in_span = len(rref(rows + [probe])[1]) == len(pivots)
+    c = space.coords(probe)
+    assert (c is not None) == in_span
+    if in_span:
+        assert same(combine(c, rows), probe)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(small_rationals), st.lists(small_rationals, min_size=7, max_size=7))
+def test_row_space_matches_rref_over_q(rows, extra):
+    check_against_rref(rows, extra)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([3, 4, 5]).flatmap(
+    lambda n: st.tuples(matrices(cyclotomics(n)),
+                        st.lists(cyclotomics(n), min_size=7, max_size=7))))
+def test_row_space_matches_rref_over_cyclotomic_fields(case):
+    rows, extra = case
+    check_against_rref(rows, extra)
+
+
+def test_coords_rejects_a_vector_that_agrees_on_every_pivot_column():
+    rows = [[F(1), F(0), F(2), F(1)], [F(0), F(1), F(-1), F(3)]]
+    space = RowSpace(rows)
+    assert space.pivots == [0, 1]
+    inside = combine([F(2), F(-1)], rows)
+    assert space.coords(inside) == [2, -1]
+    for col in (2, 3):
+        outside = list(inside)
+        outside[col] += F(1, 3)
+        assert space.coords(outside) is None
+
+
+def test_adding_a_dependent_row_leaves_the_form_unchanged():
+    rows = [[1, 2, 0], [0, 1, 1]]
+    space = RowSpace(rows)
+    before = ([list(r) for r in space.rows], list(space.pivots))
+    assert space.add([2, 5, 1]) is False
+    assert ([list(r) for r in space.rows], list(space.pivots)) == before
+    assert space.add([0, 0, 1]) is True
+    assert space.pivots == [0, 1, 2]
+    c = space.coords([2, 5, 1])
+    assert len(c) == 4
+    assert combine(c, rows + [[2, 5, 1], [0, 0, 1]]) == [2, 5, 1]
+
+
+def test_empty_row_space_holds_only_zero():
+    space = RowSpace()
+    assert space.coords([0, 0]) == []
+    assert space.coords([0, 1]) is None

@@ -24,7 +24,7 @@ from .griess import (AlgebraContext, BadSpectrum, ContextMismatch,
                      build_virasoro_family, conformal_check, coset_U2,
                      e8_context, generated_closure_coords, inner,
                      module_act, product, tau_involution_module)
-from .mckay import NodeReport, conway_report, node_report, tau_product_orders
+from .mckay import conway_report, tau_product_orders
 from .leech import (build_leech, certify_minimum, embed_sqrt2E8_cubed,
                     minimal_coset_survey, sigma_tilde_order)
 

@@ -2,7 +2,14 @@
 
 Commands re-run the exact checks and emit deterministic JSON or markdown
 reports; the exit status is 0 exactly when every requested check passes.
-Failed checks carry a machine-readable claim identifier.
+
+Every claim is defined once, in the registry: each section yields its
+claims in report order as ``(claim_id, check)``, where ``check()`` returns
+``(ok, expected, actual)``.  ``run_claims`` turns each claim into one
+record and is the only place that catches exceptions: a check that raises
+fails its own claim, with ``actual = "<ExceptionClass>: <message>"``.
+Checks call the functions of ``codes``, ``griess``, ``lattice``, ``leech``
+and ``mckay`` through their modules, so a test can replace one.
 """
 
 from __future__ import annotations
@@ -12,6 +19,11 @@ import json
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
+
+from . import codes, griess, lattice, leech, mckay
+from .rootsys import build_root_system, extended_e8_node
+from .scalars import Cyclotomic, as_rational
 
 VERSION = "0.1.0"
 
@@ -32,285 +44,315 @@ class RunConfig:
             raise ValueError("time budget must be positive")
 
 
-def _check(results, claim, ok, expected=None, actual=None):
-    rec = {"claim": claim, "pass": bool(ok)}
-    if expected is not None:
-        rec["expected"] = str(expected)
-    if actual is not None:
-        rec["actual"] = str(actual)
-    results.append(rec)
-    return ok
+def _equals(expected, actual):
+    return actual == expected, expected, actual
 
 
 def _nodes(config):
     return config.node_filter or list(range(9))
 
 
-def verify_codes(config: RunConfig):
-    from .codes import (construction_A, dual_code, named_code, is_type_II,
-                        residue_code_B, block_subcode, find_column_permutation)
-    from .lattice import short_vectors
-    results = []
-    h8 = named_code("Hamming8")
-    _check(results, "codes/hamming8/weight-distribution",
-           h8.weight_distribution() == (1, 0, 0, 0, 14, 0, 0, 0, 1),
-           "(1,0,0,0,14,0,0,0,1)", h8.weight_distribution())
-    _check(results, "codes/hamming8/self-dual", dual_code(h8) == h8)
-    rm41 = named_code("RM41")
-    rm42 = named_code("RM42")
-    _check(results, "codes/rm42/dimension", rm42.dimension == 11, 11,
-           rm42.dimension)
-    _check(results, "codes/rm42/dual-is-rm41", dual_code(rm42) == rm41)
-    z4 = named_code("Z4Leech")
-    _check(results, "codes/z4/cardinality", z4.cardinality() == 2 ** 24,
-           2 ** 24, z4.cardinality())
-    _check(results, "codes/z4/type-II", is_type_II(z4))
-    lat = construction_A(h8)
-    _check(results, "codes/construction-a/h8-det", lat.det_gram() == 256,
-           256, lat.det_gram())
-    _check(results, "codes/construction-a/h8-doubly-even",
-           lat.is_doubly_even())
-    _check(results, "codes/construction-a/h8-norm4-count",
-           len(short_vectors(lat, 4)) == 240, 240)
-    lam = construction_A(z4)
-    _check(results, "codes/construction-a/z4-rank-det",
-           lam.rank == 24 and lam.det_gram() == 1 and lam.is_even())
-    bc = residue_code_B(z4)
-    _check(results, "codes/residue/dimension", bc.dimension == 17, 17,
-           bc.dimension)
-    for k in range(3):
-        blk = block_subcode(bc, range(8 * k, 8 * k + 8))
-        perm = (find_column_permutation(blk, h8)
+def _codes_claims(config: RunConfig):
+    def h8():
+        return codes.named_code("Hamming8")
+
+    def rm42():
+        return codes.named_code("RM42")
+
+    def z4():
+        return codes.named_code("Z4Leech")
+
+    lat = cache(lambda: codes.construction_A(h8()))
+    bc = cache(lambda: codes.residue_code_B(z4()))
+
+    def z4_lattice():
+        lam = codes.construction_A(z4())
+        return lam.rank == 24 and lam.det_gram() == 1 and lam.is_even(), None, None
+
+    def hamming_block(k):
+        blk = codes.block_subcode(bc(), range(8 * k, 8 * k + 8))
+        perm = (codes.find_column_permutation(blk, h8())
                 if blk.dimension == 4 else None)
-        _check(results, f"codes/residue/hamming-block-{k}", perm is not None)
-    return results
+        return perm is not None, None, None
 
-
-def verify_leech(config: RunConfig):
-    from .lattice import BudgetExceeded
-    from .leech import (build_leech, certify_minimum, embed_sqrt2E8_cubed,
-                        block_norm4_count, sigma_tilde_order,
-                        minimal_coset_survey, kissing_vectors)
-    from .rootsys import extended_e8_node
-    results = []
-    ctx = build_leech()
-    _check(results, "leech/lattice/even-unimodular-rank24",
-           ctx.lattice.rank == 24 and ctx.lattice.det_gram() == 1
-           and ctx.lattice.is_even())
-    try:
-        minimum_ok = certify_minimum(config.time_budget_seconds)
-        min_actual = None
-    except BudgetExceeded:
-        minimum_ok = False
-        min_actual = "time budget exceeded"
-    _check(results, "leech/lattice/minimum-norm-4", minimum_ok,
-           actual=min_actual)
-    emb = embed_sqrt2E8_cubed(ctx)
-    _check(results, "leech/embedding/block-gram",
-           emb.det_gram() == 256 ** 3 and emb.is_doubly_even(),
-           256 ** 3, emb.det_gram())
+    yield "codes/hamming8/weight-distribution", lambda: (
+        h8().weight_distribution() == (1, 0, 0, 0, 14, 0, 0, 0, 1),
+        "(1,0,0,0,14,0,0,0,1)", h8().weight_distribution())
+    yield "codes/hamming8/self-dual", lambda: (
+        codes.dual_code(h8()) == h8(), None, None)
+    yield "codes/rm42/dimension", lambda: _equals(11, rm42().dimension)
+    yield "codes/rm42/dual-is-rm41", lambda: (
+        codes.dual_code(rm42()) == codes.named_code("RM41"), None, None)
+    yield "codes/z4/cardinality", lambda: _equals(2 ** 24, z4().cardinality())
+    yield "codes/z4/type-II", lambda: (codes.is_type_II(z4()), None, None)
+    yield "codes/construction-a/h8-det", lambda: _equals(256, lat().det_gram())
+    yield "codes/construction-a/h8-doubly-even", lambda: (
+        lat().is_doubly_even(), None, None)
+    yield "codes/construction-a/h8-norm4-count", lambda: (
+        len(lattice.short_vectors(lat(), 4)) == 240, 240, None)
+    yield "codes/construction-a/z4-rank-det", z4_lattice
+    yield "codes/residue/dimension", lambda: _equals(17, bc().dimension)
     for k in range(3):
-        _check(results, f"leech/embedding/block-{k}-norm4-count",
-               block_norm4_count(ctx, k) == 240, 240)
+        yield f"codes/residue/hamming-block-{k}", lambda k=k: hamming_block(k)
+
+
+def _leech_claims(config: RunConfig):
+    budget = config.time_budget_seconds
+    survey = cache(leech.minimal_coset_survey)
+
+    def even_unimodular():
+        lam = leech.build_leech().lattice
+        return lam.rank == 24 and lam.det_gram() == 1 and lam.is_even(), None, None
+
+    def block_gram():
+        emb = leech.embed_sqrt2E8_cubed(leech.build_leech())
+        return (emb.det_gram() == 256 ** 3 and emb.is_doubly_even(),
+                256 ** 3, emb.det_gram())
+
+    def block_count(k):
+        return leech.block_norm4_count(leech.build_leech(), k) == 240, 240, None
+
+    yield "leech/lattice/even-unimodular-rank24", even_unimodular
+    yield "leech/lattice/minimum-norm-4", lambda: (
+        leech.certify_minimum(budget), None, None)
+    yield "leech/embedding/block-gram", block_gram
+    for k in range(3):
+        yield (f"leech/embedding/block-{k}-norm4-count",
+               lambda k=k: block_count(k))
     for i in _nodes(config):
-        n = extended_e8_node(i).n
-        got = sigma_tilde_order(i)
-        _check(results, f"leech/sigma-order/i={i}", got == n, n, got)
-    survey = minimal_coset_survey()
-    norms = sorted(set(int(c["min_norm"]) for c in survey))
-    _check(results, "leech/dual-cosets/count", len(survey) == 256, 256,
-           len(survey))
-    _check(results, "leech/dual-cosets/min-norms", norms == [0, 1, 2],
-           "[0, 1, 2]", norms)
-    counts = {k: sum(1 for c in survey if c["min_norm"] == k)
-              for k in (0, 1, 2)}
-    _check(results, "leech/dual-cosets/norm-counts",
-           (counts[0], counts[1], counts[2]) == (1, 120, 135),
-           "(1, 120, 135)", (counts[0], counts[1], counts[2]))
-    _check(results, "leech/dual-cosets/norm2-splits",
-           all(c["split"] is not None for c in survey if c["min_norm"] == 2))
+        yield f"leech/sigma-order/i={i}", lambda i=i: _equals(
+            extended_e8_node(i).n, leech.sigma_tilde_order(i))
+    yield "leech/dual-cosets/count", lambda: _equals(256, len(survey()))
+    yield "leech/dual-cosets/min-norms", lambda: _equals(
+        [0, 1, 2], sorted(set(int(c["min_norm"]) for c in survey())))
+    yield "leech/dual-cosets/norm-counts", lambda: _equals(
+        (1, 120, 135),
+        tuple(sum(1 for c in survey() if c["min_norm"] == k) for k in (0, 1, 2)))
+    yield "leech/dual-cosets/norm2-splits", lambda: (
+        all(c["split"] is not None for c in survey() if c["min_norm"] == 2),
+        None, None)
     if config.long_checks:
-        try:
-            vecs = kissing_vectors(budget_seconds=config.time_budget_seconds)
-            _check(results, "leech/kissing-number", len(vecs) == 196560,
-                   196560, len(vecs))
-        except BudgetExceeded:
-            _check(results, "leech/kissing-number", False, 196560,
-                   "time budget exceeded")
-    return results
+        yield "leech/kissing-number", lambda: _equals(
+            196560, len(leech.kissing_vectors(budget_seconds=budget)))
 
 
-def verify_griess(config: RunConfig):
-    from .griess import (build_hamming_family, build_virasoro_family,
-                         conformal_check, inner, product,
-                         module_act, ModuleSpace, ModuleVector)
-    from .lattice import Coset, coset_min_norm, count_X_eta
-    from .mckay import (tau_e_negates_dual_exponentials,
-                        weight2_tau_theta_verified)
-    from .rootsys import build_root_system
-    from .scalars import as_rational
-    results = []
+GRIESS_SUITE = ([("A", n) for n in range(1, 9)] + [("D", n) for n in range(3, 9)]
+                + [("E", 6), ("E", 7), ("E", 8)])
 
-    suite = ([("A", n) for n in range(1, 9)] + [("D", n) for n in range(3, 9)]
-             + [("E", 6), ("E", 7), ("E", 8)])
-    omega_tilde_cc = {
-        "A": lambda n: Fraction(2 * n, n + 3),
-        "D": lambda n: Fraction(1),
-        "E": {6: Fraction(6, 7), 7: Fraction(7, 10), 8: Fraction(1, 2)}.get,
-    }
-    from .griess import AlgebraContext
-    for letter, rank in suite:
-        rs = build_root_system(letter, rank)
-        gram2 = [[2 * x for x in row] for row in rs.lattice.gram]
-        ctx = AlgebraContext(gram2, label=f"sqrt2{letter}{rank}")
-        fam = build_virasoro_family(ctx, rs.root_coords)
-        want = omega_tilde_cc[letter](rank)
-        ok = (conformal_check(ctx, fam["s"]) is not None
-              and as_rational(conformal_check(ctx, fam["omega_tilde"])) == want
-              and product(ctx, fam["s"], fam["omega_tilde"]).is_zero()
-              and inner(ctx, fam["s"], fam["omega_tilde"]) == 0)
-        _check(results, f"griess/conformal-family/{letter}{rank}", ok,
-               f"cc {want}")
-        # coset counting and highest-weight checks
-        for ridx, shift in enumerate(rs.lattice.dual_coset_shifts()):
-            coset = Coset(rs.lattice, rs.lattice.ambient(shift))
-            info = coset_min_norm(coset)
-            k = info["k"]
-            h = rs.coxeter_number
-            ok = all(count_X_eta(rs, coset, eta) == k * h
-                     for eta in info["reps"])
-            _check(results,
-                   f"griess/x-eta/{letter}{rank}/coset-{ridx}", ok,
-                   f"kh = {k * h}")
-            sp = ModuleSpace(ctx, shift)
-            v = ModuleVector(sp, {key: Fraction(1) for key in sp.keys})
-            sv = module_act(ctx, fam["s"], v)
-            wv = module_act(ctx, fam["omega_tilde"], v)
-            ok = sv.is_zero() and (wv - v.scaled(k)).is_zero()
-            _check(results,
-                   f"griess/highest-weight/{letter}{rank}/coset-{ridx}", ok,
-                   f"s v = 0 and w v = {k} v")
+OMEGA_TILDE_CC = {
+    "A": lambda n: Fraction(2 * n, n + 3),
+    "D": lambda n: Fraction(1),
+    "E": {6: Fraction(6, 7), 7: Fraction(7, 10), 8: Fraction(1, 2)}.get,
+}
 
-    ham = build_hamming_family()
-    hctx = ham.ctx
-    ones = tuple([1] * 8)
-    _check(results, "griess/hamming/x-ones-vanishes",
-           ham.X[0][ones].is_zero() and ham.X[1][ones].is_zero())
-    from .griess import hamming_cosets_even
-    reps = hamming_cosets_even()
-    vectors = {(eps, delta): ham.e_hat(eps, delta)
-               for eps in (0, 1) for delta in reps}
-    ok = all(as_rational(conformal_check(hctx, v)) == Fraction(1, 2)
-             for v in vectors.values())
-    _check(results, "griess/hamming/conformal-cc-half", ok, "cc 1/2")
-    tri_ok = True
-    items = sorted(vectors.items())
-    for (ka, va) in items:
-        for (kb, vb) in items:
-            if ka >= kb:
-                continue
-            val = as_rational(inner(hctx, va, vb))
-            if ka[0] != kb[0]:
-                want = Fraction(0)
-            else:
-                parity = sum((a + b) % 2 for a, b in zip(ka[1], kb[1])) % 2
-                want = Fraction(1, 32) if parity else Fraction(0)
-            if val != want:
-                tri_ok = False
-    _check(results, "griess/hamming/inner-trichotomy", tri_ok)
-    omega = hctx.omega()
-    for name, frame in (("standard", ham.standard_frame()),
-                        ("hamming", ham.hamming_frame())):
+
+def _root_system_claims(letter, rank):
+    """The conformal family of sqrt(2) times the root lattice, and its dual cosets.
+
+    The algebra context and the Virasoro family are built once, by the
+    first check that needs them.
+    """
+    rs = build_root_system(letter, rank)
+    ctx = cache(lambda: griess.sqrt2_root_context(letter, rank)[1])
+    fam = cache(lambda: griess.build_virasoro_family(ctx(), rs.root_coords))
+    want = OMEGA_TILDE_CC[letter](rank)
+    h = rs.coxeter_number
+
+    def conformal_family():
+        s, w = fam()["s"], fam()["omega_tilde"]
+        ok = (griess.conformal_check(ctx(), s) is not None
+              and as_rational(griess.conformal_check(ctx(), w)) == want
+              and griess.product(ctx(), s, w).is_zero()
+              and griess.inner(ctx(), s, w) == 0)
+        return ok, f"cc {want}", None
+
+    def coset_claims(ridx, shift):
+        coset = cache(lambda: lattice.Coset(rs.lattice, rs.lattice.ambient(shift)))
+        info = cache(lambda: lattice.coset_min_norm(coset()))
+
+        def x_eta():
+            k = info()["k"]
+            return (all(lattice.count_X_eta(rs, coset(), eta) == k * h
+                        for eta in info()["reps"]), f"kh = {k * h}", None)
+
+        def highest_weight():
+            k = info()["k"]
+            sp = griess.ModuleSpace(ctx(), shift)
+            v = griess.ModuleVector(sp, {key: Fraction(1) for key in sp.keys})
+            sv = griess.module_act(ctx(), fam()["s"], v)
+            wv = griess.module_act(ctx(), fam()["omega_tilde"], v)
+            return (sv.is_zero() and (wv - v.scaled(k)).is_zero(),
+                    f"s v = 0 and w v = {k} v", None)
+
+        yield f"griess/x-eta/{letter}{rank}/coset-{ridx}", x_eta
+        yield f"griess/highest-weight/{letter}{rank}/coset-{ridx}", highest_weight
+
+    yield f"griess/conformal-family/{letter}{rank}", conformal_family
+    for ridx, shift in enumerate(rs.lattice.dual_coset_shifts()):
+        yield from coset_claims(ridx, shift)
+
+
+def _hamming_claims():
+    half = Fraction(1, 2)
+
+    def ham():
+        return griess.build_hamming_family()
+
+    @cache
+    def vectors():
+        reps = griess.hamming_cosets_even()
+        return {(eps, delta): ham().e_hat(eps, delta)
+                for eps in (0, 1) for delta in reps}
+
+    def x_ones():
+        ones = tuple([1] * 8)
+        return ham().X[0][ones].is_zero() and ham().X[1][ones].is_zero(), None, None
+
+    def trichotomy():
+        items = sorted(vectors().items())
+        for ka, va in items:
+            for kb, vb in items:
+                if ka >= kb:
+                    continue
+                val = as_rational(griess.inner(ham().ctx, va, vb))
+                if ka[0] != kb[0]:
+                    want = Fraction(0)
+                else:
+                    parity = sum((a + b) % 2 for a, b in zip(ka[1], kb[1])) % 2
+                    want = Fraction(1, 32) if parity else Fraction(0)
+                if val != want:
+                    return False, None, None
+        return True, None, None
+
+    def orthogonal_frame(frame):
+        hctx = ham().ctx
         ok = len(frame) == 16
         total = hctx.zero()
         for v in frame:
-            ok = ok and as_rational(conformal_check(hctx, v)) == Fraction(1, 2)
+            ok = ok and as_rational(griess.conformal_check(hctx, v)) == half
             total = total + v
         for a in range(16):
             for b in range(a + 1, 16):
-                ok = ok and product(hctx, frame[a], frame[b]).is_zero()
-                ok = ok and inner(hctx, frame[a], frame[b]) == 0
-        ok = ok and (total - omega).is_zero()
-        _check(results, f"griess/frame/{name}", ok, "16 orthogonal, sum omega")
-    blocks = weight2_tau_theta_verified()
-    _check(results, "griess/tau/weight2-equals-theta",
-           blocks == {"even": 156, "odd": 128}, "{even:156, odd:128}", blocks)
-    _check(results, "griess/tau/negates-dual-exponentials",
-           tau_e_negates_dual_exponentials())
-    return results
+                ok = ok and griess.product(hctx, frame[a], frame[b]).is_zero()
+                ok = ok and griess.inner(hctx, frame[a], frame[b]) == 0
+        ok = ok and (total - hctx.omega()).is_zero()
+        return ok, "16 orthogonal, sum omega", None
+
+    def tau_blocks():
+        blocks = mckay.weight2_tau_theta_verified()
+        return (blocks == {"even": 156, "odd": 128}, "{even:156, odd:128}",
+                blocks)
+
+    yield "griess/hamming/x-ones-vanishes", x_ones
+    yield "griess/hamming/conformal-cc-half", lambda: (
+        all(as_rational(griess.conformal_check(ham().ctx, v)) == half
+            for v in vectors().values()), "cc 1/2", None)
+    yield "griess/hamming/inner-trichotomy", trichotomy
+    yield "griess/frame/standard", lambda: orthogonal_frame(
+        ham().standard_frame())
+    yield "griess/frame/hamming", lambda: orthogonal_frame(
+        ham().hamming_frame())
+    yield "griess/tau/weight2-equals-theta", tau_blocks
+    yield "griess/tau/negates-dual-exponentials", lambda: (
+        mckay.tau_e_negates_dual_exponentials(), None, None)
 
 
-def verify_mckay(config: RunConfig):
-    from .mckay import node_report, markdown_table, MCKAY_TABLE, ROOT_COUNT_TABLE
-    results = []
-    reports = []
+def _griess_claims(config: RunConfig):
+    for letter, rank in GRIESS_SUITE:
+        yield from _root_system_claims(letter, rank)
+    yield from _hamming_claims()
+
+
+def _node_claims(i):
+    want = mckay.MCKAY_TABLE[i]
+
+    def inner():
+        direct = mckay.direct_inner(i)
+        return (direct == want and mckay.counting_formula_inner(i) == want,
+                want, direct)
+
+    def root_counts():
+        node = extended_e8_node(i)
+        return _equals(mckay.ROOT_COUNT_TABLE[i],
+                       (node.phi_count(), tuple(node.h_counts())))
+
+    def u2():
+        node = extended_e8_node(i)
+        u2 = griess.coset_U2_cached(i)
+        e, f = griess.e_f_coords(u2)
+        closure_dim, _ = griess.generated_closure_coords(u2, [e, f])
+        return (u2.dim == len(node.components) + node.n - 1
+                and as_rational(u2.inner_coords(e, f)) == want
+                and closure_dim == u2.dim, None, None)
+
+    def tau_orders():
+        o = mckay.tau_product_orders(i)
+        return (o["weight2_conjugation"] and o["on_E8_matches"]
+                and o["on_dual_matches"]
+                and o["on_leech"] == extended_e8_node(i).n,
+                None, (o["on_E8"], o["on_dual"], o["on_leech"]))
+
+    yield f"mckay/inner/i={i}", inner
+    yield f"mckay/root-counts/i={i}", root_counts
+    yield f"mckay/u2/i={i}", u2
+    yield f"mckay/tau-orders/i={i}", tau_orders
+    yield f"mckay/dihedral/i={i}", lambda: (
+        mckay.dihedral_check(i)["verified"], None, None)
+    yield f"mckay/conway/i={i}", lambda: (
+        all(row["status"] in ("verified", "recorded")
+            for row in mckay.conway_report(i)), None, None)
+
+
+def _mckay_claims(config: RunConfig):
     for i in _nodes(config):
+        yield from _node_claims(i)
+    order = config.field_order_override
+    if order:
+        def field_order():
+            for i in _nodes(config):
+                if order % (2 * extended_e8_node(i).n):
+                    return False, None, None
+                val = mckay.counting_formula_inner(i)
+                if Cyclotomic.from_rational(val, order) != val:
+                    return False, None, None
+            return True, None, None
+        yield "mckay/field-order-override", field_order
+
+
+SECTIONS = (("codes", _codes_claims), ("griess", _griess_claims),
+            ("leech", _leech_claims), ("mckay", _mckay_claims))
+
+
+def registry(config: RunConfig):
+    """The configured command's claims, in report order, as (claim_id, check)."""
+    for name, claims in SECTIONS:
+        if config.command in (f"verify-{name}", "verify-all"):
+            yield from claims(config)
+
+
+def run_claims(claims) -> list[dict]:
+    """One record per claim; a check that raises fails its own claim."""
+    results = []
+    for claim, check in claims:
         try:
-            r = node_report(i)
+            ok, expected, actual = check()
         except Exception as exc:
-            _check(results, f"mckay/node/i={i}", False,
-                   actual=f"{type(exc).__name__}: {exc}")
-            continue
-        reports.append(r)
-        _check(results, f"mckay/inner/i={i}",
-               r.inner_direct == MCKAY_TABLE[i]
-               and r.inner_formula == MCKAY_TABLE[i],
-               MCKAY_TABLE[i], r.inner_direct)
-        _check(results, f"mckay/root-counts/i={i}",
-               (r.phi_count, r.h_counts) == ROOT_COUNT_TABLE[i],
-               ROOT_COUNT_TABLE[i], (r.phi_count, r.h_counts))
-        _check(results, f"mckay/u2/i={i}",
-               r.u2_dim == len(r.components) + r.n - 1
-               and r.u2_generated_by_ef)
-        _check(results, f"mckay/tau-orders/i={i}", r.tau_orders_match,
-               actual=(r.tau_order_E8, r.tau_order_dual, r.tau_order_leech))
-        _check(results, f"mckay/dihedral/i={i}", r.dihedral_verified)
-        _check(results, f"mckay/conway/i={i}",
-               all(row["status"] in ("verified", "recorded")
-                   for row in r.conway_map))
-    if config.field_order_override:
-        from .mckay import counting_formula_inner
-        from .scalars import Cyclotomic
-        ok = True
-        for i in _nodes(config):
-            from .rootsys import extended_e8_node
-            node = extended_e8_node(i)
-            if config.field_order_override % (2 * node.n):
-                ok = False
-                break
-            val = counting_formula_inner(i)
-            embedded = Cyclotomic.from_rational(
-                val, config.field_order_override)
-            ok = ok and embedded == val
-        _check(results, "mckay/field-order-override", ok)
-    table = markdown_table(reports) if reports else ""
-    return results, table
-
-
-def _section(name, verify, config):
-    """The section's records, or one failing ``<name>/error`` record if it raises."""
-    try:
-        return verify(config)
-    except Exception as exc:
-        results = []
-        _check(results, f"{name}/error", False,
-               actual=f"{type(exc).__name__}: {exc}")
-        return results
+            ok, expected, actual = False, None, f"{type(exc).__name__}: {exc}"
+        rec = {"claim": claim, "pass": bool(ok)}
+        if expected is not None:
+            rec["expected"] = str(expected)
+        if actual is not None:
+            rec["actual"] = str(actual)
+        results.append(rec)
+    return results
 
 
 def run(config: RunConfig):
     """Run the configured command; returns (exit_status, report dict, text)."""
-    sections = {}
+    results = run_claims(registry(config))
     table = ""
-    for name, verify in (("codes", verify_codes), ("leech", verify_leech),
-                         ("griess", verify_griess)):
-        if config.command in (f"verify-{name}", "verify-all"):
-            sections[name] = _section(name, verify, config)
     if config.command in ("verify-mckay", "verify-all"):
-        sections["mckay"], table = verify_mckay(config)
-    results = []
-    for name in sorted(sections):
-        results.extend(sections[name])
+        table = mckay.markdown_table(_nodes(config))
     all_pass = all(r["pass"] for r in results)
     report = {
         "version": VERSION,

@@ -466,14 +466,7 @@ class Weight2Basis:
         return el
 
     def monomial(self, key) -> GriessElement:
-        el = GriessElement(self.ctx)
-        if key[0] == "q":
-            el.quad[(key[1], key[2])] = Fraction(1)
-        elif key[0] == "d":
-            el.deriv[key[1]] = Fraction(1)
-        else:
-            el.expo[key[1]] = Fraction(1)
-        return el
+        return _combo_element(self.ctx, key)
 
 
 # ---------------------------------------------------------------------------
@@ -649,19 +642,7 @@ def theta_split_tau_check(ctx: AlgebraContext, e: GriessElement):
     """
     if apply_theta(e) != e:
         raise ValueError("theta-split check needs a theta-fixed vector")
-    pairs = []
-    seen = set()
-    for v in ctx.norm4:
-        if v in seen:
-            continue
-        seen.add(v)
-        seen.add(_neg(v))
-        pairs.append(v)
-    even_keys = [("q", a, b) for a in range(ctx.rank)
-                 for b in range(a, ctx.rank)]
-    even_keys += [("p", v) for v in pairs]
-    odd_keys = [("d", a) for a in range(ctx.rank)]
-    odd_keys += [("m", v) for v in pairs]
+    even_keys, odd_keys = _theta_split_keys(ctx, ctx.norm4)
 
     blocks = {}
     for name, keys, eigs in (
@@ -681,6 +662,14 @@ def theta_split_tau_check(ctx: AlgebraContext, e: GriessElement):
 
 # ---------------------------------------------------------------------------
 # the sqrt(2)E8 context and the families attached to the nine nodes
+
+
+def sqrt2_root_context(letter: str, rank: int):
+    """The root system of the type and the algebra context of sqrt(2) times its lattice."""
+    from .rootsys import build_root_system
+    rs = build_root_system(letter, rank)
+    gram2 = [[2 * x for x in row] for row in rs.lattice.gram]
+    return rs, AlgebraContext(gram2, label=f"sqrt2{letter}{rank}")
 
 
 @lru_cache(maxsize=None)
@@ -901,6 +890,25 @@ class U2Data:
         return total
 
 
+def _theta_split_keys(ctx, norm4_keys):
+    """Keys of the theta-even and theta-odd blocks over the given norm-4 keys.
+
+    Both blocks take all quadratic (even) or derivative (odd) states and
+    one symmetrized pair ("p", even; "m", odd) per key up to sign.
+    """
+    even = [("q", a, b) for a in range(ctx.rank) for b in range(a, ctx.rank)]
+    odd = [("d", a) for a in range(ctx.rank)]
+    seen = set()
+    for k in norm4_keys:
+        if k in seen:
+            continue
+        seen.add(k)
+        seen.add(_neg(k))
+        even.append(("p", k))
+        odd.append(("m", k))
+    return even, odd
+
+
 def _combo_element(ctx, key):
     """Monomial or theta-symmetrized exponential pair as an element."""
     el = GriessElement(ctx)
@@ -986,16 +994,7 @@ def coset_U2(i: int) -> U2Data:
     for k in ctx.norm4:
         expo_blocks[fams.key_class[k]].append(k)
 
-    even0 = [("q", a, b) for a in range(ctx.rank) for b in range(a, ctx.rank)]
-    odd0 = [("d", a) for a in range(ctx.rank)]
-    seen = set()
-    for k in expo_blocks[0]:
-        if k in seen:
-            continue
-        seen.add(k)
-        seen.add(_neg(k))
-        even0.append(("p", k))
-        odd0.append(("m", k))
+    even0, odd0 = _theta_split_keys(ctx, expo_blocks[0])
 
     kernel_elements = []
     block_dims = {}

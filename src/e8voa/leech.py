@@ -39,6 +39,7 @@ class LeechContext:
         self.reduced = reduced
         self.embedding = None
         self.block_frames = None
+        self.embedding_hamming = None  # the Hamming code the blocks were checked against
 
 
 def build_leech() -> LeechContext:
@@ -145,10 +146,10 @@ def embed_sqrt2E8_cubed(ctx: LeechContext):
     mod-2 preimage lattice sits inside the Leech lattice and a diagram
     frame is located in each copy.
     """
-    if ctx.embedding is not None:
+    h8 = named_code("Hamming8")
+    if ctx.embedding is not None and ctx.embedding_hamming == h8:
         return ctx.embedding
     bc = residue_code_B(ctx.code)
-    h8 = named_code("Hamming8")
     rows24 = []
     frames = []
     for k in range(3):
@@ -192,6 +193,7 @@ def embed_sqrt2E8_cubed(ctx: LeechContext):
                 raise EmbeddingNotFound("blocks are not orthogonal")
     ctx.embedding = emb
     ctx.block_frames = frames
+    ctx.embedding_hamming = h8
     return emb
 
 

@@ -13,7 +13,8 @@ from math import lcm
 from .scalars import Cyclotomic, is_zero
 
 
-def _inv(x):
+def scalar_inverse(x):
+    """1/x for a rational or cyclotomic scalar."""
     if isinstance(x, Cyclotomic):
         return x.inverse()
     return Fraction(1) / Fraction(x)
@@ -58,7 +59,7 @@ def rref(mat):
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        inv = _inv(m[r][c])
+        inv = scalar_inverse(m[r][c])
         m[r] = [x * inv for x in m[r]]
         for i in range(len(m)):
             if i != r and not is_zero(m[i][c]):
@@ -246,7 +247,7 @@ class RowSpace:
         q = next((j for j, x in enumerate(res) if not is_zero(x)), None)
         if q is None:
             return False
-        inv = _inv(res[q])
+        inv = scalar_inverse(res[q])
         res = [x if is_zero(x) else x * inv for x in res]
         combo = {self.inputs - 1: inv}
         for f, c in used:

@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .lattice import EvenLattice, hermite_normal_form
-from .linalg import det, invert, vec_mat
+from .linalg import det, vec_mat
 
 
 class UnsupportedType(ValueError):
@@ -334,7 +334,6 @@ class ExtendedE8Node:
 
         keep = [j for j in range(9) if j != i]
         self.l_rows_coords = [list(self.alpha_coords[j]) for j in keep]
-        self.l_basis_inv = invert(self.l_rows_coords)
         self.lattice = EvenLattice([self.alphas[j] for j in keep])
         index_sq = self.lattice.det_gram() / e8.det_gram()
         if index_sq != self.n * self.n:
@@ -368,13 +367,14 @@ class ExtendedE8Node:
         """Map root coords -> j with root in j*alpha_i + L(i)."""
         if self._classes is not None:
             return self._classes
-        ai = self.alpha_coords[self.i]
+        # root - j*alpha_i lies in L(i) iff its coordinates over the L(i)
+        # basis, coords(root) - j*coords(alpha_i), are integral
+        ai = self.lattice.coords(self.alphas[self.i])
         classes = {}
-        for r in self.e8_root_coords:
+        for r, amb in zip(self.e8_root_coords, self.e8_roots_ambient):
+            c = self.lattice.coords(amb)
             for j in range(self.n):
-                diff = [x - j * y for x, y in zip(r, ai)]
-                c = vec_mat(diff, self.l_basis_inv)
-                if all(Fraction(x).denominator == 1 for x in c):
+                if all((x - j * y).denominator == 1 for x, y in zip(c, ai)):
                     classes[r] = j
                     break
             else:

@@ -1,8 +1,11 @@
+import functools
 import json
+from pathlib import Path
 
 import pytest
 
-from e8voa.cli import RunConfig, main, run
+from e8voa import codes
+from e8voa.cli import RunConfig, main, registry, run
 
 
 def test_run_config_validation():
@@ -63,31 +66,87 @@ def test_field_order_override(capsys):
                for r in report["results"])
 
 
-@pytest.mark.parametrize("command, claim", [
-    ("verify-codes", "codes/z4/type-II"),
-    ("verify-leech", "leech/error"),
-], ids=["verify-codes", "verify-leech"])
-def test_corrupted_data_fails(command, claim, tmp_path, monkeypatch, capsys):
-    import e8voa.codes as codes
-    src = codes.data_dir()
-    import shutil
-    for name in ("hamming8.txt", "rm41.txt"):
-        shutil.copy(f"{src}/{name}", tmp_path / name)
-    rows = (tmp_path / "z4_leech.txt")
-    good = open(f"{src}/z4_leech.txt").read()
-    bad = good.replace("3012", "3013", 1)
-    rows.write_text(bad)
+# one semantic corruption per data file: a word of weight 5 in the Hamming
+# code, a repeated row in RM(1,4), and one entry of the Z4 code
+CORRUPTIONS = {
+    "hamming8.txt": ("11110000", "11110001"),
+    "rm41.txt": ("1010101010101010", "1100110011001100"),
+    "z4_leech.txt": ("3012", "3013"),
+}
+
+
+def _data_copy(directory, corrupt=None):
+    """Copy the data files into directory, with the named one corrupted."""
+    src = Path(codes.data_dir())
+    for name, (old, new) in CORRUPTIONS.items():
+        text = (src / name).read_text()
+        if name == corrupt:
+            assert old in text
+            text = text.replace(old, new, 1)
+        (directory / name).write_text(text)
+
+
+@functools.cache
+def _clean_stdout(command):
+    status, _, text = run(RunConfig(command=command))
+    assert status == 0
+    return text + "\n"
+
+
+@pytest.mark.parametrize("command, corrupt, claim", [
+    ("verify-codes", "z4_leech.txt", "codes/z4/type-II"),
+    ("verify-leech", "z4_leech.txt", "leech/lattice/even-unimodular-rank24"),
+    ("verify-codes", "hamming8.txt", "codes/hamming8/weight-distribution"),
+    ("verify-leech", "hamming8.txt", "leech/embedding/block-gram"),
+    ("verify-codes", "rm41.txt", "codes/rm42/dimension"),
+    ("verify-leech", "rm41.txt", None),
+], ids=["verify-codes", "verify-leech", "verify-codes-hamming8",
+        "verify-leech-hamming8", "verify-codes-rm41", "verify-leech-rm41"])
+def test_corrupted_data_fails(command, corrupt, claim, tmp_path, monkeypatch,
+                              capsys):
+    """A corrupted file fails the claims that read it and changes no claim id.
+
+    claim is a claim that must fail; None means the command does not read
+    the file, so its report must not change at all.
+    """
+    clean = _clean_stdout(command)
+    _data_copy(tmp_path, corrupt)
     monkeypatch.setenv("MCKAY_DATA_DIR", str(tmp_path))
-    try:
-        rc = main([command])
-        out = capsys.readouterr().out
-        report = json.loads(out)
-        assert rc == 1
-        assert report["pass"] is False
-        failing = [r["claim"] for r in report["results"] if not r["pass"]]
-        assert claim in failing
-    finally:
-        monkeypatch.delenv("MCKAY_DATA_DIR")
+    rc = main([command])
+    out, err = capsys.readouterr()
+    assert err == ""
+    if claim is None:
+        assert rc == 0
+        assert out == clean
+        return
+    report = json.loads(out)
+    assert rc == 1
+    assert report["pass"] is False
+    assert ([r["claim"] for r in report["results"]]
+            == [r["claim"] for r in json.loads(clean)["results"]])
+    failing = [r["claim"] for r in report["results"] if not r["pass"]]
+    assert claim in failing
+
+
+def test_verify_mckay_rereads_the_data_dir(tmp_path, monkeypatch, capsys):
+    """No node fact read from a data file is served from a cache after the file changes."""
+    assert main(["verify-mckay", "--node", "0"]) == 0
+    capsys.readouterr()
+    _data_copy(tmp_path, "z4_leech.txt")
+    monkeypatch.setenv("MCKAY_DATA_DIR", str(tmp_path))
+    rc = main(["verify-mckay", "--node", "0"])
+    report = json.loads(capsys.readouterr().out)
+    assert rc == 1
+    rec = next(r for r in report["results"] if r["claim"] == "mckay/tau-orders/i=0")
+    assert rec["pass"] is False
+    assert rec["actual"].startswith("CodeCheckFailed: ")
+
+
+def test_verify_all_claim_ids_match_the_manifest():
+    """The verify-all claim ids, listed from the registry without running a check."""
+    want = (Path(__file__).parent / "verify_all_claims.txt").read_text().splitlines()
+    assert len(want) == 259 and len(set(want)) == 259
+    assert [claim for claim, _ in registry(RunConfig(command="verify-all"))] == want
 
 
 def test_run_function_returns_report():
@@ -119,11 +178,14 @@ def test_verify_mckay_records_any_exception(monkeypatch, capsys):
     def broken(i):
         raise ValueError(f"node {i} is broken")
 
-    monkeypatch.setattr(e8voa.mckay, "node_report", broken)
+    monkeypatch.setattr(e8voa.mckay, "direct_inner", broken)
     rc = main(["verify-mckay", "--node", "3"])
     report = json.loads(capsys.readouterr().out)
     assert rc == 1
     assert report["pass"] is False
-    rec = next(r for r in report["results"] if r["claim"] == "mckay/node/i=3")
-    assert rec["pass"] is False
-    assert rec["actual"] == "ValueError: node 3 is broken"
+    records = {r["claim"]: r for r in report["results"]}
+    assert list(records) == [f"mckay/{name}/i=3" for name in (
+        "inner", "root-counts", "u2", "tau-orders", "dihedral", "conway")]
+    assert records["mckay/inner/i=3"]["pass"] is False
+    assert records["mckay/inner/i=3"]["actual"] == "ValueError: node 3 is broken"
+    assert records["mckay/root-counts/i=3"]["pass"] is True

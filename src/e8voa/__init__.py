@@ -20,10 +20,10 @@ from .codes import (BinaryCode, Z4Code, construction_A, dual_code,
 from .griess import (AlgebraContext, BadSpectrum, ContextMismatch,
                      GriessElement, LeavesMinimalSpace, ModuleSpace,
                      ModuleVector, NotConformal, apply_sigma, apply_theta,
-                     apply_weyl, build_hamming_family, build_node_family,
+                     build_hamming_family, build_node_family,
                      build_virasoro_family, conformal_check, coset_U2,
                      e8_context, generated_closure_coords, inner,
-                     module_act, product, tau_involution_module)
+                     module_act, product)
 from .mckay import conway_report, tau_product_orders
 from .leech import (build_leech, certify_minimum, embed_sqrt2E8_cubed,
                     minimal_coset_survey, sigma_tilde_order)

@@ -7,6 +7,11 @@ e^x over the norm-4 vectors x of N.  The product u_1 v and the pairing
 u_3 v are implemented by their mode rules; scalars may be rational or
 cyclotomic and every computation is exact.
 
+An element holds integer numerators over one denominator, indexed by the
+context's basis; a value in Q(zeta_m) has phi(m) numerators, one per power
+of zeta_m.  The product and the pairing walk integer tables that each
+context compiles on first use, so no scalar object is made per term.
+
 Coordinates are coefficient vectors with respect to a fixed basis of N,
 with all pairings taken through the Gram matrix, so a sqrt(2)-rescaled
 root lattice never needs irrational entries.
@@ -15,12 +20,14 @@ root lattice never needs irrational entries.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import gcd, lcm
+from operator import mul
 
 from .lattice import EvenLattice, coset_minimum, enumerate_short
-from .linalg import (RowSpace, clear_denominators, identity, invert,
-                     kernel_basis, kernel_basis_int, mat_mul)
-from .scalars import Cyclotomic, half_turn_phase, is_zero
+from .linalg import (RowSpace, identity, invert, kernel_basis,
+                     kernel_basis_int, mat_mul)
+from .scalars import Cyclotomic, half_turn_phase, is_zero, power_table
 
 
 class ContextMismatch(ValueError):
@@ -58,12 +65,17 @@ class AlgebraContext:
     ``basis``, when given, embeds N in an ambient space (``lattice.ambient``
     and ``lattice.coords`` map between keys and ambient vectors); by
     default the basis is the unit vectors.  ``gram`` is kept as int rows.
+
+    ``keys`` indexes the weight-2 basis: ("q", a, b) for a(-1)b(-1).1 with
+    a <= b, then ("d", a) for a(-2).1, then ("e", x) for e^x over the
+    nonzero norm-4 vectors x; ``index`` inverts it.  The integer tables the
+    product walks are compiled on first use.
     """
 
     def __init__(self, gram, label: str = "", basis=None):
         self.label = label
         self.lattice = EvenLattice(basis or identity(len(gram)), gram=gram)
-        self.rank = self.lattice.rank
+        self.rank = r = self.lattice.rank
         if not self.lattice.is_doubly_even():
             raise ValueError("context lattice must be doubly even")
         self.gram = [[x.numerator for x in row] for row in self.lattice.gram]
@@ -72,135 +84,269 @@ class AlgebraContext:
         hits = enumerate_short(self.lattice, 4)
         norm4 = sorted(tuple(int(c) for c in z) for z, n in hits if n == 4)
         self.norm4 = tuple(v for v in norm4 if any(v))
-        self.norm4_index = {v: k for k, v in enumerate(self.norm4)}
         self.gram_inv = invert(self.gram)
+        self.keys = tuple([("q", a, b) for a in range(r) for b in range(a, r)]
+                          + [("d", a) for a in range(r)]
+                          + [("e", x) for x in self.norm4])
+        self.index = {k: i for i, k in enumerate(self.keys)}
+        self.n_quad = r * (r + 1) // 2
+        self.expo_start = self.n_quad + r
         self._gvec = {}
         self._omega = None
-        self._neighbors = {}
         self._lowering = {}
+        self._phases = {}
+
+    @cached_property
+    def tables(self) -> "_Tables":
+        return _Tables(self)
 
     def gvec(self, key):
-        """G . key, cached."""
+        """G . key as ints, cached; key must lie in the dual lattice."""
         out = self._gvec.get(key)
         if out is None:
-            out = tuple(sum(row[i] * key[i] for i in range(self.rank) if key[i])
-                        for row in self.gram)
-            self._gvec[key] = out
+            g = [Fraction(sum(row[i] * key[i] for i in range(self.rank) if key[i]))
+                 for row in self.gram]
+            if any(x.denominator != 1 for x in g):
+                raise ValueError("key is not in the dual lattice")
+            out = self._gvec[key] = tuple(int(x) for x in g)
         return out
 
     def pairing(self, u, v) -> Fraction:
         return self.lattice.pair(u, v)
 
-    def minus2_neighbors(self, key):
-        """Pairs (y, key+y) over norm-4 y with B(key, y) = -2, cached."""
-        out = self._neighbors.get(key)
-        if out is None:
-            out = self._neighbors[key] = tuple(
-                (y, target) for y, b, target in self._lowering_scan(key) if b == -2)
-        return out
-
     def lowering(self, key):
-        """Triples (y, B(key, y), key+y) over norm-4 y with B(key, y) <= -2, cached.
+        """Triples (index of e^y, B(key, y), key+y) over norm-4 y with
+        B(key, y) <= -2, cached.
 
         These are the only exponentials whose action on e^key can stay in a
         minimal-weight space.
         """
         out = self._lowering.get(key)
         if out is None:
-            out = self._lowering[key] = tuple(self._lowering_scan(key))
+            gx = self.gvec(key)
+            pairs = ((k, sum(map(mul, gx, y)), y) for k, y in enumerate(self.norm4))
+            out = self._lowering[key] = tuple(
+                (self.expo_start + k, b, tuple(p + q for p, q in zip(key, y)))
+                for k, b, y in pairs if b <= -2)
         return out
 
-    def _lowering_scan(self, key):
-        gx = self.gvec(key)
-        for y in self.norm4:
-            b = sum(gx[i] * y[i] for i in range(self.rank) if y[i])
-            if b <= -2:
-                yield y, b, tuple(p + q for p, q in zip(key, y))
+    def sigma_phases(self, glue_coords):
+        """Per index, (q, p) with e^(-pi i B(glue, x)) = zeta_q^p on e^x, cached."""
+        glue = tuple(glue_coords)
+        out = self._phases.get(glue)
+        if out is None:
+            out = [None] * self.expo_start
+            for x in self.norm4:
+                t = self.pairing(glue, x)
+                f = Fraction(-t.numerator, 2 * t.denominator)
+                out.append((f.denominator, f.numerator % f.denominator))
+            self._phases[glue] = out
+        return out
 
     def zero(self) -> "GriessElement":
-        return GriessElement(self)
+        return _make(self, 1, 1, ({},))
+
+    def monomial(self, label) -> "GriessElement":
+        """The basis vector with the given label from ``keys``."""
+        return _make(self, 1, 1, ({self.index[label]: 1},))
 
     def omega(self) -> "GriessElement":
         """The Virasoro element, (1/2) sum of dual-basis quadratic states."""
         if self._omega is None:
-            el = GriessElement(self)
-            for a in range(self.rank):
-                for b in range(a, self.rank):
-                    c = self.gram_inv[a][b] * (1 if a == b else 2) * HALF
-                    if c:
-                        el.quad[(a, b)] = c
-            el._strip()
-            self._omega = el
-        return self._omega.copy()
+            r = self.rank
+            self._omega = GriessElement(self, quad={
+                (a, b): self.gram_inv[a][b] * (1 if a == b else 2) * HALF
+                for a in range(r) for b in range(a, r)})
+        return self._omega
+
+
+def _merged(terms):
+    """(index, weight) pairs with equal indices summed and zeros dropped."""
+    out = {}
+    for i, w in terms:
+        out[i] = out.get(i, 0) + w
+    return tuple((i, w) for i, w in out.items() if w)
+
+
+class _Tables:
+    """The integer structure tables of one context, indexed like ``ctx.keys``.
+
+    Product weights are doubled, which clears the 1/2 of e^x . e^-x.  Per
+    quad i: ``qq[i][j]``, the (target, weight) terms of i times quad or
+    deriv j.  Per exponential e^x (below ``expo_start``: None): ``low``, the
+    weights of the quad and deriv indices on e^x; ``opp``, the index of
+    e^-x; ``opp_terms``, x(-1)^2 + x(-2); ``nbr``, the
+    (e^y, e^(x+y)) pairs with B(x, y) = -2.  ``form``: the pairing on quad
+    and deriv indices.
+    """
+
+    def __init__(self, ctx: AlgebraContext):
+        g, r = ctx.gram, ctx.rank
+        nq, start = ctx.n_quad, ctx.expo_start
+        quad = [k[1:] for k in ctx.keys[:nq]]
+
+        def q(a, b):
+            return ctx.index[("q", a, b) if a <= b else ("q", b, a)]
+
+        self.qq = [[_merged([(q(b, d), 2 * g[a][c]), (q(b, c), 2 * g[a][d]),
+                             (q(a, d), 2 * g[b][c]), (q(a, c), 2 * g[b][d])])
+                    for c, d in quad]
+                   + [_merged([(nq + b, 4 * g[a][c]), (nq + a, 4 * g[b][c])])
+                      for c in range(r)]
+                   for a, b in quad]
+        self.form = ([[g[a][c] * g[b][d] + g[a][d] * g[b][c] for c, d in quad]
+                      + [0] * r for a, b in quad]
+                     + [[0] * nq + [-6 * g[a][b] for b in range(r)] for a in range(r)])
+        pad = [None] * start
+        gxs = [ctx.gvec(x) for x in ctx.norm4]
+        self.low = pad + [tuple(2 * gx[a] * gx[b] for a, b in quad)
+                          + tuple(-2 * c for c in gx) for gx in gxs]
+        self.opp = pad + [ctx.index[("e", tuple(-c for c in x))] for x in ctx.norm4]
+        self.opp_terms = pad + [
+            _merged([(q(a, b), (1 if a == b else 2) * x[a] * x[b]) for a, b in quad]
+                    + [(nq + a, c) for a, c in enumerate(x)]) for x in ctx.norm4]
+        self.nbr = pad + [
+            tuple((start + j, ctx.index[("e", tuple(p + c for p, c in zip(x, y)))])
+                  for j, y in enumerate(ctx.norm4)
+                  if sum(map(mul, gx, y)) == -2)
+            for x, gx in zip(ctx.norm4, gxs)]
+
+
+# ---------------------------------------------------------------------------
+# elements: integer numerators over the context index
+
+
+def _encode(x):
+    """(m, den, nums) with x = sum_j nums[j] zeta_m^j / den."""
+    if isinstance(x, Cyclotomic):
+        cs, m = x.coeffs, (x.order if x.order > 2 else 1)
+    else:
+        cs, m = (Fraction(x),), 1
+    den = lcm(*(c.denominator for c in cs))
+    return m, den, [c.numerator * (den // c.denominator) for c in cs]
+
+
+def _value(m, den, nums):
+    """The scalar sum_j nums[j] zeta_m^j / den: a Fraction when it is rational."""
+    if not any(nums[1:]):
+        return Fraction(nums[0], den)
+    return Cyclotomic(m, [Fraction(x, den) for x in nums])
+
+
+def _add_into(out, terms, w):
+    """out += w * terms, on {index: numerator} maps."""
+    for i, x in terms.items():
+        out[i] = out.get(i, 0) + w * x
+
+
+def _spread(raw, m):
+    """sum_e raw[e] zeta_m^e as phi(m) numerator maps on the power basis."""
+    if m == 1:
+        return raw
+    table = power_table(m)
+    out = [{} for _ in table[0]]
+    for e, terms in enumerate(raw):
+        for c, w in enumerate(table[e % m]):
+            if w:
+                _add_into(out[c], terms, w)
+    return out
+
+
+def _field_product(mu, us, mv, vs, times):
+    """(m, maps): sum_{j,k} times(us[j], vs[k]) zeta_mu^j zeta_mv^k over Q(zeta_m).
+
+    m = lcm(mu, mv); ``times`` maps two nonzero operands to a numerator map.
+    """
+    m = lcm(mu, mv)
+    raw = [{} for _ in range(m)]
+    for j, a in enumerate(us):
+        if a:
+            for k, b in enumerate(vs):
+                if b:
+                    _add_into(raw[(j * (m // mu) + k * (m // mv)) % m], times(a, b), 1)
+    return m, _spread(raw, m)
+
+
+def _normal(m, den, comps):
+    """(m, den, comps) with zeros dropped, the common factor removed and
+    Q(zeta_2) written as Q."""
+    comps = [{i: x for i, x in terms.items() if x} for terms in comps]
+    if not any(comps):
+        return 1, 1, ({},)
+    g = den
+    for terms in comps:
+        g = gcd(g, *terms.values())
+    if g > 1:
+        den //= g
+        comps = [{i: x // g for i, x in terms.items()} for terms in comps]
+    return (1 if m == 2 else m), den, tuple(comps)
+
+
+def _make(ctx, m, den, comps) -> "GriessElement":
+    el = object.__new__(GriessElement)
+    el.ctx = ctx
+    el.m, el.den, el.comps = _normal(m, den, comps)
+    return el
 
 
 class GriessElement:
-    """Sparse weight-2 vector: quad (a<=b), deriv, and exponential parts."""
+    """A weight-2 vector over the context index, with integer numerators.
 
-    __slots__ = ("ctx", "quad", "deriv", "expo")
+    The coefficient of basis vector i is sum_j comps[j][i] zeta_m^j / den:
+    one sparse {index: int} map per power of zeta_m, phi(m) in all.  The
+    numerators have no common factor with den, and Q(zeta_2) is written as
+    m = 1.  Elements are immutable; ``parts`` reads the coefficients back as
+    Fraction or Cyclotomic values.
+    """
+
+    __slots__ = ("ctx", "m", "den", "comps")
 
     def __init__(self, ctx, quad=None, deriv=None, expo=None):
+        """The element with coefficients keyed (a, b), a <= b, for a(-1)b(-1).1,
+        a for a(-2).1 and the norm-4 key x for e^x."""
+        labels = ([(("q", a, b), c) for (a, b), c in (quad or {}).items()]
+                  + [(("d", a), c) for a, c in (deriv or {}).items()]
+                  + [(("e", tuple(int(x) for x in k)), c)
+                     for k, c in (expo or {}).items()])
+        if any(label not in ctx.index for label, _ in labels):
+            raise ValueError("no such weight-2 basis vector; an exponential key "
+                             "must be a norm-4 lattice vector")
+        coded = [(ctx.index[label], *_encode(c)) for label, c in labels]
+        m = lcm(1, *(cm for _, cm, _, _ in coded))
+        den = lcm(1, *(d for _, _, d, _ in coded))
+        raw = [{} for _ in range(m)]
+        for i, cm, d, nums in coded:
+            for j, x in enumerate(nums):
+                _add_into(raw[j * (m // cm)], {i: x}, den // d)
         self.ctx = ctx
-        self.quad = dict(quad or {})
-        self.deriv = dict(deriv or {})
-        self.expo = dict(expo or {})
+        self.m, self.den, self.comps = _normal(m, den, _spread(raw, m))
 
-    def copy(self):
-        return GriessElement(self.ctx, self.quad, self.deriv, self.expo)
-
-    def _strip(self):
-        for d in (self.quad, self.deriv, self.expo):
-            dead = [k for k, v in d.items() if is_zero(v)]
-            for k in dead:
-                del d[k]
-        return self
-
-    def add_quad_square(self, vec, coeff):
-        """Add coeff * vec(-1)^2 . 1 written over the basis monomials."""
-        vec = tuple(Fraction(x) for x in vec)
-        for a in range(self.ctx.rank):
-            if not vec[a]:
-                continue
-            for b in range(a, self.ctx.rank):
-                if not vec[b]:
-                    continue
-                mult = 1 if a == b else 2
-                self.quad[(a, b)] = self.quad.get((a, b), 0) + coeff * mult * vec[a] * vec[b]
-        return self
-
-    def add_deriv_vec(self, vec, coeff):
-        for a, x in enumerate(vec):
-            if x:
-                self.deriv[a] = self.deriv.get(a, 0) + coeff * Fraction(x)
-        return self
-
-    def add_expo(self, key, coeff):
-        key = tuple(int(x) for x in key)
-        if key not in self.ctx.norm4_index:
-            raise ValueError("exponential key is not a norm-4 lattice vector")
-        self.expo[key] = self.expo.get(key, 0) + coeff
-        return self
+    def parts(self):
+        """(quad, deriv, expo): the nonzero coefficients, keyed as in the constructor."""
+        out = ({}, {}, {})
+        for i in sorted(set().union(*self.comps)):
+            label = self.ctx.keys[i]
+            value = _value(self.m, self.den, [terms.get(i, 0) for terms in self.comps])
+            out["qde".index(label[0])][label[1:] if label[0] == "q" else label[1]] = value
+        return out
 
     def scaled(self, c):
-        out = GriessElement(self.ctx)
-        out.quad = {k: c * v for k, v in self.quad.items()}
-        out.deriv = {k: c * v for k, v in self.deriv.items()}
-        out.expo = {k: c * v for k, v in self.expo.items()}
-        return out._strip()
+        cm, cd, nums = _encode(c)
+        m, comps = _field_product(self.m, self.comps, cm, nums,
+                                  lambda terms, x: {i: x * y for i, y in terms.items()})
+        return _make(self.ctx, m, self.den * cd, comps)
 
     def __add__(self, other):
         if not isinstance(other, GriessElement):
             return NotImplemented
         if other.ctx is not self.ctx:
             raise ContextMismatch("elements live in different contexts")
-        out = self.copy()
-        for k, v in other.quad.items():
-            out.quad[k] = out.quad.get(k, 0) + v
-        for k, v in other.deriv.items():
-            out.deriv[k] = out.deriv.get(k, 0) + v
-        for k, v in other.expo.items():
-            out.expo[k] = out.expo.get(k, 0) + v
-        return out._strip()
+        m, den = lcm(self.m, other.m), lcm(self.den, other.den)
+        raw = [{} for _ in range(m)]
+        for el in (self, other):
+            for j, terms in enumerate(el.comps):
+                _add_into(raw[j * (m // el.m)], terms, den // el.den)
+        return _make(self.ctx, m, den, _spread(raw, m))
 
     def __sub__(self, other):
         return self + other.scaled(-1)
@@ -209,8 +355,7 @@ class GriessElement:
         return self.scaled(-1)
 
     def is_zero(self) -> bool:
-        self._strip()
-        return not (self.quad or self.deriv or self.expo)
+        return not any(self.comps)
 
     def __eq__(self, other):
         if not isinstance(other, GriessElement):
@@ -221,90 +366,103 @@ class GriessElement:
         raise TypeError("GriessElement is unhashable")
 
 
-def _neg(key):
-    return tuple(-x for x in key)
+def _square_sum(ctx, keys):
+    """sum x(-1)^2 over the norm-4 keys, as {quad index: int}."""
+    t = ctx.tables
+    out = {}
+    for x in keys:
+        i = ctx.index.get(("e", x))
+        if i is None:
+            raise EmbeddingError("root does not lie in the context lattice")
+        for j, w in t.opp_terms[i]:
+            if j < ctx.n_quad:
+                out[j] = out.get(j, 0) + w
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the product, the pairing and the automorphisms
+
+
+def _mul_terms(t, start, a, b):
+    """Twice the product u_1 v of two numerator maps, as a numerator map."""
+    acc = [0] * len(t.opp)
+    alow = [(i, x) for i, x in a.items() if i < start]
+    blow = [(i, x) for i, x in b.items() if i < start]
+    aexp = [(i, x) for i, x in a.items() if i >= start]
+    bexp = [(i, x) for i, x in b.items() if i >= start]
+    nq = len(t.qq)
+    # quad . quad and quad . deriv; deriv . quad and deriv . deriv vanish
+    for i, x in alow:
+        if i < nq:
+            row = t.qq[i]
+            for j, y in blow:
+                xy = x * y
+                for k, w in row[j]:
+                    acc[k] += xy * w
+    # quad and deriv acting on e^x, from either side
+    low = t.low
+    for side, exps in ((alow, bexp), (blow, aexp)):
+        if side:
+            for k, y in exps:
+                pat = low[k]
+                s = 0
+                for i, x in side:
+                    s += x * pat[i]
+                if s:
+                    acc[k] += s * y
+    # expo . expo: only pairings -2 (recombination) and -4 (opposite keys)
+    # contribute; the doubly even lattice rules out everything else.  The
+    # loop runs over the sparser side; the neighbour relation is symmetric.
+    if aexp and bexp:
+        opp, opp_terms, nbr = t.opp, t.opp_terms, t.nbr
+        flip = len(bexp) < len(aexp)
+        exps, other = (bexp, a) if flip else (aexp, b)
+        for k, x in exps:
+            y = other.get(opp[k])
+            if y:
+                xy = x * y
+                for j, w in opp_terms[opp[k] if flip else k]:
+                    acc[j] += xy * w
+            for yk, target in nbr[k]:
+                y = other.get(yk)
+                if y:
+                    acc[target] += 2 * x * y
+    return {i: x for i, x in enumerate(acc) if x}
 
 
 def product(ctx: AlgebraContext, u: GriessElement, v: GriessElement) -> GriessElement:
     """The weight-2 product u_1 v."""
     if u.ctx is not ctx or v.ctx is not ctx:
         raise ContextMismatch("product arguments from a different context")
-    out = GriessElement(ctx)
-    g = ctx.gram
-    # quad . quad
-    for (a, b), x in u.quad.items():
-        for (c, d), y in v.quad.items():
-            xy = x * y
-            for (p, q, w) in (
-                (b, d, g[a][c]), (b, c, g[a][d]),
-                (a, d, g[b][c]), (a, c, g[b][d]),
-            ):
-                if w:
-                    kk = (p, q) if p <= q else (q, p)
-                    out.quad[kk] = out.quad.get(kk, 0) + xy * w
-    # quad . deriv  (one-sided; deriv . quad vanishes)
-    for (a, b), x in u.quad.items():
-        for c, y in v.deriv.items():
-            xy = x * y
-            if g[a][c]:
-                out.deriv[b] = out.deriv.get(b, 0) + 2 * g[a][c] * xy
-            if g[b][c]:
-                out.deriv[a] = out.deriv.get(a, 0) + 2 * g[b][c] * xy
-    # quad . expo and expo . quad
-    for el, other, sidequad in ((u, v, u.quad), (v, u, v.quad)):
-        if not sidequad or not other.expo:
-            continue
-        for key, y in other.expo.items():
-            gx = ctx.gvec(key)
-            for (a, b), x in sidequad.items():
-                w = gx[a] * gx[b]
-                if w:
-                    out.expo[key] = out.expo.get(key, 0) + x * y * w
-    # deriv . expo and expo . deriv
-    for el, other in ((u, v), (v, u)):
-        if not el.deriv or not other.expo:
-            continue
-        for key, y in other.expo.items():
-            gx = ctx.gvec(key)
-            for a, x in el.deriv.items():
-                if gx[a]:
-                    out.expo[key] = out.expo.get(key, 0) - gx[a] * x * y
-    # expo . expo: only pairings -2 (recombination) and -4 (opposite keys)
-    # contribute; the doubly even lattice rules out everything else
-    if u.expo and v.expo:
-        for xkey, x in u.expo.items():
-            y = v.expo.get(_neg(xkey))
-            if y is not None:
-                xy = x * y
-                out.add_quad_square(xkey, xy * HALF)
-                out.add_deriv_vec(xkey, xy * HALF)
-            for ykey, target in ctx.minus2_neighbors(xkey):
-                vy = v.expo.get(ykey)
-                if vy is not None:
-                    out.expo[target] = out.expo.get(target, 0) + x * vy
-    return out._strip()
+    t, start = ctx.tables, ctx.expo_start
+    m, comps = _field_product(u.m, u.comps, v.m, v.comps,
+                              lambda a, b: _mul_terms(t, start, a, b))
+    return _make(ctx, m, 2 * u.den * v.den, comps)
 
 
 def inner(ctx: AlgebraContext, u: GriessElement, v: GriessElement):
     """The invariant pairing read off from the third product u_3 v."""
     if u.ctx is not ctx or v.ctx is not ctx:
         raise ContextMismatch("inner arguments from a different context")
-    g = ctx.gram
-    total = Fraction(0)
-    for (a, b), x in u.quad.items():
-        for (c, d), y in v.quad.items():
-            w = g[a][c] * g[b][d] + g[a][d] * g[b][c]
-            if w:
-                total = total + x * y * w
-    for a, x in u.deriv.items():
-        for b, y in v.deriv.items():
-            if g[a][b]:
-                total = total - 6 * g[a][b] * x * y
-    for key, x in u.expo.items():
-        y = v.expo.get(_neg(key))
-        if y is not None:
-            total = total + x * y
-    return total
+    t = ctx.tables
+    start = ctx.expo_start
+
+    def pair(a, b):
+        # one numerator, kept at index 0 so that _field_product can fold it
+        blow = [(j, y) for j, y in b.items() if j < start]
+        s = 0
+        for i, x in a.items():
+            if i < start:
+                row = t.form[i]
+                for j, y in blow:
+                    s += x * y * row[j]
+            else:
+                s += x * b.get(t.opp[i], 0)
+        return {0: s}
+
+    m, comps = _field_product(u.m, u.comps, v.m, v.comps, pair)
+    return _value(m, u.den * v.den, [terms.get(0, 0) for terms in comps])
 
 
 def conformal_check(ctx: AlgebraContext, e: GriessElement):
@@ -322,37 +480,34 @@ def build_virasoro_family(ctx: AlgebraContext, root_keys):
     signs).  The Coxeter number is |Phi| / rank(Phi).
     """
     keys = [tuple(int(x) for x in k) for k in root_keys]
-    for k in keys:
-        if k not in ctx.norm4_index:
-            raise EmbeddingError("root does not lie in the context lattice")
-        if _neg(k) not in ctx.norm4_index:
-            raise EmbeddingError("root set must be closed under negation")
+    squares = _square_sum(ctx, keys)
+    if any(("e", _neg(k)) not in ctx.index for k in keys):
+        raise EmbeddingError("root set must be closed under negation")
     r = len(RowSpace(keys).rows)
     h = Fraction(len(keys), r)
     if h.denominator != 1:
         raise EmbeddingError("root count is not a multiple of the rank")
     h = int(h)
-    omega_phi = GriessElement(ctx)
-    s = GriessElement(ctx)
+    # omega(Phi) = sum x(-1)^2 / 8h, s = sum (x(-1)^2 / 8 - e^x) / (h + 2)
+    omega_phi = _make(ctx, 1, 8 * h, [squares])
+    s_terms = dict(squares)
     for k in keys:
-        omega_phi.add_quad_square(k, Fraction(1, 8 * h))
-        s.add_quad_square(k, Fraction(1, 8 * (h + 2)))
-        s.add_expo(k, Fraction(-1, h + 2))
-    omega_phi._strip()
-    s._strip()
+        _add_into(s_terms, {ctx.index[("e", k)]: 1}, -8)
+    s = _make(ctx, 1, 8 * (h + 2), [s_terms])
     return {"omega": omega_phi, "s": s, "omega_tilde": omega_phi - s, "h": h}
 
 
-# ---------------------------------------------------------------------------
-# automorphisms
+def _neg(key):
+    return tuple(-x for x in key)
 
 
 def apply_theta(el: GriessElement) -> GriessElement:
-    out = GriessElement(el.ctx)
-    out.quad = dict(el.quad)
-    out.deriv = {k: -v for k, v in el.deriv.items()}
-    out.expo = {_neg(k): v for k, v in el.expo.items()}
-    return out
+    """The lift of -1: a(-2) -> -a(-2) and e^x -> e^-x."""
+    ctx = el.ctx
+    nq, start, opp = ctx.n_quad, ctx.expo_start, ctx.tables.opp
+    return _make(ctx, el.m, el.den, tuple(
+        {(i if i < start else opp[i]): (-x if nq <= i < start else x)
+         for i, x in terms.items()} for terms in el.comps))
 
 
 def sigma_phase(ctx: AlgebraContext, glue_coords, key):
@@ -363,110 +518,19 @@ def sigma_phase(ctx: AlgebraContext, glue_coords, key):
 
 def apply_sigma(ctx: AlgebraContext, glue_coords, el: GriessElement,
                 power: int = 1) -> GriessElement:
-    out = GriessElement(ctx)
-    out.quad = dict(el.quad)
-    out.deriv = dict(el.deriv)
-    for k, v in el.expo.items():
-        ph = sigma_phase(ctx, glue_coords, k)
-        if power != 1:
-            ph = ph ** power
-        out.expo[k] = ph * v
-    return out._strip()
-
-
-def weyl_matrix(ctx: AlgebraContext, root_key):
-    """Coefficient-space matrix of the reflection v -> v - (B(v,r)/2) r."""
-    root_key = tuple(int(x) for x in root_key)
-    if ctx.pairing(root_key, root_key) != 4:
-        raise ValueError("reflection key must have norm 4")
-    g = ctx.gvec(root_key)
-    n = ctx.rank
-    mat = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            mat[i][j] -= Fraction(root_key[i]) * Fraction(g[j]) / 2
-    return mat
-
-
-def apply_linear(ctx: AlgebraContext, mat, el: GriessElement) -> GriessElement:
-    """Apply a lattice isometry given by its coefficient-space matrix."""
-    out = GriessElement(ctx)
-    n = ctx.rank
-    for (a, b), v in el.quad.items():
-        cols = {}
-        for i in range(n):
-            if not mat[i][a]:
-                continue
-            for j in range(n):
-                w = mat[i][a] * mat[j][b]
-                if w:
-                    kk = (i, j) if i <= j else (j, i)
-                    cols[kk] = cols.get(kk, Fraction(0)) + w
-        for kk, w in cols.items():
-            out.quad[kk] = out.quad.get(kk, 0) + v * w
-    for a, v in el.deriv.items():
-        for i in range(n):
-            if mat[i][a]:
-                out.deriv[i] = out.deriv.get(i, 0) + v * mat[i][a]
-    for key, v in el.expo.items():
-        img = tuple(sum(mat[i][j] * key[j] for j in range(n)) for i in range(n))
-        img_int = tuple(int(x) for x in img)
-        if tuple(Fraction(x) for x in img_int) != tuple(img):
-            raise ValueError("isometry does not preserve the lattice")
-        out.expo[img_int] = out.expo.get(img_int, 0) + v
-    return out._strip()
-
-
-def apply_weyl(ctx: AlgebraContext, root_key, el: GriessElement) -> GriessElement:
-    return apply_linear(ctx, weyl_matrix(ctx, root_key), el)
-
-
-# ---------------------------------------------------------------------------
-# the weight-2 basis and matrices
-
-
-class Weight2Basis:
-    def __init__(self, ctx: AlgebraContext):
-        self.ctx = ctx
-        keys = []
-        for a in range(ctx.rank):
-            for b in range(a, ctx.rank):
-                keys.append(("q", a, b))
-        for a in range(ctx.rank):
-            keys.append(("d", a))
-        for v in ctx.norm4:
-            keys.append(("e", v))
-        self.keys = keys
-        self.index = {k: i for i, k in enumerate(keys)}
-
-    def __len__(self):
-        return len(self.keys)
-
-    def vector(self, el: GriessElement):
-        out = [Fraction(0)] * len(self.keys)
-        for (a, b), v in el.quad.items():
-            out[self.index[("q", a, b)]] = v
-        for a, v in el.deriv.items():
-            out[self.index[("d", a)]] = v
-        for k, v in el.expo.items():
-            out[self.index[("e", k)]] = v
-        return out
-
-    def element(self, vec) -> GriessElement:
-        el = GriessElement(self.ctx)
-        for val, key in zip(vec, self.keys):
-            if is_zero(val):
-                continue
-            if key[0] == "q":
-                el.quad[(key[1], key[2])] = val
-            elif key[0] == "d":
-                el.deriv[key[1]] = val
-            else:
-                el.expo[key[1]] = val
-        return el
-
-    def monomial(self, key) -> GriessElement:
-        return _combo_element(self.ctx, key)
+    phases = ctx.sigma_phases(glue_coords)
+    start = ctx.expo_start
+    m = lcm(el.m, *(phases[i][0] for terms in el.comps for i in terms if i >= start))
+    # raw[e]: the terms multiplied by zeta_m^e; zeta_m^j of el is zeta_m^(j m / el.m)
+    raw = [{} for _ in range(m)]
+    for j, terms in enumerate(el.comps):
+        for i, x in terms.items():
+            e = j * (m // el.m)
+            if i >= start:
+                q, p = phases[i]
+                e += p * power * (m // q)
+            raw[e % m][i] = x
+    return _make(ctx, m, el.den, _spread(raw, m))
 
 
 # ---------------------------------------------------------------------------
@@ -488,15 +552,12 @@ class ModuleSpace:
         return len(self.keys)
 
     def act_matrix(self, u: GriessElement):
-        cols = []
-        for key in self.keys:
-            vec = [Fraction(0)] * len(self.keys)
-            img = module_act_on_key(self.ctx, u, key, self.index)
-            for kk, v in img.items():
-                vec[self.index[kk]] = v
-            cols.append(vec)
-        return [[cols[j][i] for j in range(len(cols))]
-                for i in range(len(self.keys))]
+        n, lows = len(self.keys), _low_terms(u)
+        mat = [[Fraction(0)] * n for _ in range(n)]
+        for col, key in enumerate(self.keys):
+            for target, value in _act(self.ctx, u, lows, key, self.index).items():
+                mat[self.index[target]][col] = value
+        return mat
 
 
 class ModuleVector:
@@ -526,29 +587,38 @@ class ModuleVector:
     __hash__ = None
 
 
+def _low_terms(el):
+    """Per numerator map of el, its quad and deriv terms."""
+    start = el.ctx.expo_start
+    return [[(i, x) for i, x in terms.items() if i < start] for terms in el.comps]
+
+
+def _act(ctx, u, lows, key, index):
+    """{module key: value} of u_1 e^key; ``lows`` is ``_low_terms(u)``."""
+    gx, keys, nq = ctx.gvec(key), ctx.keys, ctx.n_quad
+    images = []
+    for low, terms in zip(lows, u.comps):
+        acc = 0
+        for i, x in low:
+            if i < nq:
+                acc += x * gx[keys[i][1]] * gx[keys[i][2]]
+            else:
+                acc -= x * gx[i - nq]
+        image = {key: acc} if acc else {}
+        for y, b, target in ctx.lowering(key):
+            if y in terms:
+                if b < -2:
+                    raise LeavesMinimalSpace("module key is not of minimal norm")
+                if target not in index:
+                    raise LeavesMinimalSpace("action leaves the minimal-weight space")
+                image[target] = terms[y]
+        images.append(image)
+    return {target: _value(u.m, u.den, [image.get(target, 0) for image in images])
+            for target in dict.fromkeys(k for image in images for k in image)}
+
+
 def module_act_on_key(ctx, u: GriessElement, key, index):
-    out = {}
-    gx = ctx.gvec(key)
-    acc = 0
-    for (a, b), v in u.quad.items():
-        w = gx[a] * gx[b]
-        if w:
-            acc = acc + v * w
-    for a, v in u.deriv.items():
-        if gx[a]:
-            acc = acc - v * gx[a]
-    if not is_zero(acc):
-        out[key] = acc
-    for ykey, b, target in ctx.lowering(key):
-        v = u.expo.get(ykey)
-        if v is None:
-            continue
-        if b < -2:
-            raise LeavesMinimalSpace("module key is not of minimal norm")
-        if target not in index:
-            raise LeavesMinimalSpace("action leaves the minimal-weight space")
-        out[target] = out.get(target, 0) + v
-    return {k: v for k, v in out.items() if not is_zero(v)}
+    return _act(ctx, u, _low_terms(u), key, index)
 
 
 def module_act(ctx, u: GriessElement, mv: ModuleVector) -> ModuleVector:
@@ -563,8 +633,6 @@ def module_act(ctx, u: GriessElement, mv: ModuleVector) -> ModuleVector:
 # tau involutions
 
 
-WEIGHT2_EIGENVALUES = (Fraction(2), Fraction(0), HALF,
-                       Fraction(1, 16), Fraction(17, 16))
 MODULE_EIGENVALUES = (Fraction(0), HALF, Fraction(1, 16))
 
 
@@ -618,15 +686,13 @@ def tau_from_matrix(mat, allowed) -> TauInvolution:
     return TauInvolution(eigen, dim)
 
 
-def tau_involution_module(ctx, e: GriessElement, space: ModuleSpace) -> TauInvolution:
-    return tau_from_matrix(space.act_matrix(e), MODULE_EIGENVALUES)
-
-
-def annihilates(mat, eigenvalues) -> bool:
-    """Whether prod (mat - lam) vanishes, via integer arithmetic."""
-    *a, lams = clear_denominators([*mat, eigenvalues])[0]
+def annihilates(mat, den, eigenvalues) -> bool:
+    """Whether prod (mat / den - lam) vanishes, for an int matrix, in integers."""
+    lams = [Fraction(lam) * den for lam in eigenvalues]
+    d = lcm(*(lam.denominator for lam in lams))
+    a = [[x * d for x in row] for row in mat]
     prod = None
-    for lam in lams:
+    for lam in (int(lam * d) for lam in lams):
         term = [[x - lam if i == j else x for j, x in enumerate(row)]
                 for i, row in enumerate(a)]
         prod = term if prod is None else mat_mul(prod, term)
@@ -643,20 +709,14 @@ def theta_split_tau_check(ctx: AlgebraContext, e: GriessElement):
     if apply_theta(e) != e:
         raise ValueError("theta-split check needs a theta-fixed vector")
     even_keys, odd_keys = _theta_split_keys(ctx, ctx.norm4)
-
     blocks = {}
-    for name, keys, eigs in (
+    for name, block, eigs in (
         ("even", even_keys, (Fraction(0), HALF, Fraction(2))),
         ("odd", odd_keys, (Fraction(1, 16), Fraction(17, 16))),
     ):
-        cols = []
-        for key in keys:
-            img = product(ctx, e, _combo_element(ctx, key))
-            cols.append(_combo_decompose(img, keys))
-        mat = [[cols[j][i] for j in range(len(keys))] for i in range(len(keys))]
-        if not annihilates(mat, eigs):
+        if not annihilates(*_block_matrix(ctx, e, block), eigs):
             raise BadSpectrum(f"theta-{name} block has eigenvalues outside {eigs}")
-        blocks[name] = len(keys)
+        blocks[name] = len(block)
     return blocks
 
 
@@ -691,47 +751,29 @@ class NodeFamilies:
     """e-hat, f-hat, the graded sums X^j, and the component Virasoro pairs."""
 
     def __init__(self, node):
-        from .scalars import Cyclotomic
         ctx = e8_context()
         self.ctx = ctx
         self.node = node
         classes = node.coset_classes()
         self.key_class = {k: classes[k] for k in ctx.norm4}
 
-        omega = ctx.omega()
-        e_hat = omega.scaled(Fraction(1, 16))
-        for k in ctx.norm4:
-            e_hat.add_expo(k, Fraction(1, 32))
-        self.e_hat = e_hat._strip()
-
-        self.X = {}
-        for j in range(1, node.n):
-            xj = GriessElement(ctx)
-            for k in ctx.norm4:
-                if self.key_class[k] == j:
-                    xj.add_expo(k, Fraction(1))
-            self.X[j] = xj._strip()
+        omega16 = ctx.omega().scaled(Fraction(1, 16))
+        self.e_hat = omega16 + GriessElement(
+            ctx, expo={k: Fraction(1, 32) for k in ctx.norm4})
+        self.X = {j: GriessElement(ctx, expo={k: 1 for k in ctx.norm4
+                                              if self.key_class[k] == j})
+                  for j in range(1, node.n)}
 
         self.components = node.components
-        self.s = []
-        self.omega_tilde = []
-        self.component_h = []
-        for comp in node.components:
-            keys = [_int_key(r) for r in comp.root_coords]
-            fam = build_virasoro_family(ctx, keys)
-            self.s.append(fam["s"])
-            self.omega_tilde.append(fam["omega_tilde"])
-            self.component_h.append(fam["h"])
+        fam = [build_virasoro_family(ctx, [_int_key(r) for r in comp.root_coords])
+               for comp in node.components]
+        self.s = [x["s"] for x in fam]
+        self.omega_tilde = [x["omega_tilde"] for x in fam]
+        self.component_h = [x["h"] for x in fam]
 
-        n = node.n
-        f_hat = omega.scaled(Fraction(1, 16))
-        for k in ctx.norm4:
-            j = self.key_class[k]
-            if j == 0:
-                f_hat.add_expo(k, Fraction(1, 32))
-            else:
-                f_hat.add_expo(k, Cyclotomic.zeta(n, j) * Fraction(1, 32))
-        self.f_hat = f_hat._strip()
+        self.f_hat = omega16 + GriessElement(ctx, expo={
+            k: Cyclotomic.zeta(node.n, j) * Fraction(1, 32) if j else Fraction(1, 32)
+            for k, j in self.key_class.items()})
         f_sigma = apply_sigma(ctx, node.glue_coords, self.e_hat)
         if not (self.f_hat - f_sigma).is_zero():
             raise AssertionError("sigma(e-hat) does not match the twisted sum")
@@ -790,19 +832,12 @@ class HammingFamilies:
         self.ctx = ctx
         self.code_words = sorted(set(code.words()))
         amb = {k: tuple(int(x) for x in ctx.lattice.ambient(k)) for k in ctx.norm4}
-        self.ambient = amb
         self.X = {0: {}, 1: {}}
         for gamma in self.code_words:
-            x0 = GriessElement(ctx)
-            x1 = GriessElement(ctx)
-            for k, a in amb.items():
-                if tuple(x % 2 for x in a) != gamma:
-                    continue
-                x0.add_expo(k, Fraction(1))
-                s = sum(a) // 2
-                x1.add_expo(k, Fraction((-1) ** (s % 2)))
-            self.X[0][gamma] = x0._strip()
-            self.X[1][gamma] = x1._strip()
+            keys = [k for k, a in amb.items() if tuple(x % 2 for x in a) == gamma]
+            self.X[0][gamma] = GriessElement(ctx, expo={k: 1 for k in keys})
+            self.X[1][gamma] = GriessElement(
+                ctx, expo={k: (-1) ** (sum(amb[k]) // 2 % 2) for k in keys})
 
     def e_hat(self, eps: int, delta) -> GriessElement:
         ctx = self.ctx
@@ -819,20 +854,16 @@ class HammingFamilies:
             lam = tuple(Fraction(2 * int(t == j)) for t in range(8))
             key = _int_key(ctx.lattice.coords(lam))
             for sign in (1, -1):
-                el = GriessElement(ctx)
-                el.add_quad_square(key, Fraction(1, 16))
-                el.add_expo(key, Fraction(sign, 4))
-                el.add_expo(_neg(key), Fraction(sign, 4))
-                frame.append(el._strip())
+                # x(-1)^2 / 16 + sign (e^x + e^-x) / 4
+                terms = _square_sum(ctx, [key])
+                terms[ctx.index[("e", key)]] = 4 * sign
+                terms[ctx.index[("e", _neg(key))]] = 4 * sign
+                frame.append(_make(ctx, 1, 16, [terms]))
         return frame
 
     def hamming_frame(self):
         reps = hamming_cosets_even()
-        out = []
-        for eps in (0, 1):
-            for delta in reps:
-                out.append(self.e_hat(eps, delta))
-        return out
+        return [self.e_hat(eps, delta) for eps in (0, 1) for delta in reps]
 
 
 def build_hamming_family() -> HammingFamilies:
@@ -891,91 +922,57 @@ class U2Data:
 
 
 def _theta_split_keys(ctx, norm4_keys):
-    """Keys of the theta-even and theta-odd blocks over the given norm-4 keys.
+    """The theta-even and theta-odd blocks over the given norm-4 keys.
 
+    A block is a list of vectors, each a tuple of (index, sign) pairs.
     Both blocks take all quadratic (even) or derivative (odd) states and
-    one symmetrized pair ("p", even; "m", odd) per key up to sign.
+    one pair e^x + e^-x (even) or e^x - e^-x (odd) per key up to sign.
     """
-    even = [("q", a, b) for a in range(ctx.rank) for b in range(a, ctx.rank)]
-    odd = [("d", a) for a in range(ctx.rank)]
+    nq, start, opp = ctx.n_quad, ctx.expo_start, ctx.tables.opp
+    even = [((i, 1),) for i in range(nq)]
+    odd = [((i, 1),) for i in range(nq, start)]
     seen = set()
     for k in norm4_keys:
-        if k in seen:
+        i = ctx.index[("e", k)]
+        if i in seen:
             continue
-        seen.add(k)
-        seen.add(_neg(k))
-        even.append(("p", k))
-        odd.append(("m", k))
+        seen.update((i, opp[i]))
+        even.append(((i, 1), (opp[i], 1)))
+        odd.append(((i, 1), (opp[i], -1)))
     return even, odd
 
 
-def _combo_element(ctx, key):
-    """Monomial or theta-symmetrized exponential pair as an element."""
-    el = GriessElement(ctx)
-    if key[0] == "q":
-        el.quad[(key[1], key[2])] = Fraction(1)
-    elif key[0] == "d":
-        el.deriv[key[1]] = Fraction(1)
-    elif key[0] == "e":
-        el.expo[key[1]] = Fraction(1)
-    elif key[0] == "p":
-        el.expo[key[1]] = Fraction(1)
-        el.expo[_neg(key[1])] = Fraction(1)
-    else:
-        el.expo[key[1]] = Fraction(1)
-        el.expo[_neg(key[1])] = Fraction(-1)
-    return el
+def _block_matrix(ctx, op, block):
+    """(mat, den): the int matrix and denominator of op_1 on the block's span.
+
+    Raises ArithmeticError if an image leaves the span of the block.
+    """
+    where = {i: (c, sign) for c, vec in enumerate(block) for i, sign in vec}
+    cols, dens = [], []
+    for vec in block:
+        img = product(ctx, op, _make(ctx, 1, 1, (dict(vec),)))
+        found = {}
+        for i, x in img.comps[0].items():
+            if img.m != 1 or i not in where:
+                raise ArithmeticError("operator image leaves the block")
+            c, sign = where[i]
+            found.setdefault(c, []).append(x * sign)
+        for c, xs in found.items():
+            if len(xs) != len(block[c]) or len(set(xs)) != 1:
+                raise ArithmeticError("operator image is not theta-symmetric")
+        cols.append({c: xs[0] for c, xs in found.items()})
+        dens.append(img.den)
+    den = lcm(*dens)
+    return [[col.get(r, 0) * (den // d) for col, d in zip(cols, dens)]
+            for r in range(len(block))], den
 
 
-def _combo_decompose(el, keys):
-    vec = [Fraction(0)] * len(keys)
-    quad = dict(el.quad)
-    deriv = dict(el.deriv)
-    expo = dict(el.expo)
-    for i, key in enumerate(keys):
-        if key[0] == "q":
-            vec[i] = quad.pop((key[1], key[2]), Fraction(0))
-        elif key[0] == "d":
-            vec[i] = deriv.pop(key[1], Fraction(0))
-        elif key[0] == "e":
-            vec[i] = expo.pop(key[1], Fraction(0))
-        elif key[0] == "p":
-            a = expo.pop(key[1], Fraction(0))
-            b = expo.pop(_neg(key[1]), Fraction(0))
-            if a != b:
-                raise ArithmeticError("image is not theta-even")
-            vec[i] = a
-        else:
-            a = expo.pop(key[1], Fraction(0))
-            b = expo.pop(_neg(key[1]), Fraction(0))
-            if a != -b:
-                raise ArithmeticError("image is not theta-odd")
-            vec[i] = a
-    leftovers = list(quad.values()) + list(deriv.values()) + list(expo.values())
-    if any(not is_zero(x) for x in leftovers):
-        raise ArithmeticError("operator image leaves the block")
-    return vec
-
-
-def _stacked_kernel(ctx, operators, keys):
-    """Kernel of several operators restricted to a monomial block."""
-    stacked = []
+def _stacked_kernel(ctx, operators, block):
+    """Dimension of the common kernel of several operators on a block."""
+    rows = []
     for op in operators:
-        cols = [_combo_decompose(product(ctx, op, _combo_element(ctx, key)),
-                                 keys) for key in keys]
-        for r in range(len(keys)):
-            stacked.append([cols[c][r] for c in range(len(keys))])
-    ints, _ = clear_denominators(stacked)
-    basis = kernel_basis_int(ints, len(keys))
-    out = []
-    for vec in basis:
-        el = GriessElement(ctx)
-        for val, key in zip(vec, keys):
-            if is_zero(val):
-                continue
-            el = el + _combo_element(ctx, key).scaled(val)
-        out.append(el._strip())
-    return out
+        rows.extend(_block_matrix(ctx, op, block)[0])
+    return len(kernel_basis_int(rows, len(block)))
 
 
 def coset_U2(i: int) -> U2Data:
@@ -996,19 +993,12 @@ def coset_U2(i: int) -> U2Data:
 
     even0, odd0 = _theta_split_keys(ctx, expo_blocks[0])
 
-    kernel_elements = []
-    block_dims = {}
-    block0 = (_stacked_kernel(ctx, fams.s, even0)
-              + _stacked_kernel(ctx, fams.s, odd0))
-    block_dims[0] = len(block0)
-    kernel_elements.extend(block0)
+    block_dims = {0: (_stacked_kernel(ctx, fams.s, even0)
+                      + _stacked_kernel(ctx, fams.s, odd0))}
     for j in range(1, n):
-        keys = [("e", k) for k in expo_blocks[j]]
-        basis = _stacked_kernel(ctx, fams.s, keys)
-        block_dims[j] = len(basis)
-        kernel_elements.extend(basis)
+        block = [((ctx.index[("e", k)], 1),) for k in expo_blocks[j]]
+        block_dims[j] = _stacked_kernel(ctx, fams.s, block)
 
-    w2 = Weight2Basis(ctx)
     expected = l + n - 1
     if sum(block_dims.values()) != expected:
         raise DimensionMismatch(
@@ -1017,17 +1007,23 @@ def coset_U2(i: int) -> U2Data:
     if block_dims[0] != l or any(block_dims[j] != 1 for j in range(1, n)):
         raise DimensionMismatch(f"node {i}: unexpected graded kernel {block_dims}")
 
-    labels = [f"omega_tilde_{k+1}" for k in range(l)]
-    basis = list(fams.omega_tilde)
-    for j in range(1, n):
-        labels.append(f"X_{j}")
-        basis.append(fams.X[j])
+    labels = ([f"omega_tilde_{k+1}" for k in range(l)]
+              + [f"X_{j}" for j in range(1, n)])
+    basis = list(fams.omega_tilde) + [fams.X[j] for j in range(1, n)]
     # claimed basis really lies in the kernel
     for b in basis:
         for s in fams.s:
             if not product(ctx, s, b).is_zero():
                 raise DimensionMismatch(f"node {i}: claimed U2 vector not in kernel")
-    space = RowSpace(w2.vector(b) for b in basis)
+    # the rows are the numerators of the rational basis, so a coordinate c
+    # over row k is c * den_k / den over the basis element
+
+    def numerators(el):
+        if el.m != 1:
+            raise DimensionMismatch(f"node {i}: U2 vector is not rational")
+        return [el.comps[0].get(k, 0) for k in range(len(ctx.keys))]
+
+    space = RowSpace(numerators(b) for b in basis)
     if len(space.rows) != expected:
         raise DimensionMismatch(f"node {i}: claimed U2 basis is dependent")
 
@@ -1037,11 +1033,15 @@ def coset_U2(i: int) -> U2Data:
         row = []
         for b in basis:
             prod = product(ctx, a, b)
-            c = space.coords(w2.vector(prod))
+            c = space.coords(numerators(prod))
             if c is None:
                 raise DimensionMismatch(f"node {i}: U2 is not closed under products")
-            row.append([Fraction(x) for x in c])
+            row.append([x * el.den / prod.den for x, el in zip(c, basis)])
         structure.append(row)
+    # the closure below multiplies each unordered pair once
+    if any(structure[a][b] != structure[b][a]
+           for a in range(expected) for b in range(a)):
+        raise DimensionMismatch(f"node {i}: U2 structure constants are not symmetric")
     return U2Data(node, labels, basis, gram, structure, block_dims)
 
 
@@ -1054,40 +1054,33 @@ def generated_closure_coords(u2: U2Data, seed_coords):
     """Smallest product-closed subspace of U2 containing the seeds.
 
     Everything happens in coordinates over the U2 basis; scalars may be
-    cyclotomic.  Returns the dimension and a row-reduced basis.
+    cyclotomic.  Returns the dimension and a row-reduced basis.  U2 is
+    commutative (``coset_U2`` certifies its structure constants symmetric),
+    so each unordered pair of spanning rows is multiplied once.  A spanning
+    row is an echelon row as first inserted, which is sparse.
     """
-    space = RowSpace(seed_coords)
-    while True:
-        span = list(space.rows)
-        added = False
-        for a in span:
-            for b in span:
-                added = space.add(u2.multiply_coords(a, b)) or added
-        if not added:
-            return len(space.rows), space.rows
+    space, gens, todo = RowSpace(), [], list(seed_coords)
+    while todo:
+        before = set(space.pivots)
+        if space.add(todo.pop()):
+            a = next(r for p, r in zip(space.pivots, space.rows) if p not in before)
+            gens.append(a)
+            todo += [u2.multiply_coords(a, b) for b in gens]
+    return len(space.rows), space.rows
 
 
 def e_f_coords(u2: U2Data):
     """Coordinates of e-hat and f-hat over the U2 basis, by construction."""
-    from .scalars import Cyclotomic
     fams = build_node_family(u2.node.i)
-    l = len(u2.node.components)
     n = u2.node.n
-    e = [Fraction(h + 2, 32) for h in fams.component_h]
-    e += [Fraction(1, 32)] * (n - 1)
-    f = [Fraction(h + 2, 32) for h in fams.component_h]
-    for j in range(1, n):
-        f.append(Cyclotomic.zeta(n, j) * Fraction(1, 32) if n > 1 else Fraction(1, 32))
-    ctx = fams.ctx
+    omegas = [Fraction(h + 2, 32) for h in fams.component_h]
+    e = omegas + [Fraction(1, 32)] * (n - 1)
+    f = omegas + [Cyclotomic.zeta(n, j) * Fraction(1, 32) for j in range(1, n)]
     # verify the linear combinations really reproduce the two vectors
-    e_el = ctx.zero()
-    for c, b in zip(e, u2.basis):
-        e_el = e_el + b.scaled(c)
-    if not (e_el - fams.e_hat).is_zero():
-        raise DimensionMismatch("e-hat coordinates over U2 are wrong")
-    f_el = ctx.zero()
-    for c, b in zip(f, u2.basis):
-        f_el = f_el + b.scaled(c)
-    if not (f_el - fams.f_hat).is_zero():
-        raise DimensionMismatch("f-hat coordinates over U2 are wrong")
+    for name, coords, want in (("e-hat", e, fams.e_hat), ("f-hat", f, fams.f_hat)):
+        el = fams.ctx.zero()
+        for c, b in zip(coords, u2.basis):
+            el = el + b.scaled(c)
+        if not (el - want).is_zero():
+            raise DimensionMismatch(f"{name} coordinates over U2 are wrong")
     return e, f

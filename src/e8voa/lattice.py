@@ -291,6 +291,7 @@ class Coset:
         if c is None:
             raise ValueError("coset shift lies outside the rational span")
         self.shift_coords = tuple(Fraction(x) for x in c)
+        self.min_info = None  # coset_min_norm's unbudgeted result, once computed
 
     def __eq__(self, other):
         if not isinstance(other, Coset):
@@ -318,14 +319,20 @@ def coset_minimum(lat: EvenLattice, shift, budget_seconds=None):
 
 
 def coset_min_norm(c: Coset, budget_seconds=None) -> dict:
-    """Exact minimum squared norm over the coset and all achieving vectors."""
-    k, zs = coset_minimum(c.lattice, c.shift_coords, budget_seconds)
-    return {"k": k, "reps": sorted(c.lattice.ambient(z) for z in zs)}
+    """Exact minimum squared norm over the coset and all achieving vectors;
+    the first unbudgeted result is kept on the coset, whose shift is fixed."""
+    info = c.min_info
+    if info is None:
+        k, zs = coset_minimum(c.lattice, c.shift_coords, budget_seconds)
+        info = {"k": k, "reps": sorted(c.lattice.ambient(z) for z in zs)}
+        if budget_seconds is None:
+            c.min_info = info
+    return info
 
 
 def count_X_eta(root_system, gamma: Coset, eta) -> int:
     """|{(alpha, beta): alpha a root, beta coset-minimal, alpha + beta = eta}|."""
-    info = coset_min_norm(gamma)
+    info = gamma.min_info or coset_min_norm(gamma)
     minimal = set(tuple(v) for v in info["reps"])
     eta = _frac_vec(eta)
     if eta not in minimal:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .griess import (MODULE_EIGENVALUES, ModuleSpace, Weight2Basis,
+from .griess import (MODULE_EIGENVALUES, ModuleSpace,
                      apply_sigma, build_node_family,
                      conformal_check, coset_U2_cached, e8_context,
                      inner, product, sigma_phase, tau_from_matrix,
@@ -64,8 +64,7 @@ def weight2_tau_theta_verified() -> dict:
 def _e_hat_columns():
     fams = build_node_family(0)
     ctx = fams.ctx
-    w2 = Weight2Basis(ctx)
-    return w2, [product(ctx, fams.e_hat, w2.monomial(key)) for key in w2.keys]
+    return [product(ctx, fams.e_hat, ctx.monomial(key)) for key in ctx.keys]
 
 
 @lru_cache(maxsize=None)
@@ -73,10 +72,9 @@ def conjugation_verified(i: int) -> bool:
     """f-hat_1 = sigma e-hat_1 sigma^(-1) as weight-2 operators, exactly."""
     fams = build_node_family(i)
     ctx = fams.ctx
-    w2, cols = _e_hat_columns()
     glue = fams.node.glue_coords
-    for key, col in zip(w2.keys, cols):
-        lhs = product(ctx, fams.f_hat, w2.monomial(key))
+    for key, col in zip(ctx.keys, _e_hat_columns()):
+        lhs = product(ctx, fams.f_hat, ctx.monomial(key))
         rhs = apply_sigma(ctx, glue, col)
         if key[0] == "e":
             ph = sigma_phase(ctx, glue, key[1])

@@ -62,19 +62,19 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _power_table(n: int) -> tuple[tuple[Fraction, ...], ...]:
-    # row k = power-basis expansion of zeta_n^k for 0 <= k < n
+def power_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """Row k: the power-basis expansion of zeta_n^k, 0 <= k < n; all integers."""
     deg = euler_phi(n)
     phi_n = cyclotomic_polynomial(n)
     # x^deg = -(phi_n[0] + ... + phi_n[deg-1] x^(deg-1)), since phi_n monic
-    top = tuple(Fraction(-c) for c in phi_n[:deg])
-    rows: list[tuple[Fraction, ...]] = []
+    top = tuple(-c for c in phi_n[:deg])
+    rows: list[tuple[int, ...]] = []
     for k in range(n):
         if k < deg:
-            rows.append(tuple(Fraction(int(j == k)) for j in range(deg)))
+            rows.append(tuple(int(j == k) for j in range(deg)))
         else:
             prev = rows[k - 1]
-            shifted = [Fraction(0)] + list(prev[: deg - 1])
+            shifted = [0] + list(prev[: deg - 1])
             lead = prev[deg - 1]
             if lead:
                 shifted = [s + lead * t for s, t in zip(shifted, top)]
@@ -118,7 +118,7 @@ class Cyclotomic:
     @staticmethod
     def zeta(order: int, k: int = 1) -> "Cyclotomic":
         """zeta_order^k."""
-        row = _power_table(order)[k % order]
+        row = power_table(order)[k % order]
         return Cyclotomic(order, row)
 
     def is_zero(self) -> bool:
@@ -133,7 +133,7 @@ class Cyclotomic:
         if target % self.order != 0:
             raise ValueError("can only embed into a field of multiple order")
         step = target // self.order
-        table = _power_table(target)
+        table = power_table(target)
         out = [Fraction(0)] * euler_phi(target)
         for j, c in enumerate(self.coeffs):
             if c == 0:
@@ -196,7 +196,7 @@ class Cyclotomic:
             for j, y in enumerate(b):
                 if y:
                     raw[i + j] += x * y
-        table = _power_table(n)
+        table = power_table(n)
         out = raw[:deg] + [Fraction(0)] * (deg - len(raw[:deg]))
         for e in range(deg, len(raw)):
             c = raw[e]

@@ -97,18 +97,18 @@ def test_criterion_9_property_suites():
                 pairs.append(key)
 
         def rand_even():
-            el = GriessElement(ctx)
+            quad, expo = {}, {}
             for a in range(ctx.rank):
                 for b in range(a, ctx.rank):
                     if rng.random() < 0.6:
-                        el.quad[(a, b)] = F(rng.randint(-4, 4), rng.randint(1, 3))
+                        quad[(a, b)] = F(rng.randint(-4, 4), rng.randint(1, 3))
             for key in pairs:
                 if rng.random() < 0.6:
                     c = F(rng.randint(-4, 4), rng.randint(1, 3))
                     neg = tuple(-x for x in key)
-                    el.expo[key] = el.expo.get(key, 0) + c
-                    el.expo[neg] = el.expo.get(neg, 0) + c
-            return el._strip()
+                    expo[key] = expo.get(key, 0) + c
+                    expo[neg] = expo.get(neg, 0) + c
+            return GriessElement(ctx, quad=quad, expo=expo)
 
         for _ in range(count):
             u, v, w = rand_even(), rand_even(), rand_even()
@@ -122,12 +122,10 @@ def test_criterion_9_property_suites():
     glue = fams.node.glue_coords
     rng = random.Random(4242)
     for _ in range(10):
-        u = GriessElement(ctx)
-        v = GriessElement(ctx)
-        for key in rng.sample(ctx.norm4, 10):
-            u.expo[key] = F(rng.randint(-3, 3))
-        for key in rng.sample(ctx.norm4, 10):
-            v.expo[key] = F(rng.randint(-3, 3))
+        u = GriessElement(ctx, expo={key: F(rng.randint(-3, 3))
+                                     for key in rng.sample(ctx.norm4, 10)})
+        v = GriessElement(ctx, expo={key: F(rng.randint(-3, 3))
+                                     for key in rng.sample(ctx.norm4, 10)})
         su, sv = apply_sigma(ctx, glue, u), apply_sigma(ctx, glue, v)
         ok = ok and apply_sigma(ctx, glue, product(ctx, u, v)) == product(ctx, su, sv)
         ok = ok and inner(ctx, su, sv) == inner(ctx, u, v)

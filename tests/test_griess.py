@@ -3,22 +3,26 @@ from fractions import Fraction as F
 
 import pytest
 
-from e8voa.griess import (BadSpectrum, ContextMismatch, GriessElement,
-                          LeavesMinimalSpace, ModuleSpace, ModuleVector,
-                          NotConformal, Weight2Basis, apply_sigma,
-                          apply_theta, apply_weyl, build_hamming_family,
+from e8voa.griess import (MODULE_EIGENVALUES, BadSpectrum, ContextMismatch,
+                          GriessElement, LeavesMinimalSpace, ModuleSpace,
+                          ModuleVector, NotConformal, apply_sigma,
+                          apply_theta, build_hamming_family,
                           build_node_family, build_virasoro_family,
                           conformal_check, coset_U2_cached, e8_context,
                           e_f_coords, generated_closure_coords,
                           hamming_cosets_even, inner, module_act,
                           module_act_on_key, product,
-                          sigma_phase, tau_involution_module,
+                          sigma_phase, tau_from_matrix,
                           theta_split_tau_check)
 from e8voa.rootsys import extended_e8_node
 from e8voa.scalars import Cyclotomic, as_rational
 
 from conftest import sqrt2_root_context
-from test_properties import random_theta_even
+from test_properties import apply_weyl, random_theta_even
+
+
+def tau_involution_module(ctx, e, space):
+    return tau_from_matrix(space.act_matrix(e), MODULE_EIGENVALUES)
 
 
 def e8ctx():
@@ -39,9 +43,8 @@ def test_omega_squares_to_twice_itself():
 def test_omega_acts_as_two_on_weight_two():
     ctx = e8ctx()
     om = ctx.omega()
-    w2 = Weight2Basis(ctx)
-    for key in (w2.keys[0], ("d", 3), ("e", ctx.norm4[17])):
-        mono = w2.monomial(key)
+    for key in (ctx.keys[0], ("d", 3), ("e", ctx.norm4[17])):
+        mono = ctx.monomial(key)
         assert product(ctx, om, mono) == mono.scaled(2)
 
 
@@ -216,11 +219,9 @@ def test_seventeen_sixteenths_eigenvector_exists():
     ctx = e8ctx()
     e = e_hat()
     gamma = tuple(int(t == 0) for t in range(8))
-    w = GriessElement(ctx)
-    w.add_deriv_vec(gamma, F(1, 16))
-    for key in ctx.norm4:
-        w.add_expo(key, -F(1, 32) * ctx.pairing(key, gamma))
-    w._strip()
+    w = GriessElement(ctx, deriv={a: F(1, 16) * x for a, x in enumerate(gamma) if x},
+                      expo={key: -F(1, 32) * ctx.pairing(key, gamma)
+                            for key in ctx.norm4})
     assert not w.is_zero()
     assert product(ctx, e, w) == w.scaled(F(17, 16))
 
@@ -266,14 +267,15 @@ def brute_force_act_matrix(ctx, u, sp):
     """The action on a minimal-weight space, summed over every norm-4 vector."""
     unit = [tuple(int(i == j) for j in range(ctx.rank)) for i in range(ctx.rank)]
     cols = []
+    quad, deriv, expo = u.parts()
     for key in sp.keys:
         col = [F(0)] * len(sp)
         gx = [ctx.pairing(key, e) for e in unit]
-        col[sp.index[key]] += sum(v * gx[a] * gx[b] for (a, b), v in u.quad.items())
-        col[sp.index[key]] -= sum(v * gx[a] for a, v in u.deriv.items())
+        col[sp.index[key]] += sum(v * gx[a] * gx[b] for (a, b), v in quad.items())
+        col[sp.index[key]] -= sum(v * gx[a] for a, v in deriv.items())
         for y in ctx.norm4:
-            if y in u.expo and ctx.pairing(key, y) == -2:
-                col[sp.index[tuple(p + q for p, q in zip(key, y))]] += u.expo[y]
+            if y in expo and ctx.pairing(key, y) == -2:
+                col[sp.index[tuple(p + q for p, q in zip(key, y))]] += expo[y]
         cols.append(col)
     return [list(row) for row in zip(*cols)]
 
@@ -299,7 +301,8 @@ def test_action_off_the_minimal_weight_space_is_rejected():
     with pytest.raises(LeavesMinimalSpace, match="not of minimal norm"):
         module_act_on_key(ctx, e_minus_x, x, {zero: 0, x: 1})
     # e^y with B(x, y) = -2 moves e^x to e^(x+y), missing from this index
-    y, target = ctx.minus2_neighbors(x)[0]
+    y = next(y for y in ctx.norm4 if ctx.pairing(x, y) == -2)
+    target = tuple(p + q for p, q in zip(x, y))
     e_y = GriessElement(ctx, expo={y: F(1)})
     assert module_act_on_key(ctx, e_y, x, {x: 0, target: 1}) == {target: 1}
     with pytest.raises(LeavesMinimalSpace, match="leaves the minimal-weight space"):
@@ -376,3 +379,127 @@ def test_u2_gram_block_structure():
         for k in range(1, node.n):
             want = hs[j - 1] if j + k == node.n else 0
             assert u2.gram[l + j - 1][l + k - 1] == want
+
+
+# ---------------------------------------------------------------------------
+# the kernel against a reference: the sector rules with one Fraction or
+# Cyclotomic value per term, on the coefficients read back from the elements
+
+
+def _pair_b(ctx, x, y):
+    return sum(a * b for a, b in zip(ctx.gvec(x), y))
+
+
+def reference_product(ctx, u, v):
+    (uq, ud, ue), (vq, vd, ve) = u.parts(), v.parts()
+    quad, deriv, expo = {}, {}, {}
+    g = ctx.gram
+
+    def add(d, k, c):
+        d[k] = d.get(k, 0) + c
+
+    for (a, b), x in uq.items():
+        for (c, d), y in vq.items():
+            for p, q, w in ((b, d, g[a][c]), (b, c, g[a][d]),
+                            (a, d, g[b][c]), (a, c, g[b][d])):
+                if w:
+                    add(quad, (p, q) if p <= q else (q, p), x * y * w)
+        for c, y in vd.items():
+            if g[a][c]:
+                add(deriv, b, 2 * g[a][c] * x * y)
+            if g[b][c]:
+                add(deriv, a, 2 * g[b][c] * x * y)
+    for side_quad, side_deriv, other in ((uq, ud, ve), (vq, vd, ue)):
+        for key, y in other.items():
+            gx = ctx.gvec(key)
+            for (a, b), x in side_quad.items():
+                add(expo, key, x * y * gx[a] * gx[b])
+            for a, x in side_deriv.items():
+                add(expo, key, -gx[a] * x * y)
+    for xkey, x in ue.items():
+        y = ve.get(tuple(-c for c in xkey))
+        if y is not None:
+            half = x * y * F(1, 2)
+            for a in range(ctx.rank):
+                for b in range(a, ctx.rank):
+                    if xkey[a] and xkey[b]:
+                        add(quad, (a, b), half * (1 if a == b else 2) * xkey[a] * xkey[b])
+                if xkey[a]:
+                    add(deriv, a, half * xkey[a])
+        for ykey, y in ve.items():
+            if _pair_b(ctx, xkey, ykey) == -2:
+                add(expo, tuple(p + q for p, q in zip(xkey, ykey)), x * y)
+    return GriessElement(ctx, quad=quad, deriv=deriv, expo=expo)
+
+
+def reference_inner(ctx, u, v):
+    (uq, ud, ue), (vq, vd, ve) = u.parts(), v.parts()
+    g = ctx.gram
+    total = F(0)
+    for (a, b), x in uq.items():
+        for (c, d), y in vq.items():
+            total = total + x * y * (g[a][c] * g[b][d] + g[a][d] * g[b][c])
+    for a, x in ud.items():
+        for b, y in vd.items():
+            total = total - 6 * g[a][b] * x * y
+    for key, x in ue.items():
+        total = total + x * ve.get(tuple(-c for c in key), 0)
+    return total
+
+
+def random_element(ctx, rng, scalar, density):
+    """Random element of the full weight-2 space with the given coefficient maker."""
+    r = ctx.rank
+
+    def pick(keys):
+        return {k: scalar() for k in keys if rng.random() < density}
+
+    return GriessElement(ctx, quad=pick([(a, b) for a in range(r) for b in range(a, r)]),
+                         deriv=pick(range(r)), expo=pick(ctx.norm4))
+
+
+def _assert_matches_reference(ctx, pairs):
+    for u, v in pairs:
+        assert product(ctx, u, v) == reference_product(ctx, u, v)
+        assert inner(ctx, u, v) == reference_inner(ctx, u, v)
+
+
+@pytest.mark.parametrize("letter, rank, density", [("A", 2, 0.6), ("A", 3, 0.5),
+                                                   ("E", 8, 0.15)])
+def test_kernel_matches_reference_on_rational_elements(letter, rank, density):
+    if letter == "E":
+        ctx = e8ctx()
+    else:
+        ctx = sqrt2_root_context(letter, rank)[1]
+    rng = random.Random(600 + rank)
+
+    def rational():
+        return F(rng.randint(-5, 5), rng.randint(1, 4))
+
+    count = 4 if letter == "E" else 30
+    elements = [random_element(ctx, rng, rational, density) for _ in range(2 * count)]
+    _assert_matches_reference(ctx, zip(elements[::2], elements[1::2]))
+
+
+def test_kernel_matches_reference_over_cyclotomic_fields():
+    _, ctx = sqrt2_root_context("A", 3)
+    rng = random.Random(605)
+
+    def over(n):
+        return lambda: sum((Cyclotomic.zeta(n, j) * F(rng.randint(-3, 3), rng.randint(1, 3))
+                            for j in range(n)), F(rng.randint(-2, 2)))
+
+    z5 = [random_element(ctx, rng, over(5), 0.5) for _ in range(6)]
+    z6 = [random_element(ctx, rng, over(6), 0.5) for _ in range(6)]
+    assert {u.m for u in z5} == {5} and {u.m for u in z6} == {6}
+    _assert_matches_reference(ctx, list(zip(z5[:3], z5[3:])) + list(zip(z6[:3], z6[3:]))
+                              + list(zip(z5, z6)))
+
+
+def test_kernel_matches_reference_on_node_vectors():
+    fams5 = build_node_family(5)
+    ctx = fams5.ctx
+    fams3 = build_node_family(3)
+    s2e = fams3.sigma(fams3.e_hat, power=2)
+    _assert_matches_reference(ctx, [(fams5.e_hat, fams5.e_hat), (fams5.f_hat, fams5.e_hat),
+                                    (s2e, s2e)])

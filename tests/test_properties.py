@@ -11,20 +11,64 @@ from fractions import Fraction as F
 import pytest
 
 from e8voa.griess import (GriessElement, apply_sigma, apply_theta,
-                          apply_weyl, build_node_family, inner, product,
-                          weyl_matrix)
+                          build_node_family, inner, product)
 
 from conftest import sqrt2_root_context
 
 
+def weyl_matrix(ctx, root_key):
+    """Coefficient-space matrix of the reflection v -> v - (B(v,r)/2) r."""
+    root_key = tuple(int(x) for x in root_key)
+    if ctx.pairing(root_key, root_key) != 4:
+        raise ValueError("reflection key must have norm 4")
+    g = ctx.gvec(root_key)
+    n = ctx.rank
+    mat = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            mat[i][j] -= F(root_key[i]) * F(g[j]) / 2
+    return mat
+
+
+def apply_linear(ctx, mat, el):
+    """Apply a lattice isometry given by its coefficient-space matrix."""
+    quad, deriv, expo = el.parts()
+    out_quad, out_deriv, out_expo = {}, {}, {}
+    n = ctx.rank
+    for (a, b), v in quad.items():
+        for i in range(n):
+            if not mat[i][a]:
+                continue
+            for j in range(n):
+                w = mat[i][a] * mat[j][b]
+                if w:
+                    kk = (i, j) if i <= j else (j, i)
+                    out_quad[kk] = out_quad.get(kk, 0) + v * w
+    for a, v in deriv.items():
+        for i in range(n):
+            if mat[i][a]:
+                out_deriv[i] = out_deriv.get(i, 0) + v * mat[i][a]
+    for key, v in expo.items():
+        img = tuple(sum(mat[i][j] * key[j] for j in range(n)) for i in range(n))
+        img_int = tuple(int(x) for x in img)
+        if tuple(F(x) for x in img_int) != tuple(img):
+            raise ValueError("isometry does not preserve the lattice")
+        out_expo[img_int] = out_expo.get(img_int, 0) + v
+    return GriessElement(ctx, quad=out_quad, deriv=out_deriv, expo=out_expo)
+
+
+def apply_weyl(ctx, root_key, el):
+    return apply_linear(ctx, weyl_matrix(ctx, root_key), el)
+
+
 def random_theta_even(ctx, rng, density=0.6):
     """Random element of the theta-fixed weight-2 subspace."""
-    el = GriessElement(ctx)
+    quad, expo = {}, {}
     r = ctx.rank
     for a in range(r):
         for b in range(a, r):
             if rng.random() < density:
-                el.quad[(a, b)] = F(rng.randint(-4, 4), rng.randint(1, 3))
+                quad[(a, b)] = F(rng.randint(-4, 4), rng.randint(1, 3))
     seen = set()
     for key in ctx.norm4:
         if key in seen:
@@ -34,9 +78,9 @@ def random_theta_even(ctx, rng, density=0.6):
         seen.add(neg)
         if rng.random() < density:
             c = F(rng.randint(-4, 4), rng.randint(1, 3))
-            el.expo[key] = el.expo.get(key, 0) + c
-            el.expo[neg] = el.expo.get(neg, 0) + c
-    return el._strip()
+            expo[key] = expo.get(key, 0) + c
+            expo[neg] = expo.get(neg, 0) + c
+    return GriessElement(ctx, quad=quad, expo=expo)
 
 
 SAMPLE_SPECS = [("A", 1, 400), ("A", 2, 400), ("A", 3, 200), ("D", 4, 60)]
@@ -82,10 +126,8 @@ def test_noncommutativity_across_derivative_sector():
     # the derivative sector genuinely breaks commutativity on the full
     # weight-2 space, which is why sampling stays on the theta-even part
     _, ctx = sqrt2_root_context("A", 1)
-    quad = GriessElement(ctx)
-    quad.quad[(0, 0)] = F(1)
-    der = GriessElement(ctx)
-    der.deriv[0] = F(1)
+    quad = GriessElement(ctx, quad={(0, 0): F(1)})
+    der = GriessElement(ctx, deriv={0: F(1)})
     assert product(ctx, der, quad).is_zero()
     assert not product(ctx, quad, der).is_zero()
 
@@ -95,14 +137,14 @@ def test_theta_preserves_product_and_form():
     rng = random.Random(31)
 
     def random_full(ctx):
-        el = random_theta_even(ctx, rng)
+        quad, deriv, expo = random_theta_even(ctx, rng).parts()
         for a in range(ctx.rank):
             if rng.random() < 0.5:
-                el.deriv[a] = F(rng.randint(-3, 3))
+                deriv[a] = F(rng.randint(-3, 3))
         for key in ctx.norm4:
             if rng.random() < 0.3:
-                el.expo[key] = el.expo.get(key, 0) + F(rng.randint(-3, 3))
-        return el._strip()
+                expo[key] = expo.get(key, 0) + F(rng.randint(-3, 3))
+        return GriessElement(ctx, quad=quad, deriv=deriv, expo=expo)
 
     for _ in range(200):
         u, v = random_full(ctx), random_full(ctx)
@@ -116,16 +158,17 @@ def test_sigma_preserves_product_and_form():
     glue = fams.node.glue_coords
     rng = random.Random(77)
     for _ in range(25):
-        u = GriessElement(ctx)
-        v = GriessElement(ctx)
+        uq, ue, vd, ve = {}, {}, {}, {}
         for key in rng.sample(ctx.norm4, 12):
-            u.expo[key] = F(rng.randint(-3, 3))
+            ue[key] = F(rng.randint(-3, 3))
         for key in rng.sample(ctx.norm4, 12):
-            v.expo[key] = F(rng.randint(-3, 3))
+            ve[key] = F(rng.randint(-3, 3))
         for a in range(8):
             if rng.random() < 0.3:
-                u.quad[(a, a)] = F(rng.randint(-2, 2))
-                v.deriv[a] = F(rng.randint(-2, 2))
+                uq[(a, a)] = F(rng.randint(-2, 2))
+                vd[a] = F(rng.randint(-2, 2))
+        u = GriessElement(ctx, quad=uq, expo=ue)
+        v = GriessElement(ctx, deriv=vd, expo=ve)
         su, sv = apply_sigma(ctx, glue, u), apply_sigma(ctx, glue, v)
         assert apply_sigma(ctx, glue, product(ctx, u, v)) == product(ctx, su, sv)
         assert inner(ctx, su, sv) == inner(ctx, u, v)

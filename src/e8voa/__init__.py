@@ -10,7 +10,7 @@ code.  All arithmetic is exact: rationals and cyclotomic integers only.
 from .scalars import Cyclotomic, NonRationalError, as_rational, phase
 from .lattice import (BudgetExceeded, Coset, EvenLattice, NotMinimal,
                       NotPositiveDefinite, coset_min_norm, count_X_eta,
-                      lattice_invariants, short_vectors)
+                      short_vectors)
 from .rootsys import (ChainViolation, ExtendedE8Node, NotRootGenerated,
                       RootSystem, UnsupportedType, build_root_system,
                       check_intermediate_chains, classify_root_sublattice,

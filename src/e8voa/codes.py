@@ -150,7 +150,7 @@ class Z4Code:
 
     def cardinality(self) -> int:
         from .linalg import det
-        index = abs(det([list(r) for r in self.lattice().basis]))
+        index = abs(det(self.lattice().basis))
         return (4 ** self.length) // int(index)
 
     def type_counts(self):

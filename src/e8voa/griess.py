@@ -306,8 +306,7 @@ class GriessElement:
         a for a(-2).1 and the norm-4 key x for e^x."""
         labels = ([(("q", a, b), c) for (a, b), c in (quad or {}).items()]
                   + [(("d", a), c) for a, c in (deriv or {}).items()]
-                  + [(("e", tuple(int(x) for x in k)), c)
-                     for k, c in (expo or {}).items()])
+                  + [(("e", _int_key(k)), c) for k, c in (expo or {}).items()])
         if any(label not in ctx.index for label, _ in labels):
             raise ValueError("no such weight-2 basis vector; an exponential key "
                              "must be a norm-4 lattice vector")
@@ -479,7 +478,7 @@ def build_virasoro_family(ctx: AlgebraContext, root_keys):
     ``root_keys`` lists the norm-4 context keys of all the roots (both
     signs).  The Coxeter number is |Phi| / rank(Phi).
     """
-    keys = [tuple(int(x) for x in k) for k in root_keys]
+    keys = [_int_key(k) for k in root_keys]
     squares = _square_sum(ctx, keys)
     if any(("e", _neg(k)) not in ctx.index for k in keys):
         raise EmbeddingError("root set must be closed under negation")
@@ -660,10 +659,9 @@ class TauInvolution:
                     cols.append(v)
                     signs.append(-1 if _is_sixteenth_class(lam) else 1)
             C = [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
-            Cinv = invert(C)
-            D = [[Fraction(signs[i] * int(i == j)) for j in range(self.dim)]
-                 for i in range(self.dim)]
-            self._matrix = mat_mul(mat_mul(C, D), Cinv)
+            # C D with D = diag(signs): a sign flip of the columns
+            CD = [[x if s > 0 else -x for x, s in zip(row, signs)] for row in C]
+            self._matrix = mat_mul(CD, invert(C))
         return self._matrix
 
 

@@ -26,7 +26,6 @@ from functools import lru_cache, partial
 from math import isqrt
 from operator import mul
 
-from . import linalg
 from .linalg import (RowSpace, clear_denominators, det, hermite_normal_form,
                      invert)
 
@@ -52,6 +51,8 @@ def _frac_vec(v):
 
 def _over_one_den(v):
     """(ints, den) with v_i = ints_i / den, for int or Fraction entries."""
+    if all(type(x) is int for x in v):
+        return v, 1
     (ints,), den = clear_denominators([v])
     return ints, den
 
@@ -69,6 +70,7 @@ class EvenLattice:
         self.rank = len(self.basis)
         self.scale = Fraction(scale)
         self._span = None
+        self._hermite_rows = None
         self._ldl = None
         self._int_rows = None
         self._int_gram_rows = None
@@ -82,11 +84,6 @@ class EvenLattice:
         if self.gram != [list(col) for col in zip(*self.gram)]:
             raise ValueError("Gram matrix must be symmetric")
 
-    @staticmethod
-    def from_gram(gram) -> "EvenLattice":
-        n = len(gram)
-        return EvenLattice(linalg.identity(n), gram=gram)
-
     def det_gram(self) -> Fraction:
         return det(self.gram)
 
@@ -97,8 +94,35 @@ class EvenLattice:
         return self._span.coords(ambient_vec)
 
     def contains(self, ambient_vec) -> bool:
-        c = self.coords(ambient_vec)
-        return c is not None and all(x.denominator == 1 for x in c)
+        """Whether the vector lies in the lattice: den*v, which must be
+        integral, reduced against the Hermite form of the integer basis."""
+        w = []
+        den = self._int_basis()[1]
+        for x in ambient_vec:
+            q, r = divmod(x.numerator * den, x.denominator)
+            if r:
+                return False
+            w.append(q)
+        for p, h, tail in self._hermite():
+            if w[p]:
+                q, r = divmod(w[p], h)
+                if r:
+                    return False
+                w[p] = 0
+                for j, y in tail:
+                    w[j] -= q * y
+        return not any(w)
+
+    def _hermite(self):
+        """Hermite form of the integer basis, as (pivot, entry, nonzero tail)
+        per row; cached."""
+        if self._hermite_rows is None:
+            rows = []
+            for row in hermite_normal_form(self._int_basis()[0]):
+                p = next(j for j, x in enumerate(row) if x)
+                rows.append((p, row[p], [(j, x) for j, x in enumerate(row) if j > p and x]))
+            self._hermite_rows = rows
+        return self._hermite_rows
 
     def _int_basis(self):
         """The basis as integer rows over one common denominator; cached."""
@@ -196,16 +220,6 @@ class EvenLattice:
             u_int, m_den = clear_denominators(u)
             self._ldl = (m_den, e_den, d_int, u_int)
         return self._ldl
-
-
-def lattice_invariants(lat: EvenLattice) -> dict:
-    lat.ldl()  # raises NotPositiveDefinite when it fails
-    return {
-        "det": lat.det_gram(),
-        "dual_basis": lat.dual_basis_rows(),
-        "is_even": lat.is_even(),
-        "is_doubly_even": lat.is_doubly_even(),
-    }
 
 
 def enumerate_short(lat: EvenLattice, bound, shift=None,
@@ -346,50 +360,48 @@ def count_X_eta(root_system, gamma: Coset, eta) -> int:
 
 
 def size_reduce_basis(lat: EvenLattice) -> EvenLattice:
-    """Greedy pairwise reduction; improves enumeration without LLL swaps."""
-    basis = [list(r) for r in lat.basis]
+    """Greedy pairwise reduction; improves enumeration without LLL swaps.
+
+    Runs on the integer basis rows: the scale and the common denominator
+    cancel from every comparison and from each rounded projection.
+    """
+    basis, den = lat._int_basis()
+    basis = [list(r) for r in basis]
+    norms = [sum(x * x for x in r) for r in basis]
     n = lat.rank
-
-    def norm(v):
-        return lat.scale * sum(x * x for x in v)
-
-    def dot(u, v):
-        return lat.scale * sum(x * y for x, y in zip(u, v))
-
     improved = True
     while improved:
         improved = False
-        order = sorted(range(n), key=lambda i: (norm(basis[i]), basis[i]))
+        order = sorted(range(n), key=lambda i: (norms[i], basis[i]))
         for i in order:
             for j in order:
-                if i == j or norm(basis[j]) == 0:
+                nj = norms[j]
+                if i == j or nj == 0:
                     continue
-                t = Fraction(dot(basis[i], basis[j]), 1) / norm(basis[j])
-                ti = round(t)
+                ti = _round_ratio(sum(map(mul, basis[i], basis[j])), nj)
                 if ti == 0:
                     continue
                 cand = [a - ti * b for a, b in zip(basis[i], basis[j])]
-                if norm(cand) < norm(basis[i]):
+                nc = sum(x * x for x in cand)
+                if nc < norms[i]:
                     basis[i] = cand
+                    norms[i] = nc
                     improved = True
-    basis.sort(key=lambda r: (norm(r), r))
-    return EvenLattice(basis, scale=lat.scale)
+    basis.sort(key=lambda r: (sum(x * x for x in r), r))
+    return _lattice_over(basis, den, lat.scale)
+
+
+def _round_ratio(p, q):
+    """round(p / q) for ints, q > 0, ties to even as round(Fraction) does."""
+    f, r = divmod(p, q)
+    return f + (2 * r > q or (2 * r == q and f % 2 == 1))
+
+
+def _lattice_over(rows, den, scale=1) -> EvenLattice:
+    """The lattice with basis rows int_rows / den."""
+    return EvenLattice([[Fraction(x, den) for x in row] for row in rows], scale=scale)
 
 
 def lattice_from_integer_rows(rows, denominator=1) -> EvenLattice:
     """Lattice generated by integer rows / denominator, via Hermite form."""
-    h = hermite_normal_form(rows)
-    basis = [[Fraction(x, denominator) for x in row] for row in h]
-    return EvenLattice(basis)
-
-
-def load_matrix(path):
-    """Whitespace-separated matrix of exact 'p/q' entries."""
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            rows.append([Fraction(tok) for tok in line.split()])
-    return rows
+    return _lattice_over(hermite_normal_form(rows), denominator)

@@ -44,16 +44,21 @@ class LeechContext:
 
 def build_leech() -> LeechContext:
     """The Leech lattice from the Z4 code in the data directory in use now."""
-    return _leech_from(named_code("Z4Leech"))
+    ctx = _leech_from(named_code("Z4Leech"))
+    if isinstance(ctx, CodeCheckFailed):
+        raise ctx.with_traceback(None)
+    return ctx
 
 
 @lru_cache(maxsize=None)
-def _leech_from(code) -> LeechContext:
+def _leech_from(code):
+    """The Leech context of one code value, or the CodeCheckFailed its
+    checks raised, so that a failing code is checked once."""
     if not is_type_II(code):
-        raise CodeCheckFailed("the Z4 code is not type II self-dual")
+        return CodeCheckFailed("the Z4 code is not type II self-dual")
     lam = construction_A(code)
     if lam.rank != 24 or lam.det_gram() != 1 or not lam.is_even():
-        raise CodeCheckFailed("Construction A did not produce an even unimodular lattice")
+        return CodeCheckFailed("Construction A did not produce an even unimodular lattice")
     return LeechContext(code, lam, size_reduce_basis(lam))
 
 

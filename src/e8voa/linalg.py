@@ -145,38 +145,57 @@ def clear_denominators(rows):
 
 
 def det(mat) -> Fraction:
-    """Determinant over Q by fraction-free elimination."""
+    """Determinant over Q: Bareiss elimination on the rows scaled to ints.
+
+    Every division by the previous pivot is exact (Sylvester's identity),
+    so the entries stay integral throughout.
+    """
     n = len(mat)
-    m = [[Fraction(x) for x in row] for row in mat]
+    m, den = clear_denominators(mat)
     sign = 1
-    prev = Fraction(1)
+    prev = 1
     for c in range(n - 1):
-        piv = None
-        for i in range(c, n):
-            if m[i][c] != 0:
-                piv = i
-                break
+        piv = next((i for i in range(c, n) if m[i][c]), None)
         if piv is None:
             return Fraction(0)
         if piv != c:
             m[c], m[piv] = m[piv], m[c]
             sign = -sign
+        rowc = m[c]
+        p = rowc[c]
         for i in range(c + 1, n):
+            rowi = m[i]
+            a = rowi[c]
             for j in range(c + 1, n):
-                m[i][j] = (m[c][c] * m[i][j] - m[i][c] * m[c][j]) / prev
-            m[i][c] = Fraction(0)
-        prev = m[c][c]
-    return sign * m[n - 1][n - 1]
+                rowi[j] = (p * rowi[j] - a * rowc[j]) // prev
+        prev = p
+    return Fraction(sign * m[n - 1][n - 1] if n else 1, den ** n)
 
 
 def invert(mat):
+    """Inverse over Q, as Fractions, by fraction-free Gauss-Jordan on [M | I].
+
+    M is mat scaled to ints by den.  Each step replaces every other row by
+    (p * row - a * pivot_row) / previous pivot, exactly; at the end the left
+    block is d*I and the right block d*M^-1, so mat^-1 = den * right / d.
+    """
     n = len(mat)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(mat)]
-    red, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise ZeroDivisionError("matrix is singular")
-    return [row[n:] for row in red]
+    m, den = clear_denominators(mat)
+    aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    prev = 1
+    for c in range(n):
+        piv = next((i for i in range(c, n) if aug[i][c]), None)
+        if piv is None:
+            raise ZeroDivisionError("matrix is singular")
+        aug[c], aug[piv] = aug[piv], aug[c]
+        rowc = aug[c]
+        p = rowc[c]
+        for i in range(n):
+            if i != c:
+                a = aug[i][c]
+                aug[i] = [(p * x - a * y) // prev for x, y in zip(aug[i], rowc)]
+        prev = p
+    return [[Fraction(den * x, prev) for x in row[n:]] for row in aug]
 
 
 def hermite_normal_form(rows):

@@ -224,15 +224,17 @@ def decompose_root_lattice(lat: EvenLattice):
         if not decomposable:
             simple.append(p)
     adj, comps = _component_graph(simple, lat.pair)
+    # per root, the simple roots it pairs with nontrivially
+    touched = [[v for v, s in enumerate(simple) if lat.pair(r, s) != 0]
+               for r in coords]
     out = []
     for nodes in comps:
         letter, rank = _diagram_type(nodes, adj)
         comp_simple = [simple[v] for v in nodes]
         comp_roots = []
-        for r in coords:
-            hits = [v for v in nodes if lat.pair(r, simple[v]) != 0]
-            others = [v for v in range(len(simple))
-                      if v not in nodes and lat.pair(r, simple[v]) != 0]
+        for r, touches in zip(coords, touched):
+            hits = [v for v in touches if v in nodes]
+            others = [v for v in touches if v not in nodes]
             if hits and others:
                 raise NotRootGenerated("root meets two components")
             if hits:
@@ -450,7 +452,7 @@ def check_intermediate_chains():
 
 
 def _index_from_det(coords_rows) -> int:
-    d = abs(det([[Fraction(x) for x in r] for r in coords_rows]))
+    d = abs(det(coords_rows))
     if d.denominator != 1:
         raise ChainViolation("sublattice index is not an integer")
     return d.numerator

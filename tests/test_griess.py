@@ -207,6 +207,20 @@ def test_context_mismatch_detected():
         product(ctx_a, el_a, el_b)
 
 
+def test_non_integral_exponential_key_is_rejected():
+    # (-3/2, -3/2) would truncate to the norm-4 key (-1, -1) of sqrt2 A2
+    rs, ctx = sqrt2_root_context("A", 2)
+    assert ("e", (-1, -1)) in ctx.index
+    GriessElement(ctx, expo={(-1, -1): 1})
+    with pytest.raises(ValueError, match="integral"):
+        GriessElement(ctx, expo={(F(-3, 2), F(-3, 2)): 1})
+    keys = list(rs.root_coords)
+    assert keys[0] == (-1, -1)
+    keys[0] = (F(-3, 2), F(-3, 2))
+    with pytest.raises(ValueError, match="integral"):
+        build_virasoro_family(ctx, keys)
+
+
 def test_tau_theta_split():
     ctx = e8ctx()
     blocks = theta_split_tau_check(ctx, e_hat())

@@ -3,13 +3,41 @@ from fractions import Fraction as F
 from math import ceil, floor, isqrt, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from e8voa.lattice import (BudgetExceeded, Coset, EvenLattice, NotMinimal,
                            NotPositiveDefinite, coset_min_norm, count_X_eta,
-                           enumerate_short, lattice_invariants, short_vectors)
+                           enumerate_short, short_vectors)
+from e8voa.linalg import identity
 from e8voa.rootsys import build_root_system, e8_paper_data, extended_e8_node
+
+
+def from_gram(gram):
+    """The lattice Z^n with the given Gram matrix."""
+    return EvenLattice(identity(len(gram)), gram=gram)
+
+
+def lattice_invariants(lat):
+    lat.ldl()  # raises NotPositiveDefinite when it fails
+    return {
+        "det": lat.det_gram(),
+        "dual_basis": lat.dual_basis_rows(),
+        "is_even": lat.is_even(),
+        "is_doubly_even": lat.is_doubly_even(),
+    }
+
+
+def load_matrix(path):
+    """Whitespace-separated matrix of exact 'p/q' entries."""
+    rows = []
+    with open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            rows.append([F(tok) for tok in line.split()])
+    return rows
 
 
 def e8_lattice():
@@ -38,7 +66,7 @@ def test_index_of_l5_from_determinant_ratio():
 
 
 def test_not_positive_definite_detected():
-    bad = EvenLattice.from_gram([[2, 3], [3, 2]])
+    bad = from_gram([[2, 3], [3, 2]])
     with pytest.raises(NotPositiveDefinite):
         lattice_invariants(bad)
 
@@ -89,7 +117,7 @@ def test_enumeration_matches_box_oracle(rank, seed):
         if det(gram) != 0:
             break
     target = F(rng.randint(1, 8))
-    lat = EvenLattice.from_gram(gram)
+    lat = from_gram(gram)
     ours = sorted(tuple(z) for z, n in enumerate_short(lat, target)
                   if n == target)
     assert ours == _box_oracle(gram, target)
@@ -139,7 +167,7 @@ def _short_vector_problems(draw):
 @given(_short_vector_problems())
 def test_shifted_enumeration_matches_box_search(problem):
     gram, shift, bound = problem
-    ours = enumerate_short(EvenLattice.from_gram(gram), bound, shift=shift)
+    ours = enumerate_short(from_gram(gram), bound, shift=shift)
     for coeffs, norm in ours:
         assert type(norm) is F and all(type(x) is F for x in coeffs)
     assert sorted(ours) == _shifted_box_search(gram, bound, shift)
@@ -231,7 +259,6 @@ def test_hamming_construction_norm4_coset_counts():
 
 
 def test_load_matrix(tmp_path):
-    from e8voa.lattice import load_matrix
     p = tmp_path / "m.txt"
     p.write_text("# comment\n1/2 0\n0 3\n")
     assert load_matrix(p) == [[F(1, 2), F(0)], [F(0), F(3)]]
@@ -251,7 +278,7 @@ def _pairing_problems(draw):
 @given(_pairing_problems())
 def test_pair_is_symmetric_and_matches_u_gram_v(problem):
     gram, u, v = problem
-    lat = EvenLattice.from_gram(gram)
+    lat = from_gram(gram)
     want = sum(F(u[i]) * gram[i][j] * F(v[j])
                for i in range(len(u)) for j in range(len(v)))
     got = lat.pair(u, v)
@@ -267,7 +294,7 @@ def _griess_root_systems():
 
 @pytest.mark.parametrize("lat", [build_root_system(*t).lattice
                                  for t in _griess_root_systems()]
-                         + [EvenLattice.from_gram([[2 * x for x in row]
+                         + [from_gram([[2 * x for x in row]
                                                    for row in e8_lattice().gram])],
                          ids=["%s%d" % t for t in _griess_root_systems()] + ["sqrt2E8"])
 def test_dual_coset_shifts_enumerate_the_discriminant_group(lat):
@@ -279,3 +306,78 @@ def test_dual_coset_shifts_enumerate_the_discriminant_group(lat):
     assert all(x.denominator == 1 for s in shifts for x in vec_mat(s, lat.gram))
     # no two shifts differ by a lattice vector
     assert len({tuple(x % 1 for x in s) for s in shifts}) == len(shifts)
+
+
+@st.composite
+def _lattices(draw, max_rank=6):
+    """Rank 1..6 lattices, full rank or not, with rational basis rows."""
+    rank = draw(st.integers(1, max_rank))
+    dim = draw(st.integers(rank, rank + 2))
+    entry = st.fractions(-3, 3, max_denominator=draw(st.sampled_from([1, 2, 3, 4, 6])))
+    basis = draw(st.lists(st.lists(entry, min_size=dim, max_size=dim),
+                          min_size=rank, max_size=rank))
+    from e8voa.linalg import det
+    assume(det([[sum(x * y for x, y in zip(u, v)) for v in basis] for u in basis]) != 0)
+    scale = draw(st.sampled_from([F(1), F(2), F(1, 2), F(3)]))
+    return EvenLattice(basis, scale=scale)
+
+
+def _contains_by_coords(lat, v):
+    c = lat.coords(v)
+    return c is not None and all(x.denominator == 1 for x in c)
+
+
+def _probe_vectors(draw, lat):
+    """Lattice vectors, vectors of the rational span off the lattice,
+    vectors with denominators that need not divide the basis denominator,
+    and integral vectors, which lie off the span of a rank-deficient lattice."""
+    rank, dim = lat.rank, len(lat.basis[0])
+    coeff = st.one_of(st.integers(-2, 2), st.fractions(-2, 2, max_denominator=6))
+    out = [lat.ambient(draw(st.lists(coeff, min_size=rank, max_size=rank)))
+           for _ in range(6)]
+    out += [lat.ambient(draw(st.lists(st.integers(-3, 3), min_size=rank, max_size=rank)))
+            for _ in range(3)]
+    out += [tuple(draw(st.lists(st.fractions(-2, 2, max_denominator=10),
+                                min_size=dim, max_size=dim))) for _ in range(3)]
+    out += [tuple(draw(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)))
+            for _ in range(3)]
+    return out
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_contains_matches_integral_coords(data):
+    lat = data.draw(_lattices())
+    for v in _probe_vectors(data.draw, lat):
+        assert lat.contains(v) == _contains_by_coords(lat, v), v
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_contains_matches_integral_coords_on_a_leech_block(data):
+    from e8voa.leech import build_leech, embed_sqrt2E8_cubed
+    emb = embed_sqrt2E8_cubed(build_leech())
+    k = data.draw(st.integers(0, 2))
+    block = EvenLattice(emb.basis[8 * k: 8 * k + 8])  # rank 8 in 24 dimensions
+    for v in _probe_vectors(data.draw, block):
+        assert block.contains(v) == _contains_by_coords(block, v), v
+    assert not block.contains(tuple(x / 2 for x in block.basis[0]))
+    # an integral vector off the block's span
+    assert not block.contains(tuple(int(j == 8 * ((k + 1) % 3)) for j in range(24)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_lattices())
+def test_size_reduce_basis_matches_the_fraction_reference(lat):
+    import fraction_reference as ref
+    from e8voa.lattice import size_reduce_basis
+    reduced = size_reduce_basis(lat)
+    assert list(reduced.basis) == ref.size_reduce_basis_rows(lat.basis, lat.scale)
+    assert reduced.scale == lat.scale
+
+
+def test_size_reduce_basis_keeps_the_leech_basis():
+    import fraction_reference as ref
+    from e8voa.leech import build_leech
+    ctx = build_leech()
+    assert list(ctx.reduced.basis) == ref.size_reduce_basis_rows(ctx.lattice.basis, 1)

@@ -141,6 +141,25 @@ def test_build_leech_follows_the_data_dir(tmp_path, monkeypatch):
     assert build_leech() is first
 
 
+def test_failing_leech_build_checks_the_code_once(tmp_path, monkeypatch, capsys):
+    from e8voa import leech
+    from e8voa.cli import main
+    calls = []
+    is_type_II = leech.is_type_II
+
+    def counting(code):
+        calls.append(code)
+        return is_type_II(code)
+
+    monkeypatch.setattr(leech, "is_type_II", counting)
+    leech._leech_from.cache_clear()
+    bad = _data_copy(tmp_path, [("z4_leech.txt", "3012", "3013")])
+    monkeypatch.setenv("MCKAY_DATA_DIR", str(bad))
+    assert main(["verify-leech"]) == 1
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
 def test_hamming_context_follows_the_data_dir(tmp_path, monkeypatch):
     from e8voa.griess import build_hamming_family, hamming_context
     first = build_hamming_family()

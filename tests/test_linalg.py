@@ -106,3 +106,37 @@ def test_empty_row_space_holds_only_zero():
     space = RowSpace()
     assert space.coords([0, 0]) == []
     assert space.coords([0, 1]) is None
+
+
+@st.composite
+def square_matrices(draw):
+    """Square rational matrices up to 6x6, often singular: a row may be a
+    combination of two others."""
+    n = draw(st.integers(1, 6))
+    row = st.lists(st.one_of(st.just(F(0)), small_rationals), min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=n, max_size=n))
+    if n > 2 and draw(st.booleans()):
+        a, b, c = draw(st.permutations(range(n)))[:3]
+        k = draw(small_rationals)
+        rows[c] = [x + k * y for x, y in zip(rows[a], rows[b])]
+    return rows
+
+
+def _inverse_or_singular(invert, mat):
+    try:
+        return invert(mat)
+    except ZeroDivisionError:
+        return "singular"
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_matrices())
+def test_integer_det_and_invert_match_the_fraction_reference(mat):
+    import fraction_reference as ref
+    from e8voa.linalg import det, invert
+    assert det(mat) == ref.det(mat)
+    got = _inverse_or_singular(invert, mat)
+    assert got == _inverse_or_singular(ref.invert, mat)
+    assert (got == "singular") == (ref.det(mat) == 0)
+    if got != "singular":
+        assert all(type(x) is F for row in got for x in row)

@@ -4,7 +4,8 @@ Every module under ``src/e8voa`` imports only from the standard library
 or from ``e8voa`` itself, and no module contains a float literal or a
 ``float(...)`` call.  The check reads the syntax tree only, so it cannot
 see ``/`` applied to two ints, which also yields a float at run time.
-The weight-2 kernel functions call no scalar constructor.
+The weight-2 kernel functions call no scalar constructor, and lattice
+membership and size reduction call no Fraction.
 """
 
 import ast
@@ -45,6 +46,15 @@ def test_no_floating_point(path):
             f"{path.name}:{node.lineno} calls float()")
 
 
+def _calls_of(body, names):
+    """(line, name) of each call in body to one of the named callables."""
+    for node in ast.walk(body):
+        if isinstance(node, ast.Call):
+            func = node.func.value if isinstance(node.func, ast.Attribute) else node.func
+            if isinstance(func, ast.Name) and func.id in names:
+                yield node.lineno, func.id
+
+
 KERNEL = ("product", "inner", "module_act_on_key")
 
 
@@ -56,9 +66,22 @@ def test_weight2_kernel_builds_no_scalar_objects():
               if isinstance(node, ast.FunctionDef) and node.name in KERNEL}
     assert sorted(bodies) == sorted(KERNEL)
     for name, body in bodies.items():
-        for node in ast.walk(body):
-            if isinstance(node, ast.Call):
-                func = node.func.value if isinstance(node.func, ast.Attribute) else node.func
-                assert not (isinstance(func, ast.Name)
-                            and func.id in ("Fraction", "Cyclotomic")), (
-                    f"griess.{name}:{node.lineno} calls {func.id}")
+        calls = list(_calls_of(body, ("Fraction", "Cyclotomic")))
+        assert not calls, f"griess.{name} calls (line, name) {calls}"
+
+
+def test_lattice_membership_and_size_reduction_run_on_ints():
+    # both work on the int-scaled basis rows; only the reduced lattice's
+    # constructor, outside these bodies, turns rows back into Fractions
+    tree = _tree(next(p for p in SOURCES if p.name == "lattice.py"))
+    even = next(node for node in tree.body
+                if isinstance(node, ast.ClassDef) and node.name == "EvenLattice")
+    bodies = {f"EvenLattice.{node.name}": node for node in even.body
+              if isinstance(node, ast.FunctionDef) and node.name == "contains"}
+    bodies.update({node.name: node for node in tree.body
+                   if isinstance(node, ast.FunctionDef)
+                   and node.name == "size_reduce_basis"})
+    assert sorted(bodies) == ["EvenLattice.contains", "size_reduce_basis"]
+    for name, body in bodies.items():
+        calls = list(_calls_of(body, ("Fraction",)))
+        assert not calls, f"lattice.{name} calls (line, name) {calls}"

@@ -98,7 +98,9 @@ def _codes_claims(config: RunConfig):
 
 def _leech_claims(config: RunConfig):
     budget = config.time_budget_seconds
-    survey = cache(leech.minimal_coset_survey)
+
+    def survey():
+        return leech.minimal_coset_survey()
 
     def even_unimodular():
         lam = leech.build_leech().lattice

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import os
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 from .lattice import EvenLattice, lattice_from_integer_rows
 from .linalg import hermite_normal_form
@@ -153,18 +153,6 @@ class Z4Code:
         index = abs(det(self.lattice().basis))
         return (4 ** self.length) // int(index)
 
-    def type_counts(self):
-        """(k1, k2) with cardinality 4^k1 * 2^k2; k1 is the mod-2 rank."""
-        k1 = len(_rref_f2([tuple(x % 2 for x in g) for g in self.generators],
-                          self.length))
-        size = self.cardinality()
-        k2 = 0
-        size //= 4 ** k1
-        while size > 1:
-            size //= 2
-            k2 += 1
-        return k1, k2
-
     def contains(self, word) -> bool:
         return self.lattice().contains([int(x) for x in word])
 
@@ -201,6 +189,36 @@ def _named_code_in(directory: str, name: str):
                                 {0, 1, 2, 3})
         return Z4Code(24, rows)
     raise ValueError(f"unknown code name: {name}")
+
+
+def data_cached(*names):
+    """Cache a builder on its arguments and the values of the named codes.
+
+    The key holds ``named_code(n)`` for each name, so the builder runs
+    again exactly when the value of a code it reads changes, as when
+    ``MCKAY_DATA_DIR`` points at other data.  An exception is stored like
+    a value and raised again, so a failing build fails the same way once
+    per data state.
+    """
+    def decorate(build):
+        memo = {}
+
+        @wraps(build)
+        def cached(*args):
+            key = (args, tuple(named_code(n) for n in names))
+            if key not in memo:
+                try:
+                    memo[key] = build(*args)
+                except Exception as exc:
+                    memo[key] = exc.with_traceback(None)
+            value = memo[key]
+            if isinstance(value, Exception):
+                raise value.with_traceback(None)
+            return value
+
+        cached.cache_clear = memo.clear
+        return cached
+    return decorate
 
 
 def dual_code(c):
@@ -302,16 +320,6 @@ def _f2_kernel_left(int_rows, length):
     # transpose mod 2, then right kernel
     t = [tuple(int_rows[r][c] % 2 for r in range(m)) for c in range(length)]
     return _f2_kernel(t, m)
-
-
-def load_binary_code(path) -> BinaryCode:
-    rows = _load_digit_rows(path, {0, 1})
-    return BinaryCode(len(rows[0]), rows)
-
-
-def load_z4_code(path) -> Z4Code:
-    rows = _load_digit_rows(path, {0, 1, 2, 3})
-    return Z4Code(len(rows[0]), rows)
 
 
 def block_subcode(c: BinaryCode, columns) -> BinaryCode:

@@ -24,6 +24,7 @@ from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import mul
 
+from .codes import construction_A, data_cached, named_code
 from .lattice import EvenLattice, coset_minimum, enumerate_short
 from .linalg import (RowSpace, identity, invert, kernel_basis,
                      kernel_basis_int, mat_mul)
@@ -647,9 +648,6 @@ class TauInvolution:
         self.dim = dim
         self._matrix = None
 
-    def spectrum(self):
-        return sorted(self.eigen.keys())
-
     def matrix(self):
         if self._matrix is None:
             cols = []
@@ -790,22 +788,15 @@ def build_node_family(i: int) -> NodeFamilies:
 # the Hamming-model context and its conformal vectors
 
 
+@data_cached("Hamming8")
 def hamming_context() -> AlgebraContext:
     """The context of the Construction-A lattice of the Hamming code in use now."""
-    from .codes import named_code
-    return _hamming_context(named_code("Hamming8"))
-
-
-@lru_cache(maxsize=None)
-def _hamming_context(code) -> AlgebraContext:
-    from .codes import construction_A
-    lat = construction_A(code)
+    lat = construction_A(named_code("Hamming8"))
     return AlgebraContext(lat.gram, label="A(H8)", basis=lat.basis)
 
 
 def hamming_cosets_even():
     """Representatives of the even cosets of the Hamming code in F_2^8."""
-    from .codes import named_code
     h8 = named_code("Hamming8")
     words = sorted(set(h8.words()))
     seen = set()
@@ -825,10 +816,10 @@ def hamming_cosets_even():
 class HammingFamilies:
     """X^eps_gamma, e-hat^eps_delta, and the standard Virasoro frame."""
 
-    def __init__(self, code):
-        ctx = _hamming_context(code)
+    def __init__(self):
+        ctx = hamming_context()
         self.ctx = ctx
-        self.code_words = sorted(set(code.words()))
+        self.code_words = sorted(set(named_code("Hamming8").words()))
         amb = {k: tuple(int(x) for x in ctx.lattice.ambient(k)) for k in ctx.norm4}
         self.X = {0: {}, 1: {}}
         for gamma in self.code_words:
@@ -864,15 +855,10 @@ class HammingFamilies:
         return [self.e_hat(eps, delta) for eps in (0, 1) for delta in reps]
 
 
+@data_cached("Hamming8")
 def build_hamming_family() -> HammingFamilies:
     """The Hamming-model families of the Hamming code in use now."""
-    from .codes import named_code
-    return _hamming_family(named_code("Hamming8"))
-
-
-@lru_cache(maxsize=None)
-def _hamming_family(code) -> HammingFamilies:
-    return HammingFamilies(code)
+    return HammingFamilies()
 
 
 # ---------------------------------------------------------------------------

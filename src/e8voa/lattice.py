@@ -78,9 +78,11 @@ class EvenLattice:
             rows, den = self._int_basis()
             num = self.scale.numerator
             den = den * den * self.scale.denominator
-            gram = [[Fraction(num * sum(map(mul, u, v)), den) for v in rows]
-                    for u in rows]
-        self.gram = [[Fraction(x) for x in row] for row in gram]
+            ints = [[num * sum(map(mul, u, v)) for v in rows] for u in rows]
+            self._int_gram_rows = ints, den
+            self.gram = [[Fraction(x, den) for x in row] for row in ints]
+        else:
+            self.gram = [[Fraction(x) for x in row] for row in gram]
         if self.gram != [list(col) for col in zip(*self.gram)]:
             raise ValueError("Gram matrix must be symmetric")
 

@@ -9,11 +9,11 @@ copies of the rescaled E8 lattice are located inside it explicitly.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 
-from .codes import (block_subcode, construction_A, find_column_permutation,
-                    is_type_II, named_code, residue_code_B)
+from .codes import (block_subcode, construction_A, data_cached,
+                    find_column_permutation, is_type_II, named_code,
+                    residue_code_B)
 from .lattice import (Coset, EvenLattice, coset_min_norm, enumerate_short,
                       lattice_from_integer_rows, size_reduce_basis)
 from .linalg import vec_mat
@@ -37,28 +37,17 @@ class LeechContext:
         self.code = code
         self.lattice = lattice
         self.reduced = reduced
-        self.embedding = None
-        self.block_frames = None
-        self.embedding_hamming = None  # the Hamming code the blocks were checked against
 
 
+@data_cached("Z4Leech")
 def build_leech() -> LeechContext:
     """The Leech lattice from the Z4 code in the data directory in use now."""
-    ctx = _leech_from(named_code("Z4Leech"))
-    if isinstance(ctx, CodeCheckFailed):
-        raise ctx.with_traceback(None)
-    return ctx
-
-
-@lru_cache(maxsize=None)
-def _leech_from(code):
-    """The Leech context of one code value, or the CodeCheckFailed its
-    checks raised, so that a failing code is checked once."""
+    code = named_code("Z4Leech")
     if not is_type_II(code):
-        return CodeCheckFailed("the Z4 code is not type II self-dual")
+        raise CodeCheckFailed("the Z4 code is not type II self-dual")
     lam = construction_A(code)
     if lam.rank != 24 or lam.det_gram() != 1 or not lam.is_even():
-        return CodeCheckFailed("Construction A did not produce an even unimodular lattice")
+        raise CodeCheckFailed("Construction A did not produce an even unimodular lattice")
     return LeechContext(code, lam, size_reduce_basis(lam))
 
 
@@ -144,19 +133,17 @@ def _match_diagram(target, source):
     return perm if extend(0) else None
 
 
+@data_cached("Hamming8")
 def embed_sqrt2E8_cubed(ctx: LeechContext):
     """Three orthogonal rescaled-E8 copies on the coordinate blocks.
 
     Block k of the residue code carries a Hamming-equivalent subcode; its
-    mod-2 preimage lattice sits inside the Leech lattice and a diagram
-    frame is located in each copy.
+    mod-2 preimage lattice, doubly even of determinant 256, sits inside
+    the Leech lattice.
     """
     h8 = named_code("Hamming8")
-    if ctx.embedding is not None and ctx.embedding_hamming == h8:
-        return ctx.embedding
     bc = residue_code_B(ctx.code)
     rows24 = []
-    frames = []
     for k in range(3):
         cols = list(range(8 * k, 8 * k + 8))
         blk = block_subcode(bc, cols)
@@ -167,15 +154,6 @@ def embed_sqrt2E8_cubed(ctx: LeechContext):
         block_lat = lattice_from_integer_rows(gens)
         if block_lat.det_gram() != 256 or not block_lat.is_doubly_even():
             raise EmbeddingNotFound(f"block {k} lattice is not a rescaled E8")
-        frame_keys = _paper_frame_in(block_lat)
-        frame_ambient8 = [block_lat.ambient(m) for m in frame_keys]
-        frame24 = []
-        for v in frame_ambient8:
-            row = [Fraction(0)] * 24
-            for t, x in enumerate(v):
-                row[8 * k + t] = x
-            frame24.append(tuple(row))
-        frames.append(frame24)
         for row8 in block_lat.basis:
             row = [Fraction(0)] * 24
             for t, x in enumerate(row8):
@@ -185,10 +163,6 @@ def embed_sqrt2E8_cubed(ctx: LeechContext):
     for row in rows24:
         if not ctx.lattice.contains(row):
             raise EmbeddingNotFound("block lattice vector falls outside Leech")
-    for fr in frames:
-        for v in fr:
-            if not ctx.lattice.contains(v):
-                raise EmbeddingNotFound("frame vector falls outside Leech")
     emb = EvenLattice(rows24)
     # Gram is block diagonal with three rescaled E8 blocks; cross blocks
     # vanish because the supports are disjoint
@@ -196,15 +170,29 @@ def embed_sqrt2E8_cubed(ctx: LeechContext):
         for b in range(24):
             if (a // 8) != (b // 8) and emb.gram[a][b] != 0:
                 raise EmbeddingNotFound("blocks are not orthogonal")
-    ctx.embedding = emb
-    ctx.block_frames = frames
-    ctx.embedding_hamming = h8
     return emb
 
 
+def _block(ctx: LeechContext, k: int) -> EvenLattice:
+    """Block k of the embedding, as a lattice in Leech coordinates."""
+    return EvenLattice(embed_sqrt2E8_cubed(ctx).basis[8 * k: 8 * k + 8])
+
+
+@data_cached("Hamming8")
+def block_frames(ctx: LeechContext):
+    """The diagram frame m_1..m_8 of each block, in Leech coordinates."""
+    frames = []
+    for k in range(3):
+        block = _block(ctx, k)
+        frame = [block.ambient(m) for m in _paper_frame_in(block)]
+        if not all(ctx.lattice.contains(v) for v in frame):
+            raise EmbeddingNotFound("frame vector falls outside Leech")
+        frames.append(frame)
+    return frames
+
+
 def block_norm4_count(ctx: LeechContext, k: int) -> int:
-    emb = embed_sqrt2E8_cubed(ctx)
-    block = EvenLattice(emb.basis[8 * k: 8 * k + 8])
+    block = _block(ctx, k)
     hits = enumerate_short(block, 4)
     vecs = [block.ambient(z) for z, n in hits if n == 4]
     for v in vecs:
@@ -223,8 +211,7 @@ def sigma_tilde_order(i: int) -> int:
     from .rootsys import extended_e8_node
     node = extended_e8_node(i)
     ctx = build_leech()
-    embed_sqrt2E8_cubed(ctx)
-    beta = vec_mat(node.glue_coords, ctx.block_frames[0])
+    beta = vec_mat(node.glue_coords, block_frames(ctx)[0])
     order = 1
     for row in ctx.lattice.basis:
         t = sum(x * y for x, y in zip(beta, row))
@@ -254,6 +241,7 @@ def _canonical_shape(v):
 _SHAPE_SET = {_canonical_shape(s) for s in MINIMAL_SHAPES}
 
 
+@data_cached("Hamming8")
 def minimal_coset_survey():
     """Classify all 256 cosets of the rescaled E8 lattice in its dual.
 

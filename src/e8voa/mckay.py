@@ -23,6 +23,14 @@ from .rootsys import NODE_LABELS, extended_e8_node
 from .scalars import Cyclotomic, as_rational, is_zero
 
 
+class DualNotGenerated(RuntimeError):
+    pass
+
+
+class ConjugationFailed(RuntimeError):
+    pass
+
+
 MCKAY_TABLE = (
     Fraction(1, 4), Fraction(1, 32), Fraction(13, 1024), Fraction(1, 128),
     Fraction(3, 512), Fraction(5, 1024), Fraction(1, 256), Fraction(0),
@@ -148,7 +156,7 @@ def dual_coset_spaces():
     h = hermite_normal_form(doubled)
     from .linalg import det
     if len(h) != 8 or abs(det(h)) != 1:
-        raise AssertionError("minimal coset vectors do not generate the dual")
+        raise DualNotGenerated("minimal coset vectors do not generate the dual")
     return spaces
 
 
@@ -204,7 +212,7 @@ def dual_tau_orders(i: int, full_conjugation_nodes=(1, 7)) -> dict:
         for a in range(m):
             for b in range(m):
                 if not is_zero(te[a][b]) and not (phases[a] * phases[b] == 1):
-                    raise AssertionError(
+                    raise ConjugationFailed(
                         f"node {i}: tau_e does not invert sigma on coset {idx}")
         if full or idx in sampled:
             mf = sp.act_matrix(fams.f_hat)
@@ -212,7 +220,7 @@ def dual_tau_orders(i: int, full_conjugation_nodes=(1, 7)) -> dict:
                 for b in range(m):
                     want = phases[a] * me[a][b] * scalar_inverse(phases[b])
                     if not is_zero(mf[a][b] - want):
-                        raise AssertionError(
+                        raise ConjugationFailed(
                             f"node {i}: f-action is not the sigma conjugate "
                             f"on coset {idx}")
         for key in sp.keys:

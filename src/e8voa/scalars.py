@@ -348,12 +348,3 @@ def half_turn_phase(t) -> "Cyclotomic | Fraction":
     t = _as_fraction(t)
     return phase(Fraction(-t.numerator, 2 * t.denominator))
 
-
-def scalar_str(x) -> str:
-    if isinstance(x, int):
-        return str(x)
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, Cyclotomic):
-        return str(x)
-    raise TypeError(f"not a scalar: {x!r}")

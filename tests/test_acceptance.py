@@ -136,7 +136,7 @@ def test_criterion_9_property_suites():
     # {0, 1/2, 1/16} on the minimal-weight modules
     allowed = {F(0), F(1, 2), F(1, 16)}
     for _, _, tau in dual_tau_data():
-        ok = ok and set(tau.spectrum()) <= allowed
+        ok = ok and set(tau.eigen) <= allowed
     ok = ok and weight2_tau_theta_verified() == {"even": 156, "odd": 128}
     _ok("criterion 9 (randomized structural identities)", ok)
 

@@ -328,7 +328,7 @@ def test_tau_module_spectrum_and_involution():
     e = e_hat()
     sp = ModuleSpace(ctx, ctx.gram_inv[3])
     tau = tau_involution_module(ctx, e, sp)
-    assert set(tau.spectrum()) <= {F(0), F(1, 2), F(1, 16)}
+    assert set(tau.eigen) <= {F(0), F(1, 2), F(1, 16)}
     m = tau.matrix()
     sq = [[sum(m[i][k] * m[k][j] for k in range(len(sp)))
            for j in range(len(sp))] for i in range(len(sp))]

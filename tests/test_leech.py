@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from e8voa.leech import (MINIMAL_SHAPES, build_leech, block_norm4_count,
-                         certify_minimum, embed_sqrt2E8_cubed,
+from e8voa.leech import (MINIMAL_SHAPES, block_frames, block_norm4_count,
+                         build_leech, certify_minimum, embed_sqrt2E8_cubed,
                          minimal_coset_survey, sigma_tilde_order)
 
 
@@ -32,7 +32,7 @@ def test_embedding_gram_and_orthogonality():
     from e8voa.rootsys import e8_paper_data
     cart = e8_paper_data()["lattice"].gram
     for k in range(3):
-        for fr in [ctx.block_frames[k]]:
+        for fr in [block_frames(ctx)[k]]:
             for i in range(8):
                 for j in range(8):
                     dot = sum(x * y for x, y in zip(fr[i], fr[j]))
@@ -93,7 +93,7 @@ def test_phase_map_is_additive(mask_a, mask_b):
     ctx = build_leech()
     basis = ctx.lattice.basis
     embed_sqrt2E8_cubed(ctx)
-    frame = ctx.block_frames[0]
+    frame = block_frames(ctx)[0]
     from e8voa.rootsys import extended_e8_node
     glue = extended_e8_node(5).glue_coords
     beta = [F(0)] * 24
@@ -152,12 +152,53 @@ def test_failing_leech_build_checks_the_code_once(tmp_path, monkeypatch, capsys)
         return is_type_II(code)
 
     monkeypatch.setattr(leech, "is_type_II", counting)
-    leech._leech_from.cache_clear()
+    leech.build_leech.cache_clear()
     bad = _data_copy(tmp_path, [("z4_leech.txt", "3012", "3013")])
     monkeypatch.setenv("MCKAY_DATA_DIR", str(bad))
     assert main(["verify-leech"]) == 1
     capsys.readouterr()
     assert len(calls) == 1
+
+
+def _counting(monkeypatch, module, name, calls):
+    """Replace module.name by a wrapper that appends its arguments to calls."""
+    original = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counting)
+
+
+def test_failing_embedding_and_survey_are_built_once(tmp_path, monkeypatch,
+                                                     capsys):
+    from e8voa import leech
+    from e8voa.cli import main
+    perms, surveys = [], []
+    _counting(monkeypatch, leech, "find_column_permutation", perms)
+    # the survey is the one caller of construction_A on a binary code
+    _counting(monkeypatch, leech, "construction_A", surveys)
+    leech.embed_sqrt2E8_cubed.cache_clear()
+    leech.minimal_coset_survey.cache_clear()
+    bad = _data_copy(tmp_path, [("hamming8.txt", "11110000", "11110001")])
+    monkeypatch.setenv("MCKAY_DATA_DIR", str(bad))
+    assert main(["verify-leech"]) == 1
+    capsys.readouterr()
+    assert len(perms) == 1
+    assert len([c for c in surveys if c[0].length == 8]) == 1
+
+
+def test_survey_is_cached_and_follows_the_data_dir(tmp_path, monkeypatch):
+    from e8voa.leech import ShapeMismatch
+    first = minimal_coset_survey()
+    assert minimal_coset_survey() is first
+    bad = _data_copy(tmp_path, [("hamming8.txt", "11110000", "11110001")])
+    monkeypatch.setenv("MCKAY_DATA_DIR", str(bad))
+    with pytest.raises(ShapeMismatch, match="minimal norm 5/4"):
+        minimal_coset_survey()
+    monkeypatch.delenv("MCKAY_DATA_DIR")
+    assert minimal_coset_survey() is first
 
 
 def test_hamming_context_follows_the_data_dir(tmp_path, monkeypatch):

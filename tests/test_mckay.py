@@ -1,5 +1,7 @@
 from fractions import Fraction as F
 
+import pytest
+
 from e8voa.mckay import (MCKAY_TABLE, conway_report,
                          counting_formula_inner, dihedral_check, direct_inner,
                          markdown_table, tau_product_orders)
@@ -90,3 +92,12 @@ def test_markdown_table_doubled_column():
     doubled = [line.split("|")[6].strip() for line in table.splitlines()[2:]]
     assert doubled == ["1", "1/8", "13/256", "1/32", "3/128", "5/256",
                        "1/64", "0", "1/64"]
+
+
+def test_dual_cosets_that_do_not_generate_raise_their_own_class(monkeypatch):
+    # the check is an explicit raise with its own class, so it also runs
+    # under python -O; the cached spaces are left as they are
+    from e8voa import mckay
+    monkeypatch.setattr(mckay, "hermite_normal_form", lambda rows: rows[:7])
+    with pytest.raises(mckay.DualNotGenerated, match="do not generate the dual"):
+        mckay.dual_coset_spaces.__wrapped__()

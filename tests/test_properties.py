@@ -201,4 +201,4 @@ def test_tau_spectra_lie_in_allowed_sets():
     assert blocks == {"even": 156, "odd": 128}
     allowed = {F(0), F(1, 2), F(1, 16)}
     for _, _, tau in dual_tau_data()[:40]:
-        assert set(tau.spectrum()) <= allowed
+        assert set(tau.eigen) <= allowed

@@ -85,3 +85,45 @@ def test_lattice_membership_and_size_reduction_run_on_ints():
     for name, body in bodies.items():
         calls = list(_calls_of(body, ("Fraction",)))
         assert not calls, f"lattice.{name} calls (line, name) {calls}"
+
+
+def _is_memo(decorator):
+    """Whether a decorator is lru_cache(...), lru_cache or cache, bare or
+    through functools."""
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    if isinstance(decorator, ast.Attribute):
+        return decorator.attr in ("lru_cache", "cache")
+    return isinstance(decorator, ast.Name) and decorator.id in ("lru_cache", "cache")
+
+
+def test_data_file_readers_are_cached_only_by_data_cached():
+    # an lru_cache keyed on its arguments alone would keep serving what it
+    # built from the data directory in use when it first ran, so nothing
+    # that reaches named_code may sit behind one; codes.data_cached keys
+    # on the code values instead
+    defs = {}
+    for path in SOURCES:
+        for node in _tree(path).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.setdefault(node.name, []).append((path.name, node))
+    callees = {name: {callee for _, node in nodes
+                      for _, callee in _calls_of(node, defs)}
+               for name, nodes in defs.items()}
+
+    def reaches_named_code(name):
+        seen, todo = set(), [name]
+        while todo:
+            for callee in callees[todo.pop()] - seen:
+                seen.add(callee)
+                todo.append(callee)
+        return "named_code" in seen
+
+    memoized = [(module, node.name) for nodes in defs.values()
+                for module, node in nodes
+                if isinstance(node, ast.FunctionDef)
+                and any(_is_memo(d) for d in node.decorator_list)]
+    assert ("griess.py", "build_node_family") in memoized
+    bad = [f"{module}:{name}" for module, name in memoized
+           if reaches_named_code(name)]
+    assert not bad, f"lru_cache over a data-file reader: {bad}"

@@ -14,7 +14,7 @@ from .lattice import (BudgetExceeded, Coset, EvenLattice, NotMinimal,
 from .rootsys import (ChainViolation, ExtendedE8Node, NotRootGenerated,
                       RootSystem, UnsupportedType, build_root_system,
                       check_intermediate_chains, classify_root_sublattice,
-                      extended_e8_node, weyl_reflection)
+                      extended_e8_node)
 from .codes import (BinaryCode, Z4Code, construction_A, dual_code,
                     is_type_II, named_code, residue_code_B)
 from .griess import (AlgebraContext, BadSpectrum, ContextMismatch,

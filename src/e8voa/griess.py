@@ -737,8 +737,11 @@ def e8_context() -> AlgebraContext:
 
 
 def _int_key(vec):
+    vec = tuple(vec)
+    if all(type(x) is int for x in vec):
+        return vec
     out = tuple(int(x) for x in vec)
-    if tuple(Fraction(x) for x in out) != tuple(Fraction(x) for x in vec):
+    if out != vec:
         raise ValueError("expected an integral coefficient vector")
     return out
 

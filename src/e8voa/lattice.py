@@ -8,11 +8,12 @@ its dual (``dual_coset_shifts``).  The Gram matrix and the basis are
 scaled to integers over one denominator each, once per lattice, so the
 pairing and the ambient map sum on Python ints.
 
-Short-vector enumeration is exact Fincke-Pohst on ints: the rational LDL
-decomposition of the Gram matrix is brought to integers once per lattice
-(one common denominator for the off-diagonal part, one for the diagonal),
-each search scales its shift and bound alike, and every level's range is
-an integer square root.  Nothing here ever touches floating point.
+Short-vector enumeration is exact Fincke-Pohst on ints: the LDL
+decomposition of the Gram matrix is computed fraction-free (Bareiss) on
+the integer Gram rows once per lattice and kept over two common
+denominators (one for the off-diagonal part, one for the diagonal), each
+search scales its shift and bound alike, and every level's range is an
+integer square root.  Nothing here ever touches floating point.
 Vectors of a lattice are kept in two parallel pictures: integer
 coefficient tuples with respect to the basis, and the corresponding
 ambient rational tuples.
@@ -23,7 +24,7 @@ from __future__ import annotations
 import time
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import isqrt
+from math import gcd, isqrt, lcm
 from operator import mul
 
 from .linalg import (RowSpace, clear_denominators, det, hermite_normal_form,
@@ -95,13 +96,14 @@ class EvenLattice:
             self._span = RowSpace(self.basis)
         return self._span.coords(ambient_vec)
 
-    def contains(self, ambient_vec) -> bool:
-        """Whether the vector lies in the lattice: den*v, which must be
-        integral, reduced against the Hermite form of the integer basis."""
+    def contains(self, vec, den=1) -> bool:
+        """Whether vec / den (int or Fraction entries) lies in the lattice:
+        scaled to the basis denominator it must be integral and reduce to
+        zero against the Hermite form of the integer basis."""
         w = []
-        den = self._int_basis()[1]
-        for x in ambient_vec:
-            q, r = divmod(x.numerator * den, x.denominator)
+        b_den = self._int_basis()[1]
+        for x in vec:
+            q, r = divmod(x.numerator * b_den, x.denominator * den)
             if r:
                 return False
             w.append(q)
@@ -132,15 +134,19 @@ class EvenLattice:
             self._int_rows = clear_denominators(self.basis)
         return self._int_rows
 
-    def ambient(self, coeffs):
-        """The ambient vector sum(c_i * basis_i), as Fractions."""
+    def ambient_ints(self, coeffs):
+        """(ints, den) with sum(c_i * basis_i) = ints / den."""
         rows, den = self._int_basis()
         coeffs, c_den = _over_one_den(coeffs)
         out = [0] * len(rows[0])
         for c, row in zip(coeffs, rows):
             if c:
                 out = [o + c * x for o, x in zip(out, row)]
-        den *= c_den
+        return out, den * c_den
+
+    def ambient(self, coeffs):
+        """The ambient vector sum(c_i * basis_i), as Fractions."""
+        out, den = self.ambient_ints(coeffs)
         return tuple(Fraction(o, den) if o else _ZERO for o in out)
 
     def _int_gram(self):
@@ -149,13 +155,17 @@ class EvenLattice:
             self._int_gram_rows = clear_denominators(self.gram)
         return self._int_gram_rows
 
+    def gram_times(self, v):
+        """(ints, den) with G v = ints / den, for a coefficient vector v."""
+        rows, den = self._int_gram()
+        v, v_den = _over_one_den(v)
+        return [sum(map(mul, row, v)) for row in rows], den * v_den
+
     def pair(self, u, v) -> Fraction:
         """The bilinear form u^T G v on coefficient vectors, as a Fraction."""
-        rows, den = self._int_gram()
+        w, den = self.gram_times(v)
         u, u_den = _over_one_den(u)
-        v, v_den = _over_one_den(v)
-        total = sum(x * sum(map(mul, row, v)) for x, row in zip(u, rows) if x)
-        return Fraction(total, den * u_den * v_den)
+        return Fraction(sum(map(mul, u, w)), den * u_den)
 
     def _gram_divisible(self, diag, off) -> bool:
         """Integral Gram matrix, diagonal divisible by diag, the rest by off."""
@@ -202,25 +212,33 @@ class EvenLattice:
 
         Returns (M, E, D, U): M and E are the common denominators of the
         off-diagonal u_ij and of the d_i, D_i = E*d_i, and row i of U holds
-        M*u_ij for j > i.
+        M*u_ij for j > i.  Fraction-free (Bareiss) on A = den*G: when row i
+        becomes the pivot row, a_ii is the leading principal minor of A of
+        size i+1 and the row is a multiple of the Schur complement row, so
+        d_i = a_ii / (a_{i-1,i-1} * den) and u_ij = a_ij / a_ii.
         """
         if self._ldl is None:
+            ints, den = self._int_gram()
+            a = [list(row) for row in ints]
             n = self.rank
-            q = [list(row) for row in self.gram]
+            prev = 1
             d, u = [], []
             for i in range(n):
-                di = q[i][i]
-                if di <= 0:
+                row = a[i]
+                p = row[i]
+                if p <= 0:
                     raise NotPositiveDefinite("Gram matrix is not positive definite")
-                ui = [x / di for x in q[i][i + 1:]]
+                d.append((p, prev * den))
+                u.append((p, row[i + 1:]))
                 for k in range(i + 1, n):
+                    rk, f = a[k], row[k]
                     for l in range(k, n):
-                        q[k][l] -= di * ui[k - i - 1] * ui[l - i - 1]
-                d.append(di)
-                u.append(ui)
-            d_int, e_den = _over_one_den(d)
-            u_int, m_den = clear_denominators(u)
-            self._ldl = (m_den, e_den, d_int, u_int)
+                        rk[l] = (p * rk[l] - f * row[l]) // prev
+                prev = p
+            e_den = lcm(*(q // gcd(p, q) for p, q in d))
+            m_den = lcm(*(p // gcd(x, p) for p, tail in u for x in tail))
+            self._ldl = (m_den, e_den, [p * e_den // q for p, q in d],
+                         [[x * m_den // p for x in tail] for p, tail in u])
         return self._ldl
 
 

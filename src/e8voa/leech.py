@@ -9,15 +9,16 @@ copies of the rescaled E8 lattice are located inside it explicitly.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 
 from .codes import (block_subcode, construction_A, data_cached,
                     find_column_permutation, is_type_II, named_code,
                     residue_code_B)
 from .lattice import (Coset, EvenLattice, coset_min_norm, enumerate_short,
                       lattice_from_integer_rows, size_reduce_basis)
-from .linalg import vec_mat
-from .rootsys import _lex_positive, e8_paper_data
+from .linalg import clear_denominators, vec_mat
+from .rootsys import e8_paper_data, simple_system
 
 
 class CodeCheckFailed(RuntimeError):
@@ -80,13 +81,7 @@ def _paper_frame_in(lat: EvenLattice):
     """
     hits = enumerate_short(lat, 4)
     keys = sorted(tuple(int(x) for x in z) for z, n in hits if n == 4)
-    pos = [k for k in keys if _lex_positive(k)]
-    posset = set(pos)
-    simple = []
-    for p in pos:
-        if not any(tuple(a - b for a, b in zip(p, q)) in posset
-                   for q in pos if q != p):
-            simple.append(p)
+    simple = simple_system(keys)
     if len(simple) != lat.rank:
         raise EmbeddingNotFound("could not extract a simple system")
     pairs = [[lat.pair(u, v) for v in simple] for u in simple]
@@ -194,10 +189,9 @@ def block_frames(ctx: LeechContext):
 def block_norm4_count(ctx: LeechContext, k: int) -> int:
     block = _block(ctx, k)
     hits = enumerate_short(block, 4)
-    vecs = [block.ambient(z) for z, n in hits if n == 4]
-    for v in vecs:
-        if not ctx.lattice.contains(v):
-            raise EmbeddingNotFound("norm-4 block vector falls outside Leech")
+    vecs = [block.ambient_ints(z) for z, n in hits if n == 4]
+    if not all(ctx.lattice.contains(v, den) for v, den in vecs):
+        raise EmbeddingNotFound("norm-4 block vector falls outside Leech")
     return len(vecs)
 
 
@@ -206,17 +200,18 @@ def sigma_tilde_order(i: int) -> int:
 
     beta is the image of the rescaled glue vector under the first-block
     embedding; the order is the lcm of the denominators of its pairings
-    with a basis of the Leech lattice.
+    with a basis of the Leech lattice, taken on int rows over one
+    denominator.
     """
     from .rootsys import extended_e8_node
     node = extended_e8_node(i)
     ctx = build_leech()
-    beta = vec_mat(node.glue_coords, block_frames(ctx)[0])
-    order = 1
-    for row in ctx.lattice.basis:
-        t = sum(x * y for x, y in zip(beta, row))
-        order = lcm(order, t.denominator)
-    return order
+    (glue,), g_den = clear_denominators([node.glue_coords])
+    frame, f_den = clear_denominators(block_frames(ctx)[0])
+    beta = vec_mat(glue, frame)
+    rows, den = clear_denominators(ctx.lattice.basis)
+    den *= g_den * f_den
+    return lcm(*(den // gcd(den, sum(map(mul, beta, row))) for row in rows))
 
 
 MINIMAL_SHAPES = (

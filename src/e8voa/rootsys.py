@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul, sub
 
 from .lattice import EvenLattice, hermite_normal_form
 from .linalg import det, vec_mat
@@ -83,8 +84,6 @@ class RootSystem:
         coords = short_root_coords(self.lattice)
         self.root_coords = coords
         self.roots = sorted(self.lattice.ambient(c) for c in coords)
-        self.root_set = set(self.roots)
-        self.positive_roots = [r for r in self.roots if _lex_positive(r)]
         if components is None:
             components = classify_root_sublattice(self.lattice)
         self.components = components
@@ -100,13 +99,7 @@ class RootSystem:
 def short_root_coords(lat: EvenLattice):
     """Integer coefficient tuples of the norm-2 vectors of an unscaled lattice."""
     from .lattice import enumerate_short
-    hits = enumerate_short(lat, 2)
-    out = []
-    for z, nn in hits:
-        if nn == 2:
-            out.append(tuple(int(x) for x in z))
-    out.sort()
-    return out
+    return sorted(tuple(int(x) for x in z) for z, nn in enumerate_short(lat, 2) if nn == 2)
 
 
 @lru_cache(maxsize=None)
@@ -120,25 +113,9 @@ def build_root_system(letter: str, rank: int) -> RootSystem:
     return rs
 
 
-def weyl_reflection(root, v):
-    """Reflection of v in the hyperplane of a norm-2 root."""
-    root = tuple(Fraction(x) for x in root)
-    v = tuple(Fraction(x) for x in v)
-    n = sum(x * x for x in root)
-    if n != 2:
-        raise ValueError("reflection root must have norm 2")
-    t = sum(x * y for x, y in zip(v, root))
-    return tuple(x - t * y for x, y in zip(v, root))
-
-
-def _component_graph(simple_coords, gram_pair):
-    n = len(simple_coords)
-    adj = [[] for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if gram_pair(simple_coords[i], simple_coords[j]) != 0:
-                adj[i].append(j)
-                adj[j].append(i)
+def _component_graph(adj):
+    """Connected components of the diagram with adjacency lists adj."""
+    n = len(adj)
     seen = [False] * n
     comps = []
     for s in range(n):
@@ -154,7 +131,7 @@ def _component_graph(simple_coords, gram_pair):
                     seen[w] = True
                     stack.append(w)
         comps.append(sorted(comp))
-    return adj, comps
+    return comps
 
 
 def _diagram_type(nodes, adj):
@@ -190,6 +167,14 @@ def _diagram_type(nodes, adj):
     raise NotRootGenerated("diagram is not of type A, D, or E")
 
 
+def simple_system(roots):
+    """The lex-positive roots that are not a difference of two of them."""
+    pos = [r for r in roots if _lex_positive(r)]
+    posset = set(pos)
+    return [p for p in pos
+            if not any(tuple(map(sub, p, q)) in posset for q in pos if q != p)]
+
+
 class RootComponent:
     def __init__(self, letter, rank, simple_coords, root_coords):
         self.letter = letter
@@ -212,21 +197,14 @@ def decompose_root_lattice(lat: EvenLattice):
     if len(h) < lat.rank or abs(det(h)) != 1:
         raise NotRootGenerated("norm-2 vectors do not generate the lattice")
 
-    pos = [c for c in coords if _lex_positive(c)]
-    posset = set(pos)
-    simple = []
-    for p in pos:
-        decomposable = False
-        for q in pos:
-            if q != p and tuple(a - b for a, b in zip(p, q)) in posset:
-                decomposable = True
-                break
-        if not decomposable:
-            simple.append(p)
-    adj, comps = _component_graph(simple, lat.pair)
-    # per root, the simple roots it pairs with nontrivially
-    touched = [[v for v, s in enumerate(simple) if lat.pair(r, s) != 0]
+    simple = simple_system(coords)
+    # per root, the simple roots it pairs with nontrivially: a nonzero dot
+    # product with the int column G s
+    columns = [lat.gram_times(s)[0] for s in simple]
+    touched = [[v for v, col in enumerate(columns) if sum(map(mul, r, col))]
                for r in coords]
+    adj = [[v for v in touched[coords.index(s)] if v != k] for k, s in enumerate(simple)]
+    comps = _component_graph(adj)
     out = []
     for nodes in comps:
         letter, rank = _diagram_type(nodes, adj)
@@ -273,20 +251,15 @@ def _e8_paper_basis():
 
 @lru_cache(maxsize=None)
 def e8_paper_data():
-    """Ambient E8 roots, paper-basis coordinates, and the highest root."""
+    """The E8 lattice on the paper basis, its root coordinates and the highest root."""
     basis = _e8_paper_basis()
     lat = EvenLattice(basis)
     coords = short_root_coords(lat)
-    ambient = [lat.ambient(c) for c in coords]
-    heights = [sum(c) for c in coords]
-    top = max(range(len(coords)), key=lambda k: heights[k])
-    highest = coords[top]
     return {
         "basis": basis,
         "lattice": lat,
         "root_coords": coords,
-        "roots_ambient": ambient,
-        "highest_coords": highest,
+        "highest_coords": max(coords, key=sum),
     }
 
 
@@ -348,41 +321,44 @@ class ExtendedE8Node:
         self.component_types = sorted((c.letter, c.rank) for c in self.components)
 
         self.e8_root_coords = data["root_coords"]
-        self.e8_roots_ambient = data["roots_ambient"]
 
         self.glue_coords = tuple(vec_mat(_glue_coeffs(i), self.alpha_coords))
         self.glue_ambient = e8.ambient(self.glue_coords)
-        self._check_glue(e8)
+        # <glue, v> = sum(v_k * w_k) / den for E8 coordinates v
+        self._glue_pairing = e8.gram_times(self.glue_coords)
+        self._check_glue()
         self._classes = None
 
-    def _check_glue(self, e8):
+    def _check_glue(self):
+        w, den = self._glue_pairing
         for j in range(9):
-            t = e8.pair(self.glue_coords, self.alpha_coords[j])
+            t = sum(map(mul, self.alpha_coords[j], w))
             if j == self.i:
-                if (t + Fraction(1, self.n)).denominator != 1:
+                if (self.n * t + den) % (self.n * den):
                     raise AssertionError("glue pairing with removed node is wrong")
-            else:
-                if t.denominator != 1:
-                    raise AssertionError("glue vector does not pair integrally")
+            elif t % den:
+                raise AssertionError("glue vector does not pair integrally")
 
     def coset_classes(self):
-        """Map root coords -> j with root in j*alpha_i + L(i)."""
-        if self._classes is not None:
-            return self._classes
-        # root - j*alpha_i lies in L(i) iff its coordinates over the L(i)
-        # basis, coords(root) - j*coords(alpha_i), are integral
-        ai = self.lattice.coords(self.alphas[self.i])
-        classes = {}
-        for r, amb in zip(self.e8_root_coords, self.e8_roots_ambient):
-            c = self.lattice.coords(amb)
-            for j in range(self.n):
-                if all((x - j * y).denominator == 1 for x, y in zip(c, ai)):
-                    classes[r] = j
-                    break
-            else:
-                raise AssertionError("root falls outside every coset")
-        self._classes = classes
-        return classes
+        """Map root coords -> j with root in j*alpha_i + L(i), read off the
+        glue pairing as j = -n<glue, root> mod n.
+
+        The map is exact: L(i) is generated by the alpha_j with j != i, on
+        which the glue pairs integrally, and <glue, alpha_i> = -1/n mod 1
+        (both in ``_check_glue``).  So v -> -n<glue, v> mod n maps E8 onto
+        Z/n, alpha_i to 1, with L(i) inside the kernel; L(i) has index n in
+        E8 (checked in ``__init__``), so the kernel is exactly L(i).
+        """
+        if self._classes is None:
+            w, den = self._glue_pairing
+            classes = {}
+            for r in self.e8_root_coords:
+                q, rem = divmod(self.n * sum(map(mul, r, w)), den)
+                if rem:
+                    raise AssertionError("root falls outside every coset")
+                classes[r] = -q % self.n
+            self._classes = classes
+        return self._classes
 
     def h_counts(self):
         classes = self.coset_classes()

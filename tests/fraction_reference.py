@@ -1,11 +1,14 @@
 """Fraction references for the integer lattice set-up.
 
-Plain Fraction versions of ``linalg.det``, ``linalg.invert`` and
-``lattice.size_reduce_basis``, as they were before those moved onto
+Plain Fraction versions of ``linalg.det``, ``linalg.invert``,
+``lattice.size_reduce_basis``, ``EvenLattice.ldl``,
+``ExtendedE8Node.coset_classes`` and the component split of
+``rootsys.decompose_root_lattice``, as they were before those moved onto
 int-scaled rows; the oracle tests compare the two.
 """
 
 from fractions import Fraction
+from math import lcm
 
 
 def rref(mat):
@@ -92,3 +95,63 @@ def size_reduce_basis_rows(basis, scale):
                     improved = True
     basis.sort(key=lambda r: (norm(r), r))
     return [tuple(r) for r in basis]
+
+
+def ldl(gram):
+    """(M, E, D, U) of EvenLattice.ldl by Fraction elimination on the Gram
+    matrix; raises NotPositiveDefinite at the first nonpositive pivot."""
+    from e8voa.lattice import NotPositiveDefinite
+    n = len(gram)
+    q = [[Fraction(x) for x in row] for row in gram]
+    d, u = [], []
+    for i in range(n):
+        di = q[i][i]
+        if di <= 0:
+            raise NotPositiveDefinite("Gram matrix is not positive definite")
+        ui = [x / di for x in q[i][i + 1:]]
+        for k in range(i + 1, n):
+            for l in range(k, n):
+                q[k][l] -= di * ui[k - i - 1] * ui[l - i - 1]
+        d.append(di)
+        u.append(ui)
+    e_den = lcm(*(x.denominator for x in d))
+    m_den = lcm(*(x.denominator for row in u for x in row))
+    return (m_den, e_den, [int(x * e_den) for x in d],
+            [[int(x * m_den) for x in row] for row in u])
+
+
+def coset_classes(node):
+    """Root coords -> j with root in j*alpha_i + L(i), by solving rational
+    coordinates over the L(i) basis and trying each j."""
+    from e8voa.linalg import RowSpace
+    from e8voa.rootsys import e8_paper_data
+    e8 = e8_paper_data()["lattice"]
+    span = RowSpace(node.lattice.basis)
+    ai = span.coords(node.alphas[node.i])
+    classes = {}
+    for r in node.e8_root_coords:
+        c = span.coords(e8.ambient(r))
+        classes[r] = next(j for j in range(node.n)
+                          if all((x - j * y).denominator == 1 for x, y in zip(c, ai)))
+    return classes
+
+
+def root_components(lat):
+    """[(simple coords, root coords)] of a root lattice's components, with
+    every pairing taken as a Fraction by EvenLattice.pair."""
+    from e8voa.rootsys import _lex_positive, short_root_coords
+    coords = short_root_coords(lat)
+    pos = [c for c in coords if _lex_positive(c)]
+    posset = set(pos)
+    simple = [p for p in pos
+              if not any(tuple(a - b for a, b in zip(p, q)) in posset
+                         for q in pos if q != p)]
+    comps = []
+    for s in simple:
+        linked = [c for c in comps if any(lat.pair(s, t) != 0 for t in c)]
+        comps = [c for c in comps if c not in linked] + [sum(linked, []) + [s]]
+    out = []
+    for comp in comps:
+        roots = [r for r in coords if any(lat.pair(r, s) != 0 for s in comp)]
+        out.append((sorted(comp), roots))
+    return sorted(out)

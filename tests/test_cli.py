@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from e8voa import codes
+from conftest import data_copy
 from e8voa.cli import RunConfig, main, registry, run
 
 
@@ -75,17 +75,6 @@ CORRUPTIONS = {
 }
 
 
-def _data_copy(directory, corrupt=None):
-    """Copy the data files into directory, with the named one corrupted."""
-    src = Path(codes.data_dir())
-    for name, (old, new) in CORRUPTIONS.items():
-        text = (src / name).read_text()
-        if name == corrupt:
-            assert old in text
-            text = text.replace(old, new, 1)
-        (directory / name).write_text(text)
-
-
 @functools.cache
 def _clean_stdout(command):
     status, _, text = run(RunConfig(command=command))
@@ -110,7 +99,7 @@ def test_corrupted_data_fails(command, corrupt, claim, tmp_path, monkeypatch,
     the file, so its report must not change at all.
     """
     clean = _clean_stdout(command)
-    _data_copy(tmp_path, corrupt)
+    data_copy(tmp_path, [(corrupt, *CORRUPTIONS[corrupt])])
     monkeypatch.setenv("MCKAY_DATA_DIR", str(tmp_path))
     rc = main([command])
     out, err = capsys.readouterr()
@@ -132,7 +121,7 @@ def test_verify_mckay_rereads_the_data_dir(tmp_path, monkeypatch, capsys):
     """No node fact read from a data file is served from a cache after the file changes."""
     assert main(["verify-mckay", "--node", "0"]) == 0
     capsys.readouterr()
-    _data_copy(tmp_path, "z4_leech.txt")
+    data_copy(tmp_path, [("z4_leech.txt", *CORRUPTIONS["z4_leech.txt"])])
     monkeypatch.setenv("MCKAY_DATA_DIR", str(tmp_path))
     rc = main(["verify-mckay", "--node", "0"])
     report = json.loads(capsys.readouterr().out)

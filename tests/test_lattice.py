@@ -381,3 +381,38 @@ def test_size_reduce_basis_keeps_the_leech_basis():
     from e8voa.leech import build_leech
     ctx = build_leech()
     assert list(ctx.reduced.basis) == ref.size_reduce_basis_rows(ctx.lattice.basis, 1)
+
+
+@st.composite
+def _symmetric_grams(draw):
+    """Rational symmetric matrices up to 7x7: the Gram matrix of a random
+    square basis (positive definite unless the basis is singular), or a
+    random symmetric matrix (mostly indefinite)."""
+    n = draw(st.integers(1, 7))
+    entry = st.fractions(-3, 3, max_denominator=draw(st.sampled_from([1, 2, 3, 4, 6])))
+    if draw(st.booleans()):
+        basis = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                              min_size=n, max_size=n))
+        return [[sum(x * y for x, y in zip(u, v)) for v in basis] for u in basis]
+    upper = {(i, j): draw(entry) for i in range(n) for j in range(i, n)}
+    return [[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_symmetric_grams())
+def test_integer_ldl_matches_the_fraction_reference(gram):
+    import fraction_reference as ref
+    try:
+        want = ref.ldl(gram)
+    except NotPositiveDefinite:
+        with pytest.raises(NotPositiveDefinite):
+            from_gram(gram).ldl()
+        return
+    assert from_gram(gram).ldl() == want
+
+
+def test_integer_ldl_matches_the_fraction_reference_on_leech():
+    import fraction_reference as ref
+    from e8voa.leech import build_leech
+    reduced = build_leech().reduced
+    assert reduced.ldl() == ref.ldl(reduced.gram)

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import data_copy
+
 from e8voa.leech import (MINIMAL_SHAPES, block_frames, block_norm4_count,
                          build_leech, certify_minimum, embed_sqrt2E8_cubed,
                          minimal_coset_survey, sigma_tilde_order)
@@ -117,23 +119,10 @@ def test_phase_map_is_additive(mask_a, mask_b):
     assert phase(ta) * phase(tb) == phase(tsum)
 
 
-def _data_copy(tmp_path, corrupt):
-    """A copy of the data directory with the first match of each
-    (file, old, new) replacement applied."""
-    import shutil
-    from e8voa.codes import data_dir
-    for name in ("hamming8.txt", "rm41.txt", "z4_leech.txt"):
-        shutil.copy(f"{data_dir()}/{name}", tmp_path / name)
-    for name, old, new in corrupt:
-        path = tmp_path / name
-        path.write_text(path.read_text().replace(old, new, 1))
-    return tmp_path
-
-
 def test_build_leech_follows_the_data_dir(tmp_path, monkeypatch):
     from e8voa.leech import CodeCheckFailed
     first = build_leech()
-    bad = _data_copy(tmp_path, [("z4_leech.txt", "3012", "3013")])
+    bad = data_copy(tmp_path, [("z4_leech.txt", "3012", "3013")])
     monkeypatch.setenv("MCKAY_DATA_DIR", str(bad))
     with pytest.raises(CodeCheckFailed):
         build_leech()
@@ -153,7 +142,7 @@ def test_failing_leech_build_checks_the_code_once(tmp_path, monkeypatch, capsys)
 
     monkeypatch.setattr(leech, "is_type_II", counting)
     leech.build_leech.cache_clear()
-    bad = _data_copy(tmp_path, [("z4_leech.txt", "3012", "3013")])
+    bad = data_copy(tmp_path, [("z4_leech.txt", "3012", "3013")])
     monkeypatch.setenv("MCKAY_DATA_DIR", str(bad))
     assert main(["verify-leech"]) == 1
     capsys.readouterr()
@@ -181,7 +170,7 @@ def test_failing_embedding_and_survey_are_built_once(tmp_path, monkeypatch,
     _counting(monkeypatch, leech, "construction_A", surveys)
     leech.embed_sqrt2E8_cubed.cache_clear()
     leech.minimal_coset_survey.cache_clear()
-    bad = _data_copy(tmp_path, [("hamming8.txt", "11110000", "11110001")])
+    bad = data_copy(tmp_path, [("hamming8.txt", "11110000", "11110001")])
     monkeypatch.setenv("MCKAY_DATA_DIR", str(bad))
     assert main(["verify-leech"]) == 1
     capsys.readouterr()
@@ -193,7 +182,7 @@ def test_survey_is_cached_and_follows_the_data_dir(tmp_path, monkeypatch):
     from e8voa.leech import ShapeMismatch
     first = minimal_coset_survey()
     assert minimal_coset_survey() is first
-    bad = _data_copy(tmp_path, [("hamming8.txt", "11110000", "11110001")])
+    bad = data_copy(tmp_path, [("hamming8.txt", "11110000", "11110001")])
     monkeypatch.setenv("MCKAY_DATA_DIR", str(bad))
     with pytest.raises(ShapeMismatch, match="minimal norm 5/4"):
         minimal_coset_survey()
@@ -205,7 +194,7 @@ def test_hamming_context_follows_the_data_dir(tmp_path, monkeypatch):
     from e8voa.griess import build_hamming_family, hamming_context
     first = build_hamming_family()
     # the row 01100110 becomes 01100111: the code is no longer doubly even
-    bad = _data_copy(tmp_path, [("hamming8.txt", "01100110", "01100111")])
+    bad = data_copy(tmp_path, [("hamming8.txt", "01100110", "01100111")])
     monkeypatch.setenv("MCKAY_DATA_DIR", str(bad))
     with pytest.raises(ValueError, match="doubly even"):
         hamming_context()

@@ -2,12 +2,13 @@ from fractions import Fraction as F
 
 import pytest
 
+from e8voa.cli import GRIESS_SUITE
 from e8voa.lattice import EvenLattice
 from e8voa.rootsys import (EXTENDED_COEFFS, NODE_LABELS, NotRootGenerated,
                            UnsupportedType, build_root_system,
                            check_intermediate_chains,
-                           classify_root_sublattice, e8_paper_data,
-                           extended_e8_node, weyl_reflection)
+                           classify_root_sublattice, decompose_root_lattice,
+                           e8_paper_data, extended_e8_node)
 
 PAPER_TYPES = {
     0: [("E", 8)],
@@ -58,6 +59,17 @@ def test_simple_root_cartan_matches_declared_type():
     assert offdiag.count(-1) == 4  # D5 tree has 4 edges
 
 
+def weyl_reflection(root, v):
+    """Reflection of v in the hyperplane of a norm-2 root."""
+    root = tuple(F(x) for x in root)
+    v = tuple(F(x) for x in v)
+    n = sum(x * x for x in root)
+    if n != 2:
+        raise ValueError("reflection root must have norm 2")
+    t = sum(x * y for x, y in zip(v, root))
+    return tuple(x - t * y for x, y in zip(v, root))
+
+
 def test_weyl_reflection_basics():
     rs = build_root_system("A", 2)
     a, b = rs.simple_roots[0], rs.simple_roots[1]
@@ -71,7 +83,7 @@ def test_weyl_orbit_of_highest_root_stays_in_root_system():
     highest = data["lattice"].ambient(data["highest_coords"])
     for s in rs.simple_roots:
         img = weyl_reflection(s, highest)
-        assert img in rs.root_set
+        assert img in set(rs.roots)
 
 
 def test_extended_relation_and_indices():
@@ -136,3 +148,21 @@ def test_sum_of_coset_root_counts():
         assert node.phi_count() + sum(node.h_counts()) == 240
         hs = node.h_counts()
         assert hs == hs[::-1]  # negation symmetry
+
+
+def test_glue_class_map_matches_the_fraction_reference():
+    import fraction_reference as ref
+    for i in range(9):
+        node = extended_e8_node(i)
+        assert node.coset_classes() == ref.coset_classes(node), i
+
+
+@pytest.mark.parametrize("lat", [extended_e8_node(i).lattice for i in range(9)]
+                         + [build_root_system(*t).lattice for t in GRIESS_SUITE],
+                         ids=[f"L({i})" for i in range(9)]
+                         + ["%s%d" % t for t in GRIESS_SUITE])
+def test_decompose_root_lattice_matches_the_fraction_reference(lat):
+    import fraction_reference as ref
+    comps = decompose_root_lattice(lat)
+    assert sorted((c.simple_coords, c.root_coords) for c in comps) == ref.root_components(lat)
+    assert all(len(c.simple_coords) == c.rank for c in comps)

@@ -5,7 +5,8 @@ or from ``e8voa`` itself, and no module contains a float literal or a
 ``float(...)`` call.  The check reads the syntax tree only, so it cannot
 see ``/`` applied to two ints, which also yields a float at run time.
 The weight-2 kernel functions call no scalar constructor, and lattice
-membership and size reduction call no Fraction.
+membership, size reduction, the LDL decomposition, the root decomposition
+and the glue class map call no Fraction.
 """
 
 import ast
@@ -70,21 +71,39 @@ def test_weight2_kernel_builds_no_scalar_objects():
         assert not calls, f"griess.{name} calls (line, name) {calls}"
 
 
+def _functions(module, names):
+    """The named top-level functions and Class.method bodies of a module."""
+    tree = _tree(next(p for p in SOURCES if p.name == module))
+    bodies = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            bodies[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            bodies.update({f"{node.name}.{item.name}": item for item in node.body
+                           if isinstance(item, ast.FunctionDef)})
+    assert set(names) <= set(bodies), sorted(set(names) - set(bodies))
+    return {name: bodies[name] for name in names}
+
+
+def _assert_no_fraction_calls(module, names):
+    for name, body in _functions(module, names).items():
+        calls = list(_calls_of(body, ("Fraction",)))
+        assert not calls, f"{module[:-3]}.{name} calls (line, name) {calls}"
+
+
 def test_lattice_membership_and_size_reduction_run_on_ints():
     # both work on the int-scaled basis rows; only the reduced lattice's
     # constructor, outside these bodies, turns rows back into Fractions
-    tree = _tree(next(p for p in SOURCES if p.name == "lattice.py"))
-    even = next(node for node in tree.body
-                if isinstance(node, ast.ClassDef) and node.name == "EvenLattice")
-    bodies = {f"EvenLattice.{node.name}": node for node in even.body
-              if isinstance(node, ast.FunctionDef) and node.name == "contains"}
-    bodies.update({node.name: node for node in tree.body
-                   if isinstance(node, ast.FunctionDef)
-                   and node.name == "size_reduce_basis"})
-    assert sorted(bodies) == ["EvenLattice.contains", "size_reduce_basis"]
-    for name, body in bodies.items():
-        calls = list(_calls_of(body, ("Fraction",)))
-        assert not calls, f"lattice.{name} calls (line, name) {calls}"
+    _assert_no_fraction_calls("lattice.py", ["EvenLattice.contains", "size_reduce_basis"])
+
+
+def test_ldl_root_decomposition_and_glue_classes_run_on_ints():
+    # Bareiss on the int Gram rows; pairings against int Gram columns; the
+    # glue pairing as ints over one denominator
+    _assert_no_fraction_calls("lattice.py", ["EvenLattice.ldl", "EvenLattice.gram_times"])
+    _assert_no_fraction_calls("rootsys.py", [
+        "decompose_root_lattice", "_component_graph", "simple_system",
+        "ExtendedE8Node._check_glue", "ExtendedE8Node.coset_classes"])
 
 
 def _is_memo(decorator):

@@ -21,12 +21,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 
 from .codes import construction_A, data_cached, named_code
 from .lattice import EvenLattice, coset_minimum, enumerate_short
-from .linalg import (RowSpace, identity, invert, kernel_basis,
+from .linalg import (RowSpace, clear_denominators, identity, invert,
                      kernel_basis_int, mat_mul)
 from .scalars import Cyclotomic, half_turn_phase, is_zero, power_table
 
@@ -636,63 +636,59 @@ def module_act(ctx, u: GriessElement, mv: ModuleVector) -> ModuleVector:
 MODULE_EIGENVALUES = (Fraction(0), HALF, Fraction(1, 16))
 
 
-def _is_sixteenth_class(lam: Fraction) -> bool:
-    return (lam - Fraction(1, 16)).denominator == 1
-
-
 class TauInvolution:
     """tau_e: -1 on the 1/16-class eigenspaces of e_1, +1 elsewhere."""
 
-    def __init__(self, eigen, dim):
-        self.eigen = eigen  # dict eigenvalue -> list of vectors
-        self.dim = dim
-        self._matrix = None
+    def __init__(self, matrix):
+        self._matrix = matrix
 
     def matrix(self):
-        if self._matrix is None:
-            cols = []
-            signs = []
-            for lam in sorted(self.eigen):
-                for v in self.eigen[lam]:
-                    cols.append(v)
-                    signs.append(-1 if _is_sixteenth_class(lam) else 1)
-            C = [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
-            # C D with D = diag(signs): a sign flip of the columns
-            CD = [[x if s > 0 else -x for x, s in zip(row, signs)] for row in C]
-            self._matrix = mat_mul(CD, invert(C))
         return self._matrix
 
 
 def tau_from_matrix(mat, allowed) -> TauInvolution:
-    """Spectral tau of an action matrix with eigenvalues in ``allowed``."""
-    dim = len(mat)
-    eigen = {}
-    total = 0
-    for lam in allowed:
-        shifted = [[mat[i][j] - (lam if i == j else 0) for j in range(dim)]
-                   for i in range(dim)]
-        basis = kernel_basis(shifted)
-        if basis:
-            eigen[lam] = basis
-            total += len(basis)
-    if total != dim:
-        raise BadSpectrum(
-            f"action is not diagonalizable over the expected set: "
-            f"{total} of {dim} dimensions found")
-    return TauInvolution(eigen, dim)
+    """tau of an action matrix M, certified diagonalizable over ``allowed``.
+
+    Once prod (M - lam) = 0, tau is the Lagrange polynomial sum_lam s_lam
+    prod_{mu != lam} (M - mu) / (lam - mu), s_lam = -1 on the 1/16 class,
+    +1 elsewhere.  The basis sums to I, so tau = I - 2 (1/16-class terms),
+    over (0, 1/2, 1/16) I + (512/7) M (M - 1/2); the products run on ints.
+    """
+    rows, den = clear_denominators(mat)
+    if not annihilates(rows, den, allowed):
+        raise BadSpectrum("action is not diagonalizable over the expected set")
+    a, shifts = _int_shifts(rows, den, allowed)
+    tau = identity(len(a))
+    for lam, s in zip(allowed, shifts):
+        if (lam - Fraction(1, 16)).denominator == 1:
+            others = [t for t in shifts if t != s]
+            c = Fraction(-2, prod(s - t for t in others))
+            tau = [[x + c * y for x, y in zip(row, num)]
+                   for row, num in zip(tau, _shifted_product(a, others))]
+    return TauInvolution(tau)
+
+
+def _int_shifts(mat, den, eigenvalues):
+    """(a, shifts) in ints, with mat / den - lam = (a - shift) / (d * den)."""
+    lams = [Fraction(lam) * den for lam in eigenvalues]
+    d = lcm(*(lam.denominator for lam in lams))
+    return [[x * d for x in row] for row in mat], [int(lam * d) for lam in lams]
+
+
+def _shifted_product(a, shifts):
+    """prod over the shifts s of (a - s I), for an int matrix a, in integers."""
+    n = len(a)
+    out = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k, s in enumerate(shifts):
+        term = [[x - s if i == j else x for j, x in enumerate(row)]
+                for i, row in enumerate(a)]
+        out = mat_mul(out, term) if k else term
+    return out
 
 
 def annihilates(mat, den, eigenvalues) -> bool:
     """Whether prod (mat / den - lam) vanishes, for an int matrix, in integers."""
-    lams = [Fraction(lam) * den for lam in eigenvalues]
-    d = lcm(*(lam.denominator for lam in lams))
-    a = [[x * d for x in row] for row in mat]
-    prod = None
-    for lam in (int(lam * d) for lam in lams):
-        term = [[x - lam if i == j else x for j, x in enumerate(row)]
-                for i, row in enumerate(a)]
-        prod = term if prod is None else mat_mul(prod, term)
-    return all(all(x == 0 for x in row) for row in prod)
+    return not any(map(any, _shifted_product(*_int_shifts(mat, den, eigenvalues))))
 
 
 def theta_split_tau_check(ctx: AlgebraContext, e: GriessElement):

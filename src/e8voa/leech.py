@@ -72,15 +72,14 @@ def kissing_vectors(budget_seconds=None):
     return [z for z, n in hits if n == 4]
 
 
-def _paper_frame_in(lat: EvenLattice):
+def _paper_frame_in(lat: EvenLattice, norm4):
     """Keys m_1..m_8 of a doubly even lattice with Gram 2 x (E8 Cartan).
 
-    The norm-4 vectors of an isometric copy of the rescaled E8 lattice
-    form a rescaled root system; a simple system matching the chain
+    The norm-4 vectors ``norm4`` of an isometric copy of the rescaled E8
+    lattice form a rescaled root system; a simple system matching the chain
     labelling of the diagram is extracted and reordered by backtracking.
     """
-    hits = enumerate_short(lat, 4)
-    keys = sorted(tuple(int(x) for x in z) for z, n in hits if n == 4)
+    keys = sorted(tuple(int(x) for x in z) for z in norm4)
     simple = simple_system(keys)
     if len(simple) != lat.rank:
         raise EmbeddingNotFound("could not extract a simple system")
@@ -168,9 +167,11 @@ def embed_sqrt2E8_cubed(ctx: LeechContext):
     return emb
 
 
-def _block(ctx: LeechContext, k: int) -> EvenLattice:
-    """Block k of the embedding, as a lattice in Leech coordinates."""
-    return EvenLattice(embed_sqrt2E8_cubed(ctx).basis[8 * k: 8 * k + 8])
+@data_cached("Hamming8")
+def _block(ctx: LeechContext, k: int):
+    """Block k of the embedding in Leech coordinates, and its norm-4 vectors."""
+    block = EvenLattice(embed_sqrt2E8_cubed(ctx).basis[8 * k: 8 * k + 8])
+    return block, [z for z, n in enumerate_short(block, 4) if n == 4]
 
 
 @data_cached("Hamming8")
@@ -178,8 +179,8 @@ def block_frames(ctx: LeechContext):
     """The diagram frame m_1..m_8 of each block, in Leech coordinates."""
     frames = []
     for k in range(3):
-        block = _block(ctx, k)
-        frame = [block.ambient(m) for m in _paper_frame_in(block)]
+        block, norm4 = _block(ctx, k)
+        frame = [block.ambient(m) for m in _paper_frame_in(block, norm4)]
         if not all(ctx.lattice.contains(v) for v in frame):
             raise EmbeddingNotFound("frame vector falls outside Leech")
         frames.append(frame)
@@ -187,9 +188,8 @@ def block_frames(ctx: LeechContext):
 
 
 def block_norm4_count(ctx: LeechContext, k: int) -> int:
-    block = _block(ctx, k)
-    hits = enumerate_short(block, 4)
-    vecs = [block.ambient_ints(z) for z, n in hits if n == 4]
+    block, norm4 = _block(ctx, k)
+    vecs = [block.ambient_ints(z) for z in norm4]
     if not all(ctx.lattice.contains(v, den) for v, den in vecs):
         raise EmbeddingNotFound("norm-4 block vector falls outside Leech")
     return len(vecs)

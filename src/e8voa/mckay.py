@@ -189,21 +189,24 @@ def tau_e_negates_dual_exponentials() -> bool:
     return True
 
 
+FULL_CONJUGATION_NODES = (1, 7)
+
+
 @lru_cache(maxsize=None)
-def dual_tau_orders(i: int, full_conjugation_nodes=(1, 7)) -> dict:
+def dual_tau_orders(i: int) -> dict:
     """Verify tau_e tau_f = sigma^(-2) on the dual modules; return its order.
 
     The scalar identity tau_e S tau_e = S^(-1) is checked on every coset;
     the matrix identity M_f = S M_e S^(-1) is checked on every coset for
-    the rational nodes and on a fixed sample otherwise.  Everything here
-    is E8 data, so the cache on the node index cannot go stale.
+    the FULL_CONJUGATION_NODES and on a fixed sample otherwise.  Everything
+    here is E8 data, so the cache on the node index cannot go stale.
     """
     fams = build_node_family(i)
     ctx = fams.ctx
     glue = fams.node.glue_coords
     order = 1
     data = dual_tau_data()
-    full = i in full_conjugation_nodes
+    full = i in FULL_CONJUGATION_NODES
     sampled = set(range(0, len(data), 23))
     for idx, (sp, me, tau) in enumerate(data):
         phases = [sigma_phase(ctx, glue, key) for key in sp.keys]

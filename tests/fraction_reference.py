@@ -1,10 +1,12 @@
-"""Fraction references for the integer lattice set-up.
+"""Fraction references for the integer lattice set-up and the tau matrices.
 
 Plain Fraction versions of ``linalg.det``, ``linalg.invert``,
 ``lattice.size_reduce_basis``, ``EvenLattice.ldl``,
 ``ExtendedE8Node.coset_classes`` and the component split of
 ``rootsys.decompose_root_lattice``, as they were before those moved onto
-int-scaled rows; the oracle tests compare the two.
+int-scaled rows, and the eigenvector construction of
+``griess.tau_from_matrix`` as it was before tau became a polynomial in the
+action matrix; the oracle tests compare the two.
 """
 
 from fractions import Fraction
@@ -64,6 +66,40 @@ def invert(mat):
     if pivots != list(range(n)):
         raise ZeroDivisionError("matrix is singular")
     return [row[n:] for row in red]
+
+
+def kernel_basis(mat):
+    """A basis of the right kernel over Q, read off the reduced echelon form."""
+    red, pivots = rref(mat)
+    basis = []
+    for f in range(len(mat[0])):
+        if f not in pivots:
+            x = [Fraction(int(j == f)) for j in range(len(mat[0]))]
+            for row, c in zip(red, pivots):
+                x[c] = -row[f]
+            basis.append(x)
+    return basis
+
+
+def tau_matrix(mat, allowed):
+    """tau = C D C^-1: the columns of C are a kernel basis of mat - lam for
+    each allowed lam, D is -1 on the 1/16 class and +1 elsewhere; raises
+    ValueError unless the eigenvectors span."""
+    n = len(mat)
+    cols, signs = [], []
+    for lam in allowed:
+        shifted = [[x - lam if i == j else x for j, x in enumerate(row)]
+                   for i, row in enumerate(mat)]
+        for v in kernel_basis(shifted):
+            cols.append(v)
+            signs.append(-1 if (lam - Fraction(1, 16)).denominator == 1 else 1)
+    if len(cols) != n:
+        raise ValueError(f"{len(cols)} of {n} eigenvector dimensions found")
+    c = [list(row) for row in zip(*cols)]
+    cd = [[s * x for x, s in zip(row, signs)] for row in c]
+    c_inv_cols = list(zip(*invert(c)))
+    return [[sum(x * y for x, y in zip(row, col)) for col in c_inv_cols]
+            for row in cd]
 
 
 def size_reduce_basis_rows(basis, scale):

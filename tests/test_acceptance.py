@@ -11,11 +11,13 @@ import random
 from fractions import Fraction as F
 
 from e8voa.cli import RunConfig, registry, run_claims
-from e8voa.griess import (GriessElement, apply_sigma, apply_theta,
-                          build_node_family, inner, product)
+from e8voa.griess import (MODULE_EIGENVALUES, GriessElement, apply_sigma,
+                          apply_theta, build_node_family, inner, product)
+from e8voa.linalg import identity, mat_mul
 from e8voa.mckay import (MCKAY_TABLE, ROOT_COUNT_TABLE, dual_tau_data,
                          weight2_tau_theta_verified)
 
+import fraction_reference as ref
 from conftest import sqrt2_root_context
 
 
@@ -133,10 +135,12 @@ def test_criterion_9_property_suites():
         ok = ok and apply_theta(product(ctx, u, v)) == product(ctx, tu, tv)
         ok = ok and inner(ctx, tu, tv) == inner(ctx, u, v)
     # tau spectra: {0, 2, 1/2} + the 1/16-congruent pair on weight 2,
-    # {0, 1/2, 1/16} on the minimal-weight modules
-    allowed = {F(0), F(1, 2), F(1, 16)}
-    for _, _, tau in dual_tau_data():
-        ok = ok and set(tau.eigen) <= allowed
+    # {0, 1/2, 1/16} on the minimal-weight modules, where tau is the
+    # eigenvector-basis involution and squares to I
+    for _, mat, tau in dual_tau_data():
+        m = tau.matrix()
+        ok = ok and m == ref.tau_matrix(mat, MODULE_EIGENVALUES)
+        ok = ok and mat_mul(m, m) == identity(len(m))
     ok = ok and weight2_tau_theta_verified() == {"even": 156, "odd": 128}
     _ok("criterion 9 (randomized structural identities)", ok)
 

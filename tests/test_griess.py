@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from e8voa.griess import (MODULE_EIGENVALUES, BadSpectrum, ContextMismatch,
                           GriessElement, LeavesMinimalSpace, ModuleSpace,
@@ -324,12 +326,13 @@ def test_action_off_the_minimal_weight_space_is_rejected():
 
 
 def test_tau_module_spectrum_and_involution():
+    import fraction_reference as ref
     ctx = e8ctx()
     e = e_hat()
     sp = ModuleSpace(ctx, ctx.gram_inv[3])
     tau = tau_involution_module(ctx, e, sp)
-    assert set(tau.eigen) <= {F(0), F(1, 2), F(1, 16)}
     m = tau.matrix()
+    assert m == ref.tau_matrix(sp.act_matrix(e), MODULE_EIGENVALUES)
     sq = [[sum(m[i][k] * m[k][j] for k in range(len(sp)))
            for j in range(len(sp))] for i in range(len(sp))]
     assert sq == [[F(int(i == j)) for j in range(len(sp))]
@@ -341,6 +344,47 @@ def test_tau_bad_spectrum_detected():
     sp = ModuleSpace(ctx, ctx.gram_inv[0])
     with pytest.raises(BadSpectrum):
         tau_involution_module(ctx, e_hat().scaled(2), sp)
+
+
+@st.composite
+def _diagonalizable(draw):
+    """C D C^-1 for an invertible rational C and D diagonal over MODULE_EIGENVALUES."""
+    import fraction_reference as ref
+    n = draw(st.integers(1, 5))
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    c = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    assume(ref.det(c) != 0)
+    d = draw(st.lists(st.sampled_from(MODULE_EIGENVALUES), min_size=n, max_size=n))
+    c_inv = ref.invert(c)
+    return [[sum(c[i][k] * d[k] * c_inv[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_diagonalizable())
+def test_tau_matches_the_eigenvector_reference(mat):
+    import fraction_reference as ref
+    tau = tau_from_matrix(mat, MODULE_EIGENVALUES).matrix()
+    assert tau == ref.tau_matrix(mat, MODULE_EIGENVALUES)
+    n = len(mat)
+    assert [[sum(tau[i][k] * tau[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)] == [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def test_tau_jordan_block_at_one_half_is_bad_spectrum():
+    import fraction_reference as ref
+    # every eigenvalue is allowed, but the block at 1/2 is not diagonalizable
+    jordan = [[F(1, 2), F(1), F(0)], [F(0), F(1, 2), F(0)], [F(0), F(0), F(1, 16)]]
+    c = [[F(1), F(2), F(0)], [F(1), F(3), F(-1)], [F(0), F(1), F(1, 2)]]
+    c_inv = ref.invert(c)
+    conjugated = [[sum(c[i][k] * jordan[k][m] * c_inv[m][j]
+                       for k in range(3) for m in range(3)) for j in range(3)]
+                  for i in range(3)]
+    for mat in (jordan, conjugated):
+        with pytest.raises(BadSpectrum):
+            tau_from_matrix(mat, MODULE_EIGENVALUES)
+        with pytest.raises(ValueError, match="2 of 3"):
+            ref.tau_matrix(mat, MODULE_EIGENVALUES)
 
 
 def test_u2_dimensions_and_basis():

@@ -6,7 +6,9 @@ or from ``e8voa`` itself, and no module contains a float literal or a
 see ``/`` applied to two ints, which also yields a float at run time.
 The weight-2 kernel functions call no scalar constructor, and lattice
 membership, size reduction, the LDL decomposition, the root decomposition
-and the glue class map call no Fraction.
+and the glue class map call no Fraction.  The tau involution is a
+polynomial in the action matrix: it computes no kernel, echelon form or
+inverse, and its matrix products call no Fraction.
 """
 
 import ast
@@ -104,6 +106,18 @@ def test_ldl_root_decomposition_and_glue_classes_run_on_ints():
     _assert_no_fraction_calls("rootsys.py", [
         "decompose_root_lattice", "_component_graph", "simple_system",
         "ExtendedE8Node._check_glue", "ExtendedE8Node.coset_classes"])
+
+
+TAU = ("tau_from_matrix", "annihilates", "_int_shifts", "_shifted_product")
+
+
+def test_tau_is_a_polynomial_in_the_action_matrix():
+    # the annihilating polynomial certifies the spectrum and its Lagrange
+    # interpolant is tau, so no eigenvector basis is ever solved for
+    for name, body in _functions("griess.py", TAU).items():
+        calls = list(_calls_of(body, ("kernel_basis", "invert", "rref")))
+        assert not calls, f"griess.{name} calls (line, name) {calls}"
+    _assert_no_fraction_calls("griess.py", ["annihilates", "_shifted_product"])
 
 
 def _is_memo(decorator):

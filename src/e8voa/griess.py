@@ -58,6 +58,7 @@ class EmbeddingError(ValueError):
 
 
 HALF = Fraction(1, 2)
+_ZERO = Fraction(0)
 
 
 class AlgebraContext:
@@ -80,9 +81,9 @@ class AlgebraContext:
         if not self.lattice.is_doubly_even():
             raise ValueError("context lattice must be doubly even")
         self.gram = [[x.numerator for x in row] for row in self.lattice.gram]
-        if any(n == 2 for _, n in enumerate_short(self.lattice, 2)):
-            raise ValueError("context lattice must have no norm-2 vectors")
         hits = enumerate_short(self.lattice, 4)
+        if any(n == 2 for _, n in hits):
+            raise ValueError("context lattice must have no norm-2 vectors")
         norm4 = sorted(tuple(int(c) for c in z) for z, n in hits if n == 4)
         self.norm4 = tuple(v for v in norm4 if any(v))
         self.gram_inv = invert(self.gram)
@@ -105,11 +106,7 @@ class AlgebraContext:
         """G . key as ints, cached; key must lie in the dual lattice."""
         out = self._gvec.get(key)
         if out is None:
-            g = [Fraction(sum(row[i] * key[i] for i in range(self.rank) if key[i]))
-                 for row in self.gram]
-            if any(x.denominator != 1 for x in g):
-                raise ValueError("key is not in the dual lattice")
-            out = self._gvec[key] = tuple(int(x) for x in g)
+            out = self._gvec[key] = _dual_ints(self, key)
         return out
 
     def pairing(self, u, v) -> Fraction:
@@ -161,6 +158,37 @@ class AlgebraContext:
         return self._omega
 
 
+def _dual_ints(ctx, key):
+    """G . key as ints, for int or Fraction entries; key must lie in the dual."""
+    g, den = ctx.lattice.gram_times(key)
+    if any(x % den for x in g):
+        raise ValueError("key is not in the dual lattice")
+    return tuple(x // den for x in g)
+
+
+def _steps(ctx, xs, gxs, den, offset=0):
+    """Per vector x_i, the (index of e^y, offset + j) over the norm-4
+    y = x_j - x_i.
+
+    The x_i all have one norm k and are int tuples over den, with gxs[i]
+    = G x_i / den as ints.  Then y has norm 4 exactly when B(x_i, x_j)
+    = k - 2, which is B(x_i, y) = -2, so each unordered pair is tested once.
+    """
+    out = [[] for _ in xs]
+    if not xs:
+        return out
+    target = sum(map(mul, gxs[0], xs[0])) - 2 * den  # den * (k - 2)
+    index = ctx.index
+    for i, (x, gx) in enumerate(zip(xs, gxs)):
+        for j in range(i + 1, len(xs)):
+            t = xs[j]
+            if sum(map(mul, gx, t)) == target:
+                y = tuple((p - q) // den for p, q in zip(t, x))
+                out[i].append((index["e", y], offset + j))
+                out[j].append((index["e", tuple(-c for c in y)], offset + i))
+    return out
+
+
 def _merged(terms):
     """(index, weight) pairs with equal indices summed and zeros dropped."""
     out = {}
@@ -206,11 +234,7 @@ class _Tables:
         self.opp_terms = pad + [
             _merged([(q(a, b), (1 if a == b else 2) * x[a] * x[b]) for a, b in quad]
                     + [(nq + a, c) for a, c in enumerate(x)]) for x in ctx.norm4]
-        self.nbr = pad + [
-            tuple((start + j, ctx.index[("e", tuple(p + c for p, c in zip(x, y)))])
-                  for j, y in enumerate(ctx.norm4)
-                  if sum(map(mul, gx, y)) == -2)
-            for x, gx in zip(ctx.norm4, gxs)]
+        self.nbr = pad + _steps(ctx, ctx.norm4, gxs, 1, start)
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +562,15 @@ def apply_sigma(ctx: AlgebraContext, glue_coords, el: GriessElement,
 
 
 class ModuleSpace:
-    """Minimal-weight subspace of the module attached to a dual coset."""
+    """Minimal-weight subspace of the module attached to a dual coset.
+
+    ``keys`` are the sorted rational coefficient vectors of the minimal
+    coset vectors, and ``index``, built on first read, inverts them.
+    Inside, key i is the int tuple ``scaled_keys[i]`` over the coset's one
+    denominator ``den``, ``gvecs[i]`` is G . key as ints, and
+    ``lowering[i]`` lists the (index of e^y, j) over the norm-4 y with
+    key_i + y = key_j, the only exponentials that act within the space.
+    """
 
     def __init__(self, ctx: AlgebraContext, shift_coords):
         self.ctx = ctx
@@ -546,17 +578,28 @@ class ModuleSpace:
         self.min_norm = k
         self.weight = k / 2
         self.keys = sorted(zs)
-        self.index = {z: i for i, z in enumerate(self.keys)}
+        rows, self.den = clear_denominators(self.keys)
+        self.scaled_keys = [tuple(row) for row in rows]
+        self.gvecs = [_dual_ints(ctx, key) for key in self.keys]
+        self.lowering = _steps(ctx, self.scaled_keys, self.gvecs, self.den)
+
+    @cached_property
+    def index(self):
+        return {z: i for i, z in enumerate(self.keys)}
 
     def __len__(self):
         return len(self.keys)
 
+    def _column_image(self, u: GriessElement, lows, col):
+        """{row: value} of u_1 on key ``col``; ``lows`` is ``_low_terms(u)``."""
+        return _act(self.ctx, u, lows, col, self.gvecs[col], self.lowering[col])
+
     def act_matrix(self, u: GriessElement):
         n, lows = len(self.keys), _low_terms(u)
-        mat = [[Fraction(0)] * n for _ in range(n)]
-        for col, key in enumerate(self.keys):
-            for target, value in _act(self.ctx, u, lows, key, self.index).items():
-                mat[self.index[target]][col] = value
+        mat = [[_ZERO] * n for _ in range(n)]
+        for col in range(n):
+            for row, value in self._column_image(u, lows, col).items():
+                mat[row][col] = value
         return mat
 
 
@@ -593,9 +636,12 @@ def _low_terms(el):
     return [[(i, x) for i, x in terms.items() if i < start] for terms in el.comps]
 
 
-def _act(ctx, u, lows, key, index):
-    """{module key: value} of u_1 e^key; ``lows`` is ``_low_terms(u)``."""
-    gx, keys, nq = ctx.gvec(key), ctx.keys, ctx.n_quad
+def _act(ctx, u, lows, key, gx, pairs):
+    """{label: value} of u_1 e^key; ``lows`` is ``_low_terms(u)``, gx is
+    G . key as ints and ``pairs`` the (index of e^y, label of key + y) over
+    the norm-4 y with B(key, y) = -2.  ``key`` and the labels may be module
+    keys or positions in a space."""
+    keys, nq = ctx.keys, ctx.n_quad
     images = []
     for low, terms in zip(lows, u.comps):
         acc = 0
@@ -605,28 +651,42 @@ def _act(ctx, u, lows, key, index):
             else:
                 acc -= x * gx[i - nq]
         image = {key: acc} if acc else {}
-        for y, b, target in ctx.lowering(key):
-            if y in terms:
-                if b < -2:
-                    raise LeavesMinimalSpace("module key is not of minimal norm")
-                if target not in index:
-                    raise LeavesMinimalSpace("action leaves the minimal-weight space")
-                image[target] = terms[y]
+        for y, target in pairs:
+            x = terms.get(y)
+            if x:
+                image[target] = x
         images.append(image)
     return {target: _value(u.m, u.den, [image.get(target, 0) for image in images])
             for target in dict.fromkeys(k for image in images for k in image)}
 
 
 def module_act_on_key(ctx, u: GriessElement, key, index):
-    return _act(ctx, u, _low_terms(u), key, index)
+    """{module key: value} of u_1 e^key, for a key of the minimal-weight
+    space whose keys ``index`` holds; the pairs come from ``ctx.lowering``."""
+    support = set().union(*u.comps)
+    pairs = []
+    for y, b, target in ctx.lowering(key):
+        if y in support:
+            if b < -2:
+                raise LeavesMinimalSpace("module key is not of minimal norm")
+            if target not in index:
+                raise LeavesMinimalSpace("action leaves the minimal-weight space")
+            pairs.append((y, target))
+    return _act(ctx, u, _low_terms(u), key, ctx.gvec(key), pairs)
 
 
 def module_act(ctx, u: GriessElement, mv: ModuleVector) -> ModuleVector:
+    sp, lows = mv.space, _low_terms(u)
+    if sp.ctx is not ctx or u.ctx is not ctx:
+        raise ContextMismatch("module_act arguments from a different context")
     out = {}
     for key, c in mv.terms.items():
-        for k2, v in module_act_on_key(ctx, u, key, mv.space.index).items():
-            out[k2] = out.get(k2, 0) + c * v
-    return ModuleVector(mv.space, {k: v for k, v in out.items() if not is_zero(v)})
+        col = sp.index.get(key)
+        if col is None:
+            raise LeavesMinimalSpace("module key is not in the minimal-weight space")
+        for row, v in sp._column_image(u, lows, col).items():
+            out[row] = out.get(row, 0) + c * v
+    return ModuleVector(sp, {sp.keys[r]: v for r, v in out.items() if not is_zero(v)})
 
 
 # ---------------------------------------------------------------------------

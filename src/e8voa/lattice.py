@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from math import gcd, isqrt, lcm
-from operator import mul
+from operator import add, mul, sub
 
 from .linalg import (RowSpace, clear_denominators, det, hermite_normal_form,
                      invert)
@@ -67,16 +67,19 @@ class EvenLattice:
     """
 
     def __init__(self, basis, gram=None, scale=1):
-        self.basis = tuple(_frac_vec(row) for row in basis)
-        self.rank = len(self.basis)
+        self._setup(clear_denominators(list(basis)), gram, scale)
+
+    def _setup(self, int_basis, gram, scale):
+        """Set-up from the basis as (int rows, den): basis_i = rows_i / den."""
+        self._int_rows = int_basis
+        self.rank = len(int_basis[0])
         self.scale = Fraction(scale)
         self._span = None
         self._hermite_rows = None
         self._ldl = None
-        self._int_rows = None
         self._int_gram_rows = None
         if gram is None:
-            rows, den = self._int_basis()
+            rows, den = self._int_rows
             num = self.scale.numerator
             den = den * den * self.scale.denominator
             ints = [[num * sum(map(mul, u, v)) for v in rows] for u in rows]
@@ -101,7 +104,7 @@ class EvenLattice:
         scaled to the basis denominator it must be integral and reduce to
         zero against the Hermite form of the integer basis."""
         w = []
-        b_den = self._int_basis()[1]
+        b_den = self._int_rows[1]
         for x in vec:
             q, r = divmod(x.numerator * b_den, x.denominator * den)
             if r:
@@ -122,21 +125,21 @@ class EvenLattice:
         per row; cached."""
         if self._hermite_rows is None:
             rows = []
-            for row in hermite_normal_form(self._int_basis()[0]):
+            for row in hermite_normal_form(self._int_rows[0]):
                 p = next(j for j, x in enumerate(row) if x)
                 rows.append((p, row[p], [(j, x) for j, x in enumerate(row) if j > p and x]))
             self._hermite_rows = rows
         return self._hermite_rows
 
-    def _int_basis(self):
-        """The basis as integer rows over one common denominator; cached."""
-        if self._int_rows is None:
-            self._int_rows = clear_denominators(self.basis)
-        return self._int_rows
+    @cached_property
+    def basis(self):
+        """The basis rows as Fractions, built on first read."""
+        rows, den = self._int_rows
+        return tuple(tuple(Fraction(x, den) for x in row) for row in rows)
 
     def ambient_ints(self, coeffs):
         """(ints, den) with sum(c_i * basis_i) = ints / den."""
-        rows, den = self._int_basis()
+        rows, den = self._int_rows
         coeffs, c_den = _over_one_den(coeffs)
         out = [0] * len(rows[0])
         for c, row in zip(coeffs, rows):
@@ -188,23 +191,24 @@ class EvenLattice:
 
         Breadth-first over the rows of G^-1, the dual basis in coefficient
         space, yielding the zero coset first; two shifts lie in the same
-        coset exactly when they agree mod 1.
+        coset exactly when they agree mod 1.  The search runs on the rows
+        as ints over one denominator.
         """
-        steps = invert(self.gram)
-        zero = (_ZERO,) * self.rank
+        steps, den = clear_denominators(invert(self.gram))
+        zero = (0,) * self.rank
         seen = {zero}
         frontier = [zero]
-        yield zero
+        yield (_ZERO,) * self.rank
         while frontier:
             new = []
             for base in frontier:
                 for row in steps:
-                    cand = tuple(a + b for a, b in zip(base, row))
-                    key = tuple(x % 1 for x in cand)
+                    cand = tuple(map(add, base, row))
+                    key = tuple(x % den for x in cand)
                     if key not in seen:
                         seen.add(key)
                         new.append(cand)
-                        yield cand
+                        yield tuple(Fraction(x, den) for x in cand)
             frontier = new
 
     def ldl(self):
@@ -326,6 +330,7 @@ class Coset:
             raise ValueError("coset shift lies outside the rational span")
         self.shift_coords = tuple(Fraction(x) for x in c)
         self.min_info = None  # coset_min_norm's unbudgeted result, once computed
+        self.min_ints = None  # count_X_eta's scaled minima and roots, once computed
 
     def __eq__(self, other):
         if not isinstance(other, Coset):
@@ -365,18 +370,34 @@ def coset_min_norm(c: Coset, budget_seconds=None) -> dict:
 
 
 def count_X_eta(root_system, gamma: Coset, eta) -> int:
-    """|{(alpha, beta): alpha a root, beta coset-minimal, alpha + beta = eta}|."""
-    info = gamma.min_info or coset_min_norm(gamma)
-    minimal = set(tuple(v) for v in info["reps"])
-    eta = _frac_vec(eta)
+    """|{(alpha, beta): alpha a root, beta coset-minimal, alpha + beta = eta}|,
+    counted on int tuples over one denominator of the minima and the roots."""
+    den, minimal, roots = _x_eta_ints(root_system, gamma)
+    scaled = []
+    for x in eta:
+        q, r = divmod(x.numerator * den, x.denominator)
+        if r:
+            raise NotMinimal("eta is not of minimal norm in its coset")
+        scaled.append(q)
+    eta = tuple(scaled)
     if eta not in minimal:
         raise NotMinimal("eta is not of minimal norm in its coset")
-    count = 0
-    for alpha in root_system.roots:
-        beta = tuple(e - a for e, a in zip(eta, alpha))
-        if beta in minimal:
-            count += 1
-    return count
+    return sum(tuple(map(sub, eta, alpha)) in minimal for alpha in roots)
+
+
+def _x_eta_ints(root_system, gamma: Coset):
+    """(den, minimal, roots): the coset's minimal vectors as a set and the
+    roots as a list, int tuples over their one common denominator (which
+    covers half-integral roots too); kept on the coset for the last root
+    system asked about."""
+    data = gamma.min_ints
+    if data is None or data[0] is not root_system:
+        reps = (gamma.min_info or coset_min_norm(gamma))["reps"]
+        rows, den = clear_denominators(reps + list(root_system.roots))
+        rows = [tuple(row) for row in rows]
+        data = gamma.min_ints = (root_system, den, set(rows[:len(reps)]),
+                                 rows[len(reps):])
+    return data[1:]
 
 
 def size_reduce_basis(lat: EvenLattice) -> EvenLattice:
@@ -385,7 +406,7 @@ def size_reduce_basis(lat: EvenLattice) -> EvenLattice:
     Runs on the integer basis rows: the scale and the common denominator
     cancel from every comparison and from each rounded projection.
     """
-    basis, den = lat._int_basis()
+    basis, den = lat._int_rows
     basis = [list(r) for r in basis]
     norms = [sum(x * x for x in r) for r in basis]
     n = lat.rank
@@ -418,8 +439,11 @@ def _round_ratio(p, q):
 
 
 def _lattice_over(rows, den, scale=1) -> EvenLattice:
-    """The lattice with basis rows int_rows / den."""
-    return EvenLattice([[Fraction(x, den) for x in row] for row in rows], scale=scale)
+    """The lattice with basis rows int_rows / den, the rows kept as ints."""
+    g = gcd(den, *(x for row in rows for x in row))
+    lat = object.__new__(EvenLattice)
+    lat._setup(([[x // g for x in row] for row in rows], den // g), None, scale)
+    return lat
 
 
 def lattice_from_integer_rows(rows, denominator=1) -> EvenLattice:

@@ -18,7 +18,7 @@ from .griess import (MODULE_EIGENVALUES, ModuleSpace,
                      conformal_check, coset_U2_cached, e8_context,
                      inner, product, sigma_phase, tau_from_matrix,
                      theta_split_tau_check)
-from .linalg import hermite_normal_form, scalar_inverse
+from .linalg import det, hermite_normal_form, scalar_inverse
 from .rootsys import NODE_LABELS, extended_e8_node
 from .scalars import Cyclotomic, as_rational, is_zero
 
@@ -148,14 +148,10 @@ def dual_coset_spaces():
     ctx = e8_context()
     shifts = list(ctx.lattice.dual_coset_shifts())
     spaces = [ModuleSpace(ctx, shift) for shift in shifts[1:]]
-    # the minimal keys across all cosets generate the dual lattice
-    doubled = []
-    for sp in spaces:
-        for key in sp.keys:
-            doubled.append([int(2 * x) for x in key])
-    h = hermite_normal_form(doubled)
-    from .linalg import det
-    if len(h) != 8 or abs(det(h)) != 1:
+    # the minimal keys across all cosets generate the dual lattice; every
+    # nontrivial coset has denominator 2, so the int keys are the doubled keys
+    h = hermite_normal_form([x for sp in spaces for x in sp.scaled_keys])
+    if any(sp.den != 2 for sp in spaces) or len(h) != 8 or abs(det(h)) != 1:
         raise DualNotGenerated("minimal coset vectors do not generate the dual")
     return spaces
 

@@ -6,7 +6,8 @@ Plain Fraction versions of ``linalg.det``, ``linalg.invert``,
 ``rootsys.decompose_root_lattice``, as they were before those moved onto
 int-scaled rows, and the eigenvector construction of
 ``griess.tau_from_matrix`` as it was before tau became a polynomial in the
-action matrix; the oracle tests compare the two.
+action matrix, and ``lattice.count_X_eta`` as it was before it moved onto
+int tuples; the oracle tests compare the two.
 """
 
 from fractions import Fraction
@@ -191,3 +192,20 @@ def root_components(lat):
         roots = [r for r in coords if any(lat.pair(r, s) != 0 for s in comp)]
         out.append((sorted(comp), roots))
     return sorted(out)
+
+
+def count_X_eta(root_system, gamma, eta) -> int:
+    """|{(alpha, beta): alpha + beta = eta}| over roots alpha and coset-minimal
+    beta, on Fraction tuples; raises NotMinimal unless eta is coset-minimal."""
+    from e8voa.lattice import NotMinimal, coset_min_norm
+    info = gamma.min_info or coset_min_norm(gamma)
+    minimal = set(tuple(v) for v in info["reps"])
+    eta = tuple(Fraction(x) for x in eta)
+    if eta not in minimal:
+        raise NotMinimal("eta is not of minimal norm in its coset")
+    count = 0
+    for alpha in root_system.roots:
+        beta = tuple(e - a for e, a in zip(eta, alpha))
+        if beta in minimal:
+            count += 1
+    return count

@@ -16,6 +16,7 @@ from e8voa.griess import (MODULE_EIGENVALUES, BadSpectrum, ContextMismatch,
                           module_act_on_key, product,
                           sigma_phase, tau_from_matrix,
                           theta_split_tau_check)
+from e8voa.lattice import coset_minimum
 from e8voa.rootsys import extended_e8_node
 from e8voa.scalars import Cyclotomic, as_rational
 
@@ -308,6 +309,51 @@ def test_act_matrix_matches_a_sum_over_all_norm4_vectors(letter, rank):
             assert sp.act_matrix(u) == brute_force_act_matrix(ctx, u, sp)
 
 
+def _e8_dual_shift(mask):
+    """The sum of the dual basis rows picked by the bits of mask."""
+    rows = e8ctx().gram_inv
+    return [sum((rows[b][t] for b in range(8) if mask >> b & 1), F(0))
+            for t in range(8)]
+
+
+@pytest.mark.parametrize("mask", [1, 16, 129])
+def test_act_matrix_matches_a_sum_over_all_norm4_vectors_on_e8(mask):
+    # e-hat is rational; node 5's f-hat lives over Q(zeta_6)
+    ctx = e8ctx()
+    sp = ModuleSpace(ctx, _e8_dual_shift(mask))
+    for u in (e_hat(), build_node_family(5).f_hat):
+        assert sp.act_matrix(u) == brute_force_act_matrix(ctx, u, sp)
+
+
+def _lowering_spaces():
+    """(ctx, shift, space) over all 255 E8 dual cosets and every dual coset
+    of A1-A4 and D3-D5."""
+    ctx = e8ctx()
+    for shift in list(ctx.lattice.dual_coset_shifts())[1:]:
+        yield ctx, shift, ModuleSpace(ctx, shift)
+    for letter, rank in [("A", 1), ("A", 2), ("A", 3), ("A", 4),
+                         ("D", 3), ("D", 4), ("D", 5)]:
+        rs, ctx = sqrt2_root_context(letter, rank)
+        for shift in rs.lattice.dual_coset_shifts():
+            yield ctx, shift, ModuleSpace(ctx, shift)
+
+
+def test_module_space_lowering_pairs_match_the_norm4_scan():
+    n_spaces = 0
+    for ctx, shift, sp in _lowering_spaces():
+        n_spaces += 1
+        assert sp.keys == sorted(coset_minimum(ctx.lattice, shift)[1])
+        for col, key in enumerate(sp.keys):
+            own = sorted((y, sp.keys[row]) for y, row in sp.lowering[col])
+            scan = sorted((y, t) for y, b, t in ctx.lowering(key)
+                          if b == -2 and t in sp.index)
+            assert own == scan
+            assert len(own) == len(ctx.lowering(key))
+            assert sp.gvecs[col] == ctx.gvec(key)
+            assert sp.scaled_keys[col] == tuple(sp.den * x for x in key)
+    assert n_spaces == 255 + 2 + 3 + 4 + 5 + 4 + 4 + 4
+
+
 def test_action_off_the_minimal_weight_space_is_rejected():
     rs, ctx = sqrt2_root_context("A", 2)
     x = ctx.norm4[0]
@@ -323,6 +369,16 @@ def test_action_off_the_minimal_weight_space_is_rejected():
     assert module_act_on_key(ctx, e_y, x, {x: 0, target: 1}) == {target: 1}
     with pytest.raises(LeavesMinimalSpace, match="leaves the minimal-weight space"):
         module_act_on_key(ctx, e_y, x, {x: 0})
+
+
+def test_module_act_rejects_foreign_keys_and_contexts():
+    rs, ctx = sqrt2_root_context("A", 2)
+    sp = ModuleSpace(ctx, next(rs.lattice.dual_coset_shifts()))
+    s = build_virasoro_family(ctx, rs.root_coords)["s"]
+    with pytest.raises(LeavesMinimalSpace, match="not in the minimal-weight space"):
+        module_act(ctx, s, ModuleVector(sp, {ctx.norm4[0]: F(1)}))
+    with pytest.raises(ContextMismatch):
+        module_act(ctx, e_hat(), ModuleVector(sp, {sp.keys[0]: F(1)}))
 
 
 def test_tau_module_spectrum_and_involution():

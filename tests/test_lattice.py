@@ -240,6 +240,32 @@ def test_count_x_eta_rejects_nonminimal():
             count_X_eta(a2, c, bad)
 
 
+def test_count_x_eta_rejects_a_vector_outside_the_coset():
+    a2 = build_root_system("A", 2)
+    c = Coset(a2.lattice, (F(1, 3), F(1, 3), F(-2, 3)))
+    with pytest.raises(NotMinimal):
+        count_X_eta(a2, c, (F(2, 3), F(-1, 3), F(-1, 3)))  # another coset
+    with pytest.raises(NotMinimal):
+        count_X_eta(a2, c, (F(1, 6), F(1, 6), F(-1, 3)))  # not in the dual
+
+
+X_ETA_SYSTEMS = ([("A", n) for n in range(1, 5)] + [("D", n) for n in range(3, 6)]
+                 + [("E", n) for n in range(6, 9)])
+
+
+@pytest.mark.parametrize("letter, rank", X_ETA_SYSTEMS,
+                         ids=["%s%d" % t for t in X_ETA_SYSTEMS])
+def test_count_x_eta_matches_the_fraction_reference(letter, rank):
+    # E8's roots are half-integral in the model, while its one coset is the
+    # lattice itself, whose minimum is the zero vector
+    import fraction_reference as ref
+    rs = build_root_system(letter, rank)
+    for shift in rs.lattice.dual_coset_shifts():
+        c = Coset(rs.lattice, rs.lattice.ambient(shift))
+        for eta in coset_min_norm(c)["reps"]:
+            assert count_X_eta(rs, c, eta) == ref.count_X_eta(rs, c, eta)
+
+
 def test_coset_equality():
     a2 = build_root_system("A", 2)
     mu = (F(1, 3), F(1, 3), F(-2, 3))

@@ -5,8 +5,9 @@ or from ``e8voa`` itself, and no module contains a float literal or a
 ``float(...)`` call.  The check reads the syntax tree only, so it cannot
 see ``/`` applied to two ints, which also yields a float at run time.
 The weight-2 kernel functions call no scalar constructor, and lattice
-membership, size reduction, the LDL decomposition, the root decomposition
-and the glue class map call no Fraction.  The tau involution is a
+membership, size reduction, the LDL decomposition, the root decomposition,
+the glue class map, the X_eta count and the module action matrix call no
+Fraction.  The tau involution is a
 polynomial in the action matrix: it computes no kernel, echelon form or
 inverse, and its matrix products call no Fraction.
 """
@@ -97,6 +98,13 @@ def test_lattice_membership_and_size_reduction_run_on_ints():
     # both work on the int-scaled basis rows; only the reduced lattice's
     # constructor, outside these bodies, turns rows back into Fractions
     _assert_no_fraction_calls("lattice.py", ["EvenLattice.contains", "size_reduce_basis"])
+
+
+def test_coset_vectors_run_on_ints():
+    # count_X_eta compares int tuples over one denominator; the action
+    # matrix fills with a module constant and reads values from _act only
+    _assert_no_fraction_calls("lattice.py", ["count_X_eta", "_x_eta_ints"])
+    _assert_no_fraction_calls("griess.py", ["ModuleSpace.act_matrix"])
 
 
 def test_ldl_root_decomposition_and_glue_classes_run_on_ints():

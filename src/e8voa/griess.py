@@ -27,7 +27,7 @@ from operator import mul
 from .codes import construction_A, data_cached, named_code
 from .lattice import EvenLattice, coset_minimum, enumerate_short
 from .linalg import (RowSpace, clear_denominators, identity, invert,
-                     kernel_basis_int, mat_mul)
+                     mat_mul, rank_mod_p)
 from .scalars import Cyclotomic, half_turn_phase, is_zero, power_table
 
 
@@ -133,11 +133,11 @@ class AlgebraContext:
         glue = tuple(glue_coords)
         out = self._phases.get(glue)
         if out is None:
+            n, exps = sigma_exponents(self, glue, self.norm4)
             out = [None] * self.expo_start
-            for x in self.norm4:
-                t = self.pairing(glue, x)
-                f = Fraction(-t.numerator, 2 * t.denominator)
-                out.append((f.denominator, f.numerator % f.denominator))
+            for e in exps:
+                g = gcd(n, e)
+                out.append((n // g, e // g))
             self._phases[glue] = out
         return out
 
@@ -538,6 +538,18 @@ def sigma_phase(ctx: AlgebraContext, glue_coords, key):
     """Phase of the lattice automorphism exp(-pi i beta(0)) on e^key."""
     t = ctx.pairing(glue_coords, key)
     return half_turn_phase(t)
+
+
+def sigma_exponents(ctx: AlgebraContext, glue_coords, xs, den=1):
+    """(N, exps) with e^(-pi i B(glue, x_i / den)) = zeta_N^exps[i].
+
+    The x_i are int tuples over den and the exponents lie in [0, N).  With
+    G glue = g / d as ints, B(glue, x / den) = g.x / (d den), so N = 2 d den
+    serves every x alike and the phases compare as integers mod N.
+    """
+    g, d = ctx.lattice.gram_times(glue_coords)
+    n = 2 * d * den
+    return n, [-sum(map(mul, g, x)) % n for x in xs]
 
 
 def apply_sigma(ctx: AlgebraContext, glue_coords, el: GriessElement,
@@ -1010,12 +1022,25 @@ def _block_matrix(ctx, op, block):
             for r in range(len(block))], den
 
 
-def _stacked_kernel(ctx, operators, block):
-    """Dimension of the common kernel of several operators on a block."""
+def _stacked_rows(ctx, operators, block):
+    """The int rows of several operators on a block, stacked."""
     rows = []
     for op in operators:
         rows.extend(_block_matrix(ctx, op, block)[0])
-    return len(kernel_basis_int(rows, len(block)))
+    return rows
+
+
+def _u2_blocks(fams):
+    """The blocks of coset_U2 by grade j, grade 0 as its theta-even and
+    theta-odd halves."""
+    ctx = fams.ctx
+    expo_blocks = {j: [] for j in range(fams.node.n)}
+    for k in ctx.norm4:
+        expo_blocks[fams.key_class[k]].append(k)
+    blocks = {0: list(_theta_split_keys(ctx, expo_blocks[0]))}
+    for j in range(1, fams.node.n):
+        blocks[j] = [[((ctx.index[("e", k)], 1),) for k in expo_blocks[j]]]
+    return blocks
 
 
 def coset_U2(i: int) -> U2Data:
@@ -1024,32 +1049,32 @@ def coset_U2(i: int) -> U2Data:
     The kernel is computed blockwise: the coset grading splits the space
     into sigma-eigenblocks preserved by every (s^k)_1, and the class-0
     block splits further into theta-even and theta-odd halves.
+
+    The dimension is certified from both sides.  Per block, ``len(block)
+    - rank_mod_p`` of the stacked rows bounds the kernel from above, as
+    the rank mod p is at most the rank over Q.  The claimed basis (l
+    vectors of grade 0, one X_j per grade j) lies in the kernel and is
+    independent, so the whole kernel has dimension at least l + n - 1.
+    The kernel is the direct sum of the block kernels (``_block_matrix``
+    raises if an image leaves its block), so upper bounds equal to l and
+    to 1 are met in every grade.  A prime that loses rank can only make
+    the bounds disagree.
     """
     fams = build_node_family(i)
     ctx = fams.ctx
     node = fams.node
     n, l = node.n, len(node.components)
 
-    expo_blocks = {j: [] for j in range(n)}
-    for k in ctx.norm4:
-        expo_blocks[fams.key_class[k]].append(k)
-
-    even0, odd0 = _theta_split_keys(ctx, expo_blocks[0])
-
-    block_dims = {0: (_stacked_kernel(ctx, fams.s, even0)
-                      + _stacked_kernel(ctx, fams.s, odd0))}
-    for j in range(1, n):
-        block = [((ctx.index[("e", k)], 1),) for k in expo_blocks[j]]
-        block_dims[j] = _stacked_kernel(ctx, fams.s, block)
+    block_dims = {j: sum(len(b) - rank_mod_p(_stacked_rows(ctx, fams.s, b))
+                         for b in bs)
+                  for j, bs in _u2_blocks(fams).items()}
+    lower = {j: l if j == 0 else 1 for j in range(n)}
+    if block_dims != lower:
+        raise DimensionMismatch(
+            f"node {i}: U2 kernel upper bounds {block_dims} per grade, "
+            f"against lower bounds {lower}")
 
     expected = l + n - 1
-    if sum(block_dims.values()) != expected:
-        raise DimensionMismatch(
-            f"node {i}: U2 kernel has dimension {sum(block_dims.values())}, "
-            f"expected {expected}")
-    if block_dims[0] != l or any(block_dims[j] != 1 for j in range(1, n)):
-        raise DimensionMismatch(f"node {i}: unexpected graded kernel {block_dims}")
-
     labels = ([f"omega_tilde_{k+1}" for k in range(l)]
               + [f"X_{j}" for j in range(1, n)])
     basis = list(fams.omega_tilde) + [fams.X[j] for j in range(1, n)]

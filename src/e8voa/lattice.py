@@ -77,21 +77,27 @@ class EvenLattice:
         self._span = None
         self._hermite_rows = None
         self._ldl = None
-        self._int_gram_rows = None
         if gram is None:
             rows, den = self._int_rows
             num = self.scale.numerator
             den = den * den * self.scale.denominator
             ints = [[num * sum(map(mul, u, v)) for v in rows] for u in rows]
             self._int_gram_rows = ints, den
-            self.gram = [[Fraction(x, den) for x in row] for row in ints]
         else:
-            self.gram = [[Fraction(x) for x in row] for row in gram]
-        if self.gram != [list(col) for col in zip(*self.gram)]:
+            self._int_gram_rows = clear_denominators(gram)
+        ints = self._int_gram_rows[0]
+        if ints != [list(col) for col in zip(*ints)]:
             raise ValueError("Gram matrix must be symmetric")
 
+    @cached_property
+    def gram(self):
+        """The Gram matrix as Fraction rows, built on first read."""
+        ints, den = self._int_gram_rows
+        return [[Fraction(x, den) for x in row] for row in ints]
+
     def det_gram(self) -> Fraction:
-        return det(self.gram)
+        ints, den = self._int_gram_rows
+        return det(ints) / den ** self.rank
 
     def coords(self, ambient_vec):
         """Rational coefficients of an ambient vector over the basis, or None."""
@@ -152,15 +158,9 @@ class EvenLattice:
         out, den = self.ambient_ints(coeffs)
         return tuple(Fraction(o, den) if o else _ZERO for o in out)
 
-    def _int_gram(self):
-        """The Gram matrix as integer rows over one common denominator; cached."""
-        if self._int_gram_rows is None:
-            self._int_gram_rows = clear_denominators(self.gram)
-        return self._int_gram_rows
-
     def gram_times(self, v):
         """(ints, den) with G v = ints / den, for a coefficient vector v."""
-        rows, den = self._int_gram()
+        rows, den = self._int_gram_rows
         v, v_den = _over_one_den(v)
         return [sum(map(mul, row, v)) for row in rows], den * v_den
 
@@ -172,8 +172,9 @@ class EvenLattice:
 
     def _gram_divisible(self, diag, off) -> bool:
         """Integral Gram matrix, diagonal divisible by diag, the rest by off."""
-        return all(x.denominator == 1 and x.numerator % (diag if i == j else off) == 0
-                   for i, row in enumerate(self.gram) for j, x in enumerate(row))
+        ints, den = self._int_gram_rows
+        return all(x % (den * (diag if i == j else off)) == 0
+                   for i, row in enumerate(ints) for j, x in enumerate(row))
 
     def is_even(self) -> bool:
         return self._gram_divisible(2, 1)
@@ -183,8 +184,21 @@ class EvenLattice:
         # under addition, so the basis check suffices
         return self._gram_divisible(4, 2)
 
+    def _gram_inverse(self):
+        """(rows, d) with G^-1 = rows / d, as ints: G = A / den has the
+        inverse den * A^-1."""
+        ints, den = self._int_gram_rows
+        rows, d = clear_denominators(invert(ints))
+        return [[den * x for x in row] for row in rows], d
+
     def dual_basis_rows(self):
-        return [self.ambient(row) for row in invert(self.gram)]
+        """The dual basis as ambient vectors, the images of the rows of G^-1."""
+        rows, d = self._gram_inverse()
+        out = []
+        for row in rows:
+            v, den = self.ambient_ints(row)
+            out.append(tuple(Fraction(x, den * d) if x else _ZERO for x in v))
+        return out
 
     def dual_coset_shifts(self):
         """One coefficient shift per coset of the lattice in its dual.
@@ -194,7 +208,7 @@ class EvenLattice:
         coset exactly when they agree mod 1.  The search runs on the rows
         as ints over one denominator.
         """
-        steps, den = clear_denominators(invert(self.gram))
+        steps, den = self._gram_inverse()
         zero = (0,) * self.rank
         seen = {zero}
         frontier = [zero]
@@ -222,7 +236,7 @@ class EvenLattice:
         d_i = a_ii / (a_{i-1,i-1} * den) and u_ij = a_ij / a_ii.
         """
         if self._ldl is None:
-            ints, den = self._int_gram()
+            ints, den = self._int_gram_rows
             a = [list(row) for row in ints]
             n = self.rank
             prev = 1

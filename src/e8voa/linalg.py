@@ -2,6 +2,8 @@
 
 Matrices are lists of row lists.  Field entries may be int, Fraction, or
 Cyclotomic; everything here is division-exact, no floating point anywhere.
+``rank_mod_p`` works over a fixed prime field and gives a one-sided bound
+on the rank over Q.
 """
 
 from __future__ import annotations
@@ -136,6 +138,36 @@ def kernel_basis_int(rows, ncols):
             x[c] = -Fraction(s) / m[rr][c]
         basis.append(x)
     return basis
+
+
+RANK_PRIME = 2 ** 31 - 1
+
+
+def rank_mod_p(rows):
+    """Rank over F_p, p = RANK_PRIME, of an integer matrix.
+
+    Reduction mod p is a ring map, so every minor that vanishes over Q
+    vanishes mod p: this rank is at most the rank over Q, and
+    ``ncols - rank_mod_p`` bounds the kernel dimension over Q from above.
+    """
+    p = RANK_PRIME
+    m = [r for r in ([x % p for x in row] for row in rows) if any(r)]
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = pow(m[rank][c], -1, p)
+        tail = [x * inv % p for x in m[rank][c:]]
+        for i in range(rank + 1, len(m)):
+            a = m[i][c]
+            if a:
+                m[i][c:] = [(x - a * y) % p for x, y in zip(m[i][c:], tail)]
+        rank += 1
+        if rank == len(m):
+            break
+    return rank
 
 
 def clear_denominators(rows):

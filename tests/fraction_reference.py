@@ -7,7 +7,8 @@ Plain Fraction versions of ``linalg.det``, ``linalg.invert``,
 int-scaled rows, and the eigenvector construction of
 ``griess.tau_from_matrix`` as it was before tau became a polynomial in the
 action matrix, and ``lattice.count_X_eta`` as it was before it moved onto
-int tuples; the oracle tests compare the two.
+int tuples; ``rank`` is the rank over Q that ``linalg.rank_mod_p`` bounds
+from below.  The oracle tests compare the two.
 """
 
 from fractions import Fraction
@@ -35,6 +36,11 @@ def rref(mat):
         pivots.append(c)
         r += 1
     return m, pivots
+
+
+def rank(mat) -> int:
+    """Rank over Q: the number of pivots of the reduced echelon form."""
+    return len(rref(mat)[1])
 
 
 def det(mat) -> Fraction:

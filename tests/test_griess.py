@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from e8voa.griess import (MODULE_EIGENVALUES, BadSpectrum, ContextMismatch,
-                          GriessElement, LeavesMinimalSpace, ModuleSpace,
+                          DimensionMismatch, GriessElement, LeavesMinimalSpace, ModuleSpace,
                           ModuleVector, NotConformal, apply_sigma,
                           apply_theta, build_hamming_family,
                           build_node_family, build_virasoro_family,
@@ -448,6 +448,33 @@ def test_u2_dimensions_and_basis():
         node = extended_e8_node(i)
         u2 = coset_U2_cached(i)
         assert u2.dim == len(node.components) + node.n - 1
+
+
+def test_u2_block_dims_match_the_rational_kernels():
+    # the certified upper bounds equal the kernel dimensions over Q
+    from e8voa.griess import _stacked_rows, _u2_blocks
+    from e8voa.linalg import kernel_basis_int
+    for i in range(9):
+        fams = build_node_family(i)
+        want = {j: sum(len(kernel_basis_int(_stacked_rows(fams.ctx, fams.s, b), len(b)))
+                       for b in bs)
+                for j, bs in _u2_blocks(fams).items()}
+        assert coset_U2_cached(i).block_dims == want
+
+
+def test_u2_rank_lost_mod_a_small_prime_is_a_dimension_mismatch(monkeypatch):
+    # mod 7 a grade-0 block of node 5 loses rank, so its upper bound
+    # exceeds the lower bound and the certificate fails
+    from e8voa import linalg
+    monkeypatch.setattr(linalg, "RANK_PRIME", 7)
+    coset_U2_cached.cache_clear()
+    try:
+        with pytest.raises(DimensionMismatch,
+                           match=r"node 5: U2 kernel upper bounds \{0: 18, 1: 1.*\} "
+                                 r"per grade, against lower bounds \{0: 3, 1: 1"):
+            coset_U2_cached(5)
+    finally:
+        coset_U2_cached.cache_clear()
 
 
 def test_u2_inner_recovers_table():

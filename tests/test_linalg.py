@@ -140,3 +140,34 @@ def test_integer_det_and_invert_match_the_fraction_reference(mat):
     assert (got == "singular") == (ref.det(mat) == 0)
     if got != "singular":
         assert all(type(x) is F for row in got for x in row)
+
+
+@st.composite
+def small_int_matrices(draw):
+    """Integer matrices up to 6x6 with entries in [-9, 9], often of low rank:
+    rows may repeat, change sign or vanish.  Every minor is below the
+    Hadamard bound (9 * sqrt(6))^6 < 2^31 - 1, so none vanishes mod the
+    prime unless it vanishes over Q."""
+    ncols = draw(st.integers(1, 6))
+    row = st.lists(st.integers(-9, 9), min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, min_size=1, max_size=6))
+    for _ in range(draw(st.integers(0, 6 - len(rows)))):
+        src = draw(st.sampled_from(rows))
+        rows.append([draw(st.sampled_from([-1, 0, 1])) * x for x in src])
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_int_matrices())
+def test_rank_mod_p_matches_the_fraction_rank(rows):
+    import fraction_reference as ref
+    from e8voa.linalg import rank_mod_p
+    assert rank_mod_p(rows) == ref.rank(rows)
+
+
+def test_rank_mod_p_only_loses_rank():
+    # a multiple of the prime vanishes mod p, so the rank can only drop
+    from e8voa.linalg import RANK_PRIME, rank_mod_p
+    assert rank_mod_p([[RANK_PRIME, 0], [0, 1]]) == 1
+    assert rank_mod_p([[1, 2], [2, 4 + RANK_PRIME]]) == 1
+    assert rank_mod_p([]) == rank_mod_p([[0, 0]]) == 0

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from e8voa import griess, mckay
 from e8voa.mckay import (MCKAY_TABLE, conway_report,
                          counting_formula_inner, dihedral_check, direct_inner,
                          markdown_table, tau_product_orders)
@@ -101,3 +102,96 @@ def test_dual_cosets_that_do_not_generate_raise_their_own_class(monkeypatch):
     monkeypatch.setattr(mckay, "hermite_normal_form", lambda rows: rows[:7])
     with pytest.raises(mckay.DualNotGenerated, match="do not generate the dual"):
         mckay.dual_coset_spaces.__wrapped__()
+
+
+# the mutation tests below corrupt one exponent or one lowering pair on a
+# coset that the old sample range(0, 255, 23) skipped, for a node whose
+# conjugation check used to be sampled; the checks must name that coset
+UNSAMPLED_COSET = 102
+MUTATED_NODE = 4
+
+
+def _clear_involution_caches():
+    mckay.dual_tau_orders.cache_clear()
+    mckay.conjugation_verified.cache_clear()
+    griess.coset_U2_cached.cache_clear()
+
+
+@pytest.fixture
+def fresh_caches():
+    _clear_involution_caches()
+    yield
+    _clear_involution_caches()
+
+
+def _unsampled_space():
+    assert UNSAMPLED_COSET % 23
+    # the tau data is computed before any corruption and stays cached
+    return mckay.dual_tau_data()[UNSAMPLED_COSET][0]
+
+
+def test_corrupt_key_exponent_fails_on_an_unsampled_coset(monkeypatch, fresh_caches):
+    keys = _unsampled_space().scaled_keys
+    real = mckay.sigma_exponents
+
+    def corrupt(ctx, glue, xs, den=1):
+        n, exps = real(ctx, glue, xs, den)
+        if xs is keys:
+            exps[3] = (exps[3] + 1) % n
+        return n, exps
+
+    monkeypatch.setattr(mckay, "sigma_exponents", corrupt)
+    with pytest.raises(mckay.ConjugationFailed,
+                       match=rf"node {MUTATED_NODE}: .* on coset {UNSAMPLED_COSET}: "
+                             r"keys \(\d+, \d+\) have exponents \d+, \d+"):
+        mckay.dual_tau_orders(MUTATED_NODE)
+
+
+def test_corrupt_lowering_target_fails_on_an_unsampled_coset(monkeypatch, fresh_caches):
+    sp = _unsampled_space()
+    fams = griess.build_node_family(MUTATED_NODE)
+    n, exps = griess.sigma_exponents(fams.ctx, fams.node.glue_coords,
+                                     sp.scaled_keys, sp.den)
+    y, a = sp.lowering[0][0]
+    wrong = next(c for c in range(len(sp)) if exps[c] != exps[a])
+    lowering = list(sp.lowering)
+    lowering[0] = [(y, wrong)] + lowering[0][1:]
+    monkeypatch.setattr(sp, "lowering", lowering)
+    with pytest.raises(mckay.ConjugationFailed,
+                       match=rf"not the sigma conjugate on coset {UNSAMPLED_COSET}: "
+                             rf"keys \({wrong}, 0\) have exponents {exps[wrong]}, "
+                             rf"{exps[0]} and e\^y has \d+ mod {n}"):
+        mckay.dual_tau_orders(MUTATED_NODE)
+
+
+def test_corrupt_sigma_phase_fails_conjugation_and_dihedral(monkeypatch, fresh_caches):
+    fams = griess.build_node_family(MUTATED_NODE)
+    ctx = fams.ctx
+    glue = fams.node.glue_coords
+    assert mckay.conjugation_verified(MUTATED_NODE)
+    assert dihedral_check(MUTATED_NODE)["verified"]
+    mckay.conjugation_verified.cache_clear()
+    phases = list(ctx.sigma_phases(glue))
+    x = next(k for k in range(ctx.expo_start, len(phases)) if phases[k][0] > 1)
+    q, p = phases[x]
+    phases[x] = (q, (p + 1) % q)
+    monkeypatch.setitem(ctx._phases, tuple(glue), phases)
+    assert not mckay.conjugation_verified(MUTATED_NODE)
+    assert not dihedral_check(MUTATED_NODE)["verified"]
+
+
+def test_sigma_phases_match_the_cyclotomic_sigma_phase():
+    # the integer exponents are read as zeta_q^p against the one reference
+    # phase, on every norm-4 key and on every key of one dual coset
+    from e8voa.scalars import Cyclotomic
+    sp = _unsampled_space()
+    for i in (2, 5, 6):
+        fams = griess.build_node_family(i)
+        ctx, glue = fams.ctx, fams.node.glue_coords
+        phases = ctx.sigma_phases(glue)
+        for k, x in enumerate(ctx.norm4):
+            q, p = phases[ctx.expo_start + k]
+            assert Cyclotomic.zeta(q, p) == griess.sigma_phase(ctx, glue, x)
+        n, exps = griess.sigma_exponents(ctx, glue, sp.scaled_keys, sp.den)
+        for key, e in zip(sp.keys, exps):
+            assert Cyclotomic.zeta(n, e) == griess.sigma_phase(ctx, glue, key)

@@ -9,7 +9,9 @@ membership, size reduction, the LDL decomposition, the root decomposition,
 the glue class map, the X_eta count and the module action matrix call no
 Fraction.  The tau involution is a
 polynomial in the action matrix: it computes no kernel, echelon form or
-inverse, and its matrix products call no Fraction.
+inverse, and its matrix products call no Fraction.  The involution checks
+and the rank mod p compare integers: they call no Cyclotomic,
+scalar_inverse, sigma_phase or act_matrix.
 """
 
 import ast
@@ -168,3 +170,35 @@ def test_data_file_readers_are_cached_only_by_data_cached():
     bad = [f"{module}:{name}" for module, name in memoized
            if reaches_named_code(name)]
     assert not bad, f"lru_cache over a data-file reader: {bad}"
+
+
+def _called_names(body):
+    """(line, name) of each call in body: the called name, and for a method
+    call both the method and the name it is called on."""
+    for node in ast.walk(body):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Attribute):
+                yield node.lineno, func.attr
+                func = func.value
+            if isinstance(func, ast.Name):
+                yield node.lineno, func.id
+
+
+INVOLUTION_CHECKS = {
+    "mckay.py": ["dual_tau_orders", "conjugation_verified", "dihedral_check",
+                 "sigma_weight2_order"],
+    "linalg.py": ["rank_mod_p"],
+}
+PHASE_VALUES = ("Cyclotomic", "scalar_inverse", "sigma_phase", "act_matrix")
+
+
+def test_involution_checks_compare_integer_exponents():
+    # the phases are integer exponents mod their order, and the f-hat action
+    # is never formed: f-hat = sigma(e-hat) is certified once, when the node
+    # family is built
+    for module, names in INVOLUTION_CHECKS.items():
+        for name, body in _functions(module, names).items():
+            calls = [(line, callee) for line, callee in _called_names(body)
+                     if callee in PHASE_VALUES]
+            assert not calls, f"{module[:-3]}.{name} calls (line, name) {calls}"

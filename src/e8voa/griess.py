@@ -28,7 +28,7 @@ from .codes import construction_A, data_cached, named_code
 from .lattice import EvenLattice, coset_minimum, enumerate_short
 from .linalg import (RowSpace, clear_denominators, identity, invert,
                      mat_mul, rank_mod_p)
-from .scalars import Cyclotomic, half_turn_phase, is_zero, power_table
+from .scalars import Cyclotomic, _cyc, half_turn_phase, is_zero, power_table
 
 
 class ContextMismatch(ValueError):
@@ -244,18 +244,16 @@ class _Tables:
 def _encode(x):
     """(m, den, nums) with x = sum_j nums[j] zeta_m^j / den."""
     if isinstance(x, Cyclotomic):
-        cs, m = x.coeffs, (x.order if x.order > 2 else 1)
-    else:
-        cs, m = (Fraction(x),), 1
-    den = lcm(*(c.denominator for c in cs))
-    return m, den, [c.numerator * (den // c.denominator) for c in cs]
+        return (x.order if x.order > 2 else 1), x.den, x.nums
+    x = x if isinstance(x, (int, Fraction)) else Fraction(x)
+    return 1, x.denominator, (x.numerator,)
 
 
 def _value(m, den, nums):
     """The scalar sum_j nums[j] zeta_m^j / den: a Fraction when it is rational."""
     if not any(nums[1:]):
         return Fraction(nums[0], den)
-    return Cyclotomic(m, [Fraction(x, den) for x in nums])
+    return _cyc(m, den, nums)
 
 
 def _add_into(out, terms, w):

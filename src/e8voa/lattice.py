@@ -443,7 +443,7 @@ def size_reduce_basis(lat: EvenLattice) -> EvenLattice:
                     norms[i] = nc
                     improved = True
     basis.sort(key=lambda r: (sum(x * x for x in r), r))
-    return _lattice_over(basis, den, lat.scale)
+    return lattice_over(basis, den, lat.scale)
 
 
 def _round_ratio(p, q):
@@ -452,7 +452,7 @@ def _round_ratio(p, q):
     return f + (2 * r > q or (2 * r == q and f % 2 == 1))
 
 
-def _lattice_over(rows, den, scale=1) -> EvenLattice:
+def lattice_over(rows, den, scale=1) -> EvenLattice:
     """The lattice with basis rows int_rows / den, the rows kept as ints."""
     g = gcd(den, *(x for row in rows for x in row))
     lat = object.__new__(EvenLattice)
@@ -462,4 +462,4 @@ def _lattice_over(rows, den, scale=1) -> EvenLattice:
 
 def lattice_from_integer_rows(rows, denominator=1) -> EvenLattice:
     """Lattice generated by integer rows / denominator, via Hermite form."""
-    return _lattice_over(hermite_normal_form(rows), denominator)
+    return lattice_over(hermite_normal_form(rows), denominator)

@@ -16,7 +16,7 @@ from .codes import (block_subcode, construction_A, data_cached,
                     find_column_permutation, is_type_II, named_code,
                     residue_code_B)
 from .lattice import (Coset, EvenLattice, coset_min_norm, enumerate_short,
-                      lattice_from_integer_rows, size_reduce_basis)
+                      lattice_from_integer_rows, lattice_over, size_reduce_basis)
 from .linalg import clear_denominators, vec_mat
 from .rootsys import e8_paper_data, simple_system
 
@@ -137,7 +137,7 @@ def embed_sqrt2E8_cubed(ctx: LeechContext):
     """
     h8 = named_code("Hamming8")
     bc = residue_code_B(ctx.code)
-    rows24 = []
+    blocks = []
     for k in range(3):
         cols = list(range(8 * k, 8 * k + 8))
         blk = block_subcode(bc, cols)
@@ -148,29 +148,28 @@ def embed_sqrt2E8_cubed(ctx: LeechContext):
         block_lat = lattice_from_integer_rows(gens)
         if block_lat.det_gram() != 256 or not block_lat.is_doubly_even():
             raise EmbeddingNotFound(f"block {k} lattice is not a rescaled E8")
-        for row8 in block_lat.basis:
-            row = [Fraction(0)] * 24
-            for t, x in enumerate(row8):
-                row[8 * k + t] = x
-            rows24.append(row)
+        blocks.append(block_lat._int_rows)
+    # each block row, over one common denominator, in 24 coordinates
+    den = lcm(*(d for _, d in blocks))
+    rows24 = [[0] * (8 * k) + [x * (den // d) for x in row] + [0] * (16 - 8 * k)
+              for k, (rows, d) in enumerate(blocks) for row in rows]
     # all 24 vectors lie in the Leech lattice
-    for row in rows24:
-        if not ctx.lattice.contains(row):
-            raise EmbeddingNotFound("block lattice vector falls outside Leech")
-    emb = EvenLattice(rows24)
+    if not all(ctx.lattice.contains(row, den) for row in rows24):
+        raise EmbeddingNotFound("block lattice vector falls outside Leech")
+    emb = lattice_over(rows24, den)
     # Gram is block diagonal with three rescaled E8 blocks; cross blocks
     # vanish because the supports are disjoint
-    for a in range(24):
-        for b in range(24):
-            if (a // 8) != (b // 8) and emb.gram[a][b] != 0:
-                raise EmbeddingNotFound("blocks are not orthogonal")
+    gram = emb._int_gram_rows[0]
+    if any(gram[a][b] for a in range(24) for b in range(24) if a // 8 != b // 8):
+        raise EmbeddingNotFound("blocks are not orthogonal")
     return emb
 
 
 @data_cached("Hamming8")
 def _block(ctx: LeechContext, k: int):
     """Block k of the embedding in Leech coordinates, and its norm-4 vectors."""
-    block = EvenLattice(embed_sqrt2E8_cubed(ctx).basis[8 * k: 8 * k + 8])
+    rows, den = embed_sqrt2E8_cubed(ctx)._int_rows
+    block = lattice_over(rows[8 * k: 8 * k + 8], den)
     return block, [z for z, n in enumerate_short(block, 4) if n == 4]
 
 

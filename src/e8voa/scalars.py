@@ -2,20 +2,24 @@
 
 Rationals are plain ``fractions.Fraction``.  Elements of Q(zeta_N) are kept
 in the power basis 1, zeta, ..., zeta^(phi(N)-1) reduced modulo the N-th
-cyclotomic polynomial, which makes equality testing canonical.
+cyclotomic polynomial, which makes equality testing canonical.  The
+coefficients are integer numerators over one denominator: a product is an
+integer convolution folded back by the rows of ``power_table``, and the
+inverse is the product of the other Galois conjugates over the norm.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 
 class NonRationalError(ArithmeticError):
     """Raised when a cyclotomic value expected to be rational is not."""
 
 
+@lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     result = n
     p = 2
@@ -82,131 +86,160 @@ def power_table(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
+def _rational(x):
+    """x itself if it is an int or a Fraction, else TypeError."""
+    if isinstance(x, (int, Fraction)):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
     raise TypeError(f"not a rational scalar: {x!r}")
 
 
-class Cyclotomic:
-    """An element of Q(zeta_N) in canonical power-basis form."""
+@lru_cache(maxsize=None)
+def _images(n: int, step: int, count: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Row j < count: the nonzero (i, r) of the power-basis row of zeta_n^(j*step).
+    Step 1 folds a product back onto the basis, step n/m embeds Q(zeta_m) and
+    a unit step k applies the Galois automorphism zeta -> zeta^k."""
+    table = power_table(n)
+    return tuple(tuple((i, r) for i, r in enumerate(table[j * step % n]) if r)
+                 for j in range(count))
 
-    __slots__ = ("order", "coeffs")
+
+def _apply(rows, nums, size: int) -> list[int]:
+    """sum_j nums[j] * rows[j] on the power basis of length size."""
+    out = [0] * size
+    for c, row in zip(nums, rows):
+        if c:
+            for i, r in row:
+                out[i] += c * r
+    return out
+
+
+def _times(n: int, a, b) -> list[int]:
+    """The product of two numerator vectors of Q(zeta_n): convolution, then folding."""
+    deg = len(a)
+    raw = [0] * (2 * deg - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    raw[i + j] += x * y
+    return _apply(_images(n, 1, 2 * deg - 1), raw, deg)
+
+
+_set = object.__setattr__
+
+
+def _cyc(order: int, den: int, nums) -> "Cyclotomic":
+    """sum_j nums[j] zeta_order^j / den in lowest terms (den == 1 for zero)."""
+    g = gcd(den, *nums)
+    if den < 0:
+        g = -g
+    if g != 1:
+        den //= g
+        nums = [x // g for x in nums]
+    x = object.__new__(Cyclotomic)
+    _set(x, "order", order)
+    _set(x, "den", den)
+    _set(x, "nums", tuple(nums))
+    return x
+
+
+class Cyclotomic:
+    """An element of Q(zeta_N) in canonical power-basis form: phi(N) integer
+    numerators ``nums`` over one denominator ``den`` > 0, in lowest terms."""
+
+    __slots__ = ("order", "den", "nums")
 
     def __init__(self, order: int, coeffs):
-        coeffs = tuple(_as_fraction(c) for c in coeffs)
+        coeffs = [_rational(c) for c in coeffs]
         if len(coeffs) != euler_phi(order):
             raise ValueError("coefficient vector has wrong length")
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", coeffs)
+        den = lcm(*(c.denominator for c in coeffs))
+        _set(self, "order", order)
+        _set(self, "den", den)
+        _set(self, "nums", tuple(c.numerator * (den // c.denominator) for c in coeffs))
 
     def __setattr__(self, name, value):
         raise AttributeError("Cyclotomic values are immutable")
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The power-basis coefficients as Fractions."""
+        return tuple(Fraction(x, self.den) for x in self.nums)
+
     @staticmethod
     def zero(order: int = 1) -> "Cyclotomic":
-        return Cyclotomic(order, [Fraction(0)] * euler_phi(order))
+        return _cyc(order, 1, [0] * euler_phi(order))
 
     @staticmethod
     def from_rational(q, order: int = 1) -> "Cyclotomic":
-        c = [Fraction(0)] * euler_phi(order)
-        c[0] = _as_fraction(q)
-        return Cyclotomic(order, c)
+        q = _rational(q)
+        return _cyc(order, q.denominator, [q.numerator] + [0] * (euler_phi(order) - 1))
 
     @staticmethod
     def zeta(order: int, k: int = 1) -> "Cyclotomic":
         """zeta_order^k."""
-        row = power_table(order)[k % order]
-        return Cyclotomic(order, row)
+        return _cyc(order, 1, power_table(order)[k % order])
+
+    def __bool__(self) -> bool:
+        return any(self.nums)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.nums[1:])
 
-    def _embedded_coeffs(self, target: int) -> list[Fraction]:
+    def _nums_in(self, target: int) -> list[int]:
+        """The numerators over den of this value in Q(zeta_target)."""
         if target == self.order:
-            return list(self.coeffs)
+            return list(self.nums)
         if target % self.order != 0:
             raise ValueError("can only embed into a field of multiple order")
-        step = target // self.order
-        table = power_table(target)
-        out = [Fraction(0)] * euler_phi(target)
-        for j, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            row = table[(j * step) % target]
-            for i, r in enumerate(row):
-                if r:
-                    out[i] += c * r
-        return out
+        rows = _images(target, target // self.order, len(self.nums))
+        return _apply(rows, self.nums, euler_phi(target))
 
     def embed(self, target: int) -> "Cyclotomic":
-        return Cyclotomic(target, self._embedded_coeffs(target))
+        return _cyc(target, self.den, self._nums_in(target))
 
     def _coerce(self, other):
+        """(n, a, da, b, db): both operands as numerators over Q(zeta_n)."""
         if isinstance(other, Cyclotomic):
-            n = self.order * other.order // gcd(self.order, other.order)
-            return self._embedded_coeffs(n), other._embedded_coeffs(n), n
+            n = lcm(self.order, other.order)
+            return n, self._nums_in(n), self.den, other._nums_in(n), other.den
         if isinstance(other, (int, Fraction)):
-            a = list(self.coeffs)
-            b = [Fraction(0)] * len(a)
-            b[0] = _as_fraction(other)
-            return a, b, self.order
+            b = [other.numerator] + [0] * (len(self.nums) - 1)
+            return self.order, self.nums, self.den, b, other.denominator
         return None
 
-    def __add__(self, other):
+    def _sum(self, other, sign):
         co = self._coerce(other)
         if co is None:
             return NotImplemented
-        a, b, n = co
-        return Cyclotomic(n, [x + y for x, y in zip(a, b)])
+        n, a, da, b, db = co
+        return _cyc(n, da * db, [x * db + sign * y * da for x, y in zip(a, b)])
+
+    def __add__(self, other):
+        return self._sum(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.order, [-c for c in self.coeffs])
+        return _cyc(self.order, self.den, [-x for x in self.nums])
 
     def __sub__(self, other):
-        co = self._coerce(other)
-        if co is None:
-            return NotImplemented
-        a, b, n = co
-        return Cyclotomic(n, [x - y for x, y in zip(a, b)])
+        return self._sum(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = _as_fraction(other)
-            return Cyclotomic(self.order, [c * q for c in self.coeffs])
+            q = other.numerator
+            return _cyc(self.order, self.den * other.denominator, [x * q for x in self.nums])
         if not isinstance(other, Cyclotomic):
             return NotImplemented
-        co = self._coerce(other)
-        a, b, n = co
-        deg = len(a)
-        raw = [Fraction(0)] * (2 * deg - 1)
-        for i, x in enumerate(a):
-            if x == 0:
-                continue
-            for j, y in enumerate(b):
-                if y:
-                    raw[i + j] += x * y
-        table = power_table(n)
-        out = raw[:deg] + [Fraction(0)] * (deg - len(raw[:deg]))
-        for e in range(deg, len(raw)):
-            c = raw[e]
-            if c == 0:
-                continue
-            row = table[e % n]
-            for i, r in enumerate(row):
-                if r:
-                    out[i] += c * r
-        return Cyclotomic(n, out)
+        n, a, da, b, db = self._coerce(other)
+        return _cyc(n, da * db, _times(n, a, b))
 
     __rmul__ = __mul__
 
@@ -225,52 +258,22 @@ class Cyclotomic:
         return out
 
     def inverse(self) -> "Cyclotomic":
-        """Multiplicative inverse via the extended Euclidean algorithm."""
-        if self.is_zero():
+        """x = a/den has 1/x = den P / (a P), P the product of the other Galois
+        conjugates sigma_k(a), k a unit mod N; a P is the norm, an integer."""
+        a = self.nums
+        if not any(a):
             raise ZeroDivisionError("cyclotomic division by zero")
-        n = self.order
-        modulus = [Fraction(c) for c in cyclotomic_polynomial(n)]
-        a = list(self.coeffs)
-        # extended gcd of a and modulus in Q[x]
-        r0, r1 = modulus, a
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-
-        def deg(p):
-            for i in range(len(p) - 1, -1, -1):
-                if p[i] != 0:
-                    return i
-            return -1
-
-        def scale(p, c):
-            return [x * c for x in p]
-
-        def sub_shift(p, q, c, k):
-            out = p[:]
-            while len(out) < len(q) + k:
-                out.append(Fraction(0))
-            for i, x in enumerate(q):
-                out[i + k] -= c * x
-            return out
-
-        while deg(r1) > 0:
-            while deg(r0) >= deg(r1):
-                d = deg(r0) - deg(r1)
-                c = r0[deg(r0)] / r1[deg(r1)]
-                r0 = sub_shift(r0, r1, c, d)
-                s0 = sub_shift(s0, s1, c, d)
-            r0, r1 = r1, r0
-            s0, s1 = s1, s0
-        if deg(r1) != 0:
-            raise ZeroDivisionError("element is a zero divisor, not invertible")
-        inv = scale(s1, 1 / r1[0])
-        phi = euler_phi(n)
-        inv = inv + [Fraction(0)] * max(0, phi - len(inv))
-        return Cyclotomic(n, inv[:phi])
+        n, deg = self.order, len(a)
+        prod = [1] + [0] * (deg - 1)
+        for k in range(2, n):
+            if gcd(k, n) == 1:
+                prod = _times(n, prod, _apply(_images(n, k, deg), a, deg))
+        norm = _times(n, a, prod)[0]
+        return _cyc(n, norm, [self.den * x for x in prod])
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = _as_fraction(other)
-            return Cyclotomic(self.order, [c / q for c in self.coeffs])
+            return self * Fraction(other.denominator, other.numerator)
         if isinstance(other, Cyclotomic):
             return self * other.inverse()
         return NotImplemented
@@ -280,10 +283,13 @@ class Cyclotomic:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
+            return (self.is_rational()
+                    and self.nums[0] * other.denominator == other.numerator * self.den)
         if isinstance(other, Cyclotomic):
-            a, b, _ = self._coerce(other)
-            return a == b
+            # an embedding keeps numerators and den in lowest terms, since
+            # the power bases are Z-bases of the rings of integers
+            n = lcm(self.order, other.order)
+            return self.den == other.den and self._nums_in(n) == other._nums_in(n)
         return NotImplemented
 
     def _minimal_form(self):
@@ -293,8 +299,7 @@ class Cyclotomic:
         n = self.order
         for m in range(3, n):
             if n % m == 0:
-                rows = [Cyclotomic.zeta(m, j)._embedded_coeffs(n)
-                        for j in range(euler_phi(m))]
+                rows = [Cyclotomic.zeta(m, j)._nums_in(n) for j in range(euler_phi(m))]
                 c = coords_in_rowspan(rows, self.coeffs)
                 if c is not None:
                     return m, tuple(c)
@@ -302,7 +307,7 @@ class Cyclotomic:
 
     def __hash__(self):
         if self.is_rational():
-            return hash(self.coeffs[0])
+            return hash(Fraction(self.nums[0], self.den))
         return hash(self._minimal_form())
 
     def __repr__(self):
@@ -317,9 +322,7 @@ Scalar = object  # int | Fraction | Cyclotomic, duck-typed throughout
 
 
 def is_zero(x) -> bool:
-    if isinstance(x, Cyclotomic):
-        return x.is_zero()
-    return x == 0
+    return not x
 
 
 def as_rational(x) -> Fraction:
@@ -328,14 +331,14 @@ def as_rational(x) -> Fraction:
         return Fraction(x)
     if isinstance(x, Cyclotomic):
         if x.is_rational():
-            return x.coeffs[0]
+            return Fraction(x.nums[0], x.den)
         raise NonRationalError(f"not a rational value: {x}")
     raise TypeError(f"not a scalar: {x!r}")
 
 
 def phase(t) -> "Cyclotomic | Fraction":
     """e^(2 pi i t) for rational t, as an exact root of unity."""
-    t = _as_fraction(t)
+    t = _rational(t)
     q = t.denominator
     p = t.numerator % q
     if q == 1:
@@ -345,6 +348,6 @@ def phase(t) -> "Cyclotomic | Fraction":
 
 def half_turn_phase(t) -> "Cyclotomic | Fraction":
     """e^(-pi i t) for rational t."""
-    t = _as_fraction(t)
+    t = _rational(t)
     return phase(Fraction(-t.numerator, 2 * t.denominator))
 

@@ -8,11 +8,14 @@ int-scaled rows, and the eigenvector construction of
 ``griess.tau_from_matrix`` as it was before tau became a polynomial in the
 action matrix, and ``lattice.count_X_eta`` as it was before it moved onto
 int tuples; ``rank`` is the rank over Q that ``linalg.rank_mod_p`` bounds
-from below.  The oracle tests compare the two.
+from below; ``FractionCyclotomic`` is ``scalars.Cyclotomic`` as it was
+before it moved onto integer numerators over one denominator, with one
+Fraction per power-basis coefficient and the inverse by the extended
+Euclidean algorithm over Q[x].  The oracle tests compare the two.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 
 def rref(mat):
@@ -215,3 +218,214 @@ def count_X_eta(root_system, gamma, eta) -> int:
         if beta in minimal:
             count += 1
     return count
+
+
+class FractionCyclotomic:
+    """An element of Q(zeta_N) in canonical power-basis form, one Fraction
+    per coefficient; ``repr`` and ``str`` print as ``scalars.Cyclotomic``."""
+
+    __slots__ = ("order", "coeffs")
+
+    def __init__(self, order: int, coeffs):
+        from e8voa.scalars import euler_phi
+        coeffs = tuple(Fraction(c) for c in coeffs)
+        if len(coeffs) != euler_phi(order):
+            raise ValueError("coefficient vector has wrong length")
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Cyclotomic values are immutable")
+
+    @staticmethod
+    def from_rational(q, order: int = 1):
+        from e8voa.scalars import euler_phi
+        c = [Fraction(0)] * euler_phi(order)
+        c[0] = Fraction(q)
+        return FractionCyclotomic(order, c)
+
+    @staticmethod
+    def zeta(order: int, k: int = 1):
+        from e8voa.scalars import power_table
+        return FractionCyclotomic(order, power_table(order)[k % order])
+
+    def is_zero(self) -> bool:
+        return all(c == 0 for c in self.coeffs)
+
+    def is_rational(self) -> bool:
+        return all(c == 0 for c in self.coeffs[1:])
+
+    def _embedded_coeffs(self, target: int):
+        from e8voa.scalars import euler_phi, power_table
+        if target == self.order:
+            return list(self.coeffs)
+        if target % self.order != 0:
+            raise ValueError("can only embed into a field of multiple order")
+        step = target // self.order
+        table = power_table(target)
+        out = [Fraction(0)] * euler_phi(target)
+        for j, c in enumerate(self.coeffs):
+            if c == 0:
+                continue
+            row = table[(j * step) % target]
+            for i, r in enumerate(row):
+                if r:
+                    out[i] += c * r
+        return out
+
+    def embed(self, target: int):
+        return FractionCyclotomic(target, self._embedded_coeffs(target))
+
+    def _coerce(self, other):
+        if isinstance(other, FractionCyclotomic):
+            n = self.order * other.order // gcd(self.order, other.order)
+            return self._embedded_coeffs(n), other._embedded_coeffs(n), n
+        if isinstance(other, (int, Fraction)):
+            a = list(self.coeffs)
+            b = [Fraction(0)] * len(a)
+            b[0] = Fraction(other)
+            return a, b, self.order
+        return None
+
+    def __add__(self, other):
+        co = self._coerce(other)
+        if co is None:
+            return NotImplemented
+        a, b, n = co
+        return FractionCyclotomic(n, [x + y for x, y in zip(a, b)])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FractionCyclotomic(self.order, [-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        co = self._coerce(other)
+        if co is None:
+            return NotImplemented
+        a, b, n = co
+        return FractionCyclotomic(n, [x - y for x, y in zip(a, b)])
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        from e8voa.scalars import power_table
+        if isinstance(other, (int, Fraction)):
+            q = Fraction(other)
+            return FractionCyclotomic(self.order, [c * q for c in self.coeffs])
+        if not isinstance(other, FractionCyclotomic):
+            return NotImplemented
+        a, b, n = self._coerce(other)
+        deg = len(a)
+        raw = [Fraction(0)] * (2 * deg - 1)
+        for i, x in enumerate(a):
+            if x == 0:
+                continue
+            for j, y in enumerate(b):
+                if y:
+                    raw[i + j] += x * y
+        table = power_table(n)
+        out = raw[:deg]
+        for e in range(deg, len(raw)):
+            c = raw[e]
+            if c == 0:
+                continue
+            for i, r in enumerate(table[e % n]):
+                if r:
+                    out[i] += c * r
+        return FractionCyclotomic(n, out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int):
+        if not isinstance(k, int):
+            return NotImplemented
+        if k < 0:
+            return self.inverse() ** (-k)
+        out = FractionCyclotomic.from_rational(1, self.order)
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
+
+    def inverse(self):
+        """Multiplicative inverse via the extended Euclidean algorithm."""
+        from e8voa.scalars import cyclotomic_polynomial, euler_phi
+        if self.is_zero():
+            raise ZeroDivisionError("cyclotomic division by zero")
+        n = self.order
+        r0, r1 = [Fraction(c) for c in cyclotomic_polynomial(n)], list(self.coeffs)
+        s0, s1 = [Fraction(0)], [Fraction(1)]
+
+        def deg(p):
+            for i in range(len(p) - 1, -1, -1):
+                if p[i] != 0:
+                    return i
+            return -1
+
+        def sub_shift(p, q, c, k):
+            out = p[:] + [Fraction(0)] * max(0, len(q) + k - len(p))
+            for i, x in enumerate(q):
+                out[i + k] -= c * x
+            return out
+
+        while deg(r1) > 0:
+            while deg(r0) >= deg(r1):
+                d = deg(r0) - deg(r1)
+                c = r0[deg(r0)] / r1[deg(r1)]
+                r0 = sub_shift(r0, r1, c, d)
+                s0 = sub_shift(s0, s1, c, d)
+            r0, r1 = r1, r0
+            s0, s1 = s1, s0
+        inv = [x / r1[0] for x in s1]
+        phi = euler_phi(n)
+        inv = inv + [Fraction(0)] * max(0, phi - len(inv))
+        return FractionCyclotomic(n, inv[:phi])
+
+    def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            q = Fraction(other)
+            return FractionCyclotomic(self.order, [c / q for c in self.coeffs])
+        if isinstance(other, FractionCyclotomic):
+            return self * other.inverse()
+        return NotImplemented
+
+    def __rtruediv__(self, other):
+        return self.inverse() * other
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.is_rational() and self.coeffs[0] == other
+        if isinstance(other, FractionCyclotomic):
+            a, b, _ = self._coerce(other)
+            return a == b
+        return NotImplemented
+
+    def _minimal_form(self):
+        from e8voa.linalg import coords_in_rowspan
+        from e8voa.scalars import euler_phi
+        n = self.order
+        for m in range(3, n):
+            if n % m == 0:
+                rows = [FractionCyclotomic.zeta(m, j)._embedded_coeffs(n)
+                        for j in range(euler_phi(m))]
+                c = coords_in_rowspan(rows, self.coeffs)
+                if c is not None:
+                    return m, tuple(c)
+        return n, self.coeffs
+
+    def __hash__(self):
+        if self.is_rational():
+            return hash(self.coeffs[0])
+        return hash(self._minimal_form())
+
+    def __repr__(self):
+        return f"Cyclotomic({self.order}, {list(self.coeffs)})"
+
+    def __str__(self):
+        body = ",".join(str(c) for c in self.coeffs)
+        return f"{self.order}:[{body}]"

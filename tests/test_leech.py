@@ -47,6 +47,34 @@ def test_each_block_has_240_minimal_vectors():
         assert block_norm4_count(ctx, k) == 240
 
 
+def test_embedding_is_built_from_the_block_int_rows():
+    # the cross-block zeros are read off the integer Gram rows, and the
+    # rows match the embedding built from the Fraction block bases
+    from e8voa.codes import block_subcode, residue_code_B
+    from e8voa.lattice import EvenLattice, lattice_from_integer_rows
+    from e8voa.leech import _block
+    ctx = build_leech()
+    emb = embed_sqrt2E8_cubed(ctx)
+    gram, den = emb._int_gram_rows
+    assert all(gram[a][b] == 0 for a in range(24) for b in range(24) if a // 8 != b // 8)
+    assert any(gram[a][b] for a in range(24) for b in range(24) if a != b)
+    rows24 = []
+    for k in range(3):
+        blk = block_subcode(residue_code_B(ctx.code), list(range(8 * k, 8 * k + 8)))
+        gens = [[2 * int(i == j) for j in range(8)] for i in range(8)]
+        block_lat = lattice_from_integer_rows(gens + [list(g) for g in blk.generators])
+        rows24 += [[F(0)] * (8 * k) + list(row) + [F(0)] * (16 - 8 * k)
+                   for row in block_lat.basis]
+    reference = EvenLattice(rows24)
+    assert emb._int_rows == reference._int_rows
+    assert emb._int_gram_rows == reference._int_gram_rows
+    rows, d = emb._int_rows
+    for k in range(3):
+        block, norm4 = _block(ctx, k)
+        assert block._int_rows == (rows[8 * k: 8 * k + 8], d)
+        assert block.basis == emb.basis[8 * k: 8 * k + 8]
+
+
 def test_sigma_tilde_orders_match_labels():
     for i, n in enumerate((1, 2, 3, 4, 5, 6, 4, 2, 3)):
         assert sigma_tilde_order(i) == n

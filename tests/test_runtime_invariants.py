@@ -11,7 +11,9 @@ Fraction.  The tau involution is a
 polynomial in the action matrix: it computes no kernel, echelon form or
 inverse, and its matrix products call no Fraction.  The involution checks
 and the rank mod p compare integers: they call no Cyclotomic,
-scalar_inverse, sigma_phase or act_matrix.
+scalar_inverse, sigma_phase or act_matrix.  Cyclotomic sums, products,
+inverses and embeddings run on integer numerators over one denominator:
+they call no Fraction, and no polynomial Euclid helper is left.
 """
 
 import ast
@@ -202,3 +204,19 @@ def test_involution_checks_compare_integer_exponents():
             calls = [(line, callee) for line, callee in _called_names(body)
                      if callee in PHASE_VALUES]
             assert not calls, f"{module[:-3]}.{name} calls (line, name) {calls}"
+
+
+CYCLOTOMIC_INT_PATH = [
+    "Cyclotomic.__add__", "Cyclotomic.__sub__", "Cyclotomic.__mul__",
+    "Cyclotomic.inverse", "Cyclotomic.embed", "Cyclotomic._sum",
+    "Cyclotomic._coerce", "Cyclotomic._nums_in", "_times", "_apply", "_cyc"]
+
+
+def test_cyclotomic_arithmetic_runs_on_integer_numerators():
+    # the inverse is the product of the other Galois conjugates over the
+    # norm, so the Euclidean algorithm over Q[x] and its helpers are gone
+    _assert_no_fraction_calls("scalars.py", CYCLOTOMIC_INT_PATH)
+    scalars = next(p for p in SOURCES if p.name == "scalars.py")
+    defined = {node.name for node in ast.walk(_tree(scalars))
+               if isinstance(node, ast.FunctionDef)}
+    assert not defined & {"sub_shift", "deg", "scale"}, defined & {"sub_shift", "deg", "scale"}

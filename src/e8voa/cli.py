@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 
@@ -28,16 +27,16 @@ from .scalars import Cyclotomic, as_rational
 VERSION = "0.1.0"
 
 
-@dataclass
 class RunConfig:
-    command: str
-    node_filter: list[int] = field(default_factory=list)
-    output_format: str = "json"
-    time_budget_seconds: int = 600
-    field_order_override: int | None = None
-    long_checks: bool = False
-
-    def __post_init__(self):
+    def __init__(self, command: str, node_filter: list[int] | None = None,
+                 output_format: str = "json", time_budget_seconds: int = 600,
+                 field_order_override: int | None = None, long_checks: bool = False):
+        self.command = command
+        self.node_filter = [] if node_filter is None else node_filter
+        self.output_format = output_format
+        self.time_budget_seconds = time_budget_seconds
+        self.field_order_override = field_order_override
+        self.long_checks = long_checks
         if any(not 0 <= i <= 8 for i in self.node_filter):
             raise ValueError("node filter entries must be 0..8")
         if self.time_budget_seconds <= 0:

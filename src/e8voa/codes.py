@@ -150,8 +150,8 @@ class Z4Code:
 
     def cardinality(self) -> int:
         from .linalg import det
-        index = abs(det(self.lattice().basis))
-        return (4 ** self.length) // int(index)
+        rows, den = self.lattice()._int_rows
+        return (4 ** self.length) * den ** len(rows) // abs(det(rows))
 
     def contains(self, word) -> bool:
         return self.lattice().contains([int(x) for x in word])
@@ -294,8 +294,8 @@ def residue_code_B(c: Z4Code) -> BinaryCode:
     The words 2b are exactly the even vectors of the preimage lattice, so
     the generators come from the intersection of that lattice with 2Z^n.
     """
-    lat = c.lattice()
-    basis = [[int(x) for x in row] for row in lat.basis]
+    ints, den = c.lattice()._int_rows
+    basis = [[x // den for x in row] for row in ints]
     left = _f2_kernel_left(basis, c.length)
     rows = []
     for z in left:

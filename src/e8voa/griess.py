@@ -86,6 +86,7 @@ class AlgebraContext:
             raise ValueError("context lattice must have no norm-2 vectors")
         norm4 = sorted(tuple(int(c) for c in z) for z, n in hits if n == 4)
         self.norm4 = tuple(v for v in norm4 if any(v))
+        self._norm4_max = max((abs(c) for v in self.norm4 for c in v), default=0)
         self.gram_inv = invert(self.gram)
         self.keys = tuple([("q", a, b) for a in range(r) for b in range(a, r)]
                           + [("d", a) for a in range(r)]
@@ -97,6 +98,7 @@ class AlgebraContext:
         self._omega = None
         self._lowering = {}
         self._phases = {}
+        self._step_codes = {}
 
     @cached_property
     def tables(self) -> "_Tables":
@@ -166,26 +168,43 @@ def _dual_ints(ctx, key):
     return tuple(x // den for x in g)
 
 
-def _steps(ctx, xs, gxs, den, offset=0):
-    """Per vector x_i, the (index of e^y, offset + j) over the norm-4
-    y = x_j - x_i.
+def _key_codes(ctx, xs, den):
+    """(codes, steps): c(x) = sum_k x_k b^k per int tuple x in xs, and
+    {den c(y): index of e^y} over the norm-4 y, cached per (den, b).
 
-    The x_i all have one norm k and are int tuples over den, with gxs[i]
-    = G x_i / den as ints.  Then y has norm 4 exactly when B(x_i, x_j)
-    = k - 2, which is B(x_i, y) = -2, so each unordered pair is tested once.
+    c is linear, so x_j - x_i = den y exactly when c(x_j) - c(x_i) = den c(y)
+    and c is injective on both sides.  The digits of x_j - x_i are at most
+    2 max|x_k|, those of den y at most den max|y_k|, and the odd b exceeds
+    twice both; so where two such codes agree, the lowest differing digit
+    would be a nonzero multiple of b of size at most b - 1.
     """
+    big = max((abs(c) for x in xs for c in x), default=0)
+    b = 2 * max(2 * big, den * ctx._norm4_max) + 1
+    powers = [b ** k for k in range(ctx.rank)]
+    steps = ctx._step_codes.get((den, b))
+    if steps is None:
+        scaled = [den * p for p in powers]
+        steps = ctx._step_codes[den, b] = {
+            sum(map(mul, y, scaled)): ctx.expo_start + k for k, y in enumerate(ctx.norm4)}
+    return [sum(map(mul, x, powers)) for x in xs], steps
+
+
+def _steps(ctx, xs, den, offset=0):
+    """Per vector x_i, the (index of e^y, offset + j) over the norm-4
+    y = (x_j - x_i) / den, in increasing j.
+
+    The x_i are int tuples over den; each unordered pair costs one int
+    difference of key codes and one lookup (``_key_codes``).
+    """
+    codes, steps = _key_codes(ctx, xs, den)
+    get = steps.get
     out = [[] for _ in xs]
-    if not xs:
-        return out
-    target = sum(map(mul, gxs[0], xs[0])) - 2 * den  # den * (k - 2)
-    index = ctx.index
-    for i, (x, gx) in enumerate(zip(xs, gxs)):
-        for j in range(i + 1, len(xs)):
-            t = xs[j]
-            if sum(map(mul, gx, t)) == target:
-                y = tuple((p - q) // den for p, q in zip(t, x))
-                out[i].append((index["e", y], offset + j))
-                out[j].append((index["e", tuple(-c for c in y)], offset + i))
+    for i, ci in enumerate(codes):
+        for j in range(i + 1, len(codes)):
+            e = get(codes[j] - ci)
+            if e is not None:
+                out[i].append((e, offset + j))
+                out[j].append((steps[ci - codes[j]], offset + i))
     return out
 
 
@@ -204,9 +223,11 @@ class _Tables:
     quad i: ``qq[i][j]``, the (target, weight) terms of i times quad or
     deriv j.  Per exponential e^x (below ``expo_start``: None): ``low``, the
     weights of the quad and deriv indices on e^x; ``opp``, the index of
-    e^-x; ``opp_terms``, x(-1)^2 + x(-2); ``nbr``, the
-    (e^y, e^(x+y)) pairs with B(x, y) = -2.  ``form``: the pairing on quad
-    and deriv indices.
+    e^-x; ``opp_terms``, x(-1)^2 + x(-2), whose quad and deriv indices
+    are all distinct; ``nbr``, the (e^y, e^(x+y)) pairs with B(x, y) = -2.
+    ``opp`` and ``nbr`` are read off the int key codes of ``_key_codes``:
+    e^-x has code -c(x), and x + y = x' exactly when c(x') - c(x) = c(y).
+    ``form``: the pairing on quad and deriv indices.
     """
 
     def __init__(self, ctx: AlgebraContext):
@@ -230,11 +251,12 @@ class _Tables:
         gxs = [ctx.gvec(x) for x in ctx.norm4]
         self.low = pad + [tuple(2 * gx[a] * gx[b] for a, b in quad)
                           + tuple(-2 * c for c in gx) for gx in gxs]
-        self.opp = pad + [ctx.index[("e", tuple(-c for c in x))] for x in ctx.norm4]
-        self.opp_terms = pad + [
-            _merged([(q(a, b), (1 if a == b else 2) * x[a] * x[b]) for a, b in quad]
-                    + [(nq + a, c) for a, c in enumerate(x)]) for x in ctx.norm4]
-        self.nbr = pad + _steps(ctx, ctx.norm4, gxs, 1, start)
+        codes, steps = _key_codes(ctx, ctx.norm4, 1)
+        self.opp = pad + [steps[-c] for c in codes]
+        self.opp_terms = pad + [tuple((i, w) for i, w in enumerate(
+            [(1 if a == b else 2) * x[a] * x[b] for a, b in quad] + list(x)) if w)
+            for x in ctx.norm4]
+        self.nbr = pad + _steps(ctx, ctx.norm4, 1, start)
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +601,9 @@ class ModuleSpace:
     Inside, key i is the int tuple ``scaled_keys[i]`` over the coset's one
     denominator ``den``, ``gvecs[i]`` is G . key as ints, and
     ``lowering[i]`` lists the (index of e^y, j) over the norm-4 y with
-    key_i + y = key_j, the only exponentials that act within the space.
+    key_i + y = key_j, the only exponentials that act within the space;
+    ``_steps`` finds them by differences of the keys' int codes, one int
+    subtraction and one lookup per pair of keys.
     """
 
     def __init__(self, ctx: AlgebraContext, shift_coords):
@@ -591,7 +615,7 @@ class ModuleSpace:
         rows, self.den = clear_denominators(self.keys)
         self.scaled_keys = [tuple(row) for row in rows]
         self.gvecs = [_dual_ints(ctx, key) for key in self.keys]
-        self.lowering = _steps(ctx, self.scaled_keys, self.gvecs, self.den)
+        self.lowering = _steps(ctx, self.scaled_keys, self.den)
 
     @cached_property
     def index(self):

@@ -208,7 +208,7 @@ def sigma_tilde_order(i: int) -> int:
     (glue,), g_den = clear_denominators([node.glue_coords])
     frame, f_den = clear_denominators(block_frames(ctx)[0])
     beta = vec_mat(glue, frame)
-    rows, den = clear_denominators(ctx.lattice.basis)
+    rows, den = ctx.lattice._int_rows
     den *= g_den * f_den
     return lcm(*(den // gcd(den, sum(map(mul, beta, row))) for row in rows))
 

@@ -11,11 +11,16 @@ int tuples; ``rank`` is the rank over Q that ``linalg.rank_mod_p`` bounds
 from below; ``FractionCyclotomic`` is ``scalars.Cyclotomic`` as it was
 before it moved onto integer numerators over one denominator, with one
 Fraction per power-basis coefficient and the inverse by the extended
-Euclidean algorithm over Q[x].  The oracle tests compare the two.
+Euclidean algorithm over Q[x].  ``steps`` is ``griess._steps`` as it was
+before lowering pairs were found by int key codes: one dot product per
+pair of vectors and an ``("e", y)`` lookup per hit; ``opp_terms`` is
+``_Tables.opp_terms`` as it was built then, summing equal indices.  The
+oracle tests compare the two.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 
 def rref(mat):
@@ -429,3 +434,35 @@ class FractionCyclotomic:
     def __str__(self):
         body = ",".join(str(c) for c in self.coeffs)
         return f"{self.order}:[{body}]"
+
+
+def steps(ctx, xs, gxs, den, offset=0):
+    """Per vector x_i, the (index of e^y, offset + j) over the norm-4
+    y = x_j - x_i; the x_i have one norm and are int tuples over den,
+    with gxs[i] = G x_i / den as ints."""
+    out = [[] for _ in xs]
+    if not xs:
+        return out
+    target = sum(map(mul, gxs[0], xs[0])) - 2 * den  # den * (k - 2)
+    index = ctx.index
+    for i, (x, gx) in enumerate(zip(xs, gxs)):
+        for j in range(i + 1, len(xs)):
+            t = xs[j]
+            if sum(map(mul, gx, t)) == target:
+                y = tuple((p - q) // den for p, q in zip(t, x))
+                out[i].append((index["e", y], offset + j))
+                out[j].append((index["e", tuple(-c for c in y)], offset + i))
+    return out
+
+
+def opp_terms(ctx, x):
+    """x(-1)^2 + x(-2) on the quad and deriv indices, equal indices summed
+    and zeros dropped."""
+    out = {}
+    for i, key in enumerate(ctx.keys[:ctx.expo_start]):
+        if key[0] == "q":
+            a, b = key[1:]
+            out[i] = out.get(i, 0) + (1 if a == b else 2) * x[a] * x[b]
+        else:
+            out[i] = out.get(i, 0) + x[key[1]]
+    return tuple((i, w) for i, w in out.items() if w)

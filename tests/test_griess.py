@@ -5,14 +5,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from e8voa.griess import (MODULE_EIGENVALUES, BadSpectrum, ContextMismatch,
+from e8voa.griess import (MODULE_EIGENVALUES, AlgebraContext, BadSpectrum, ContextMismatch,
                           DimensionMismatch, GriessElement, LeavesMinimalSpace, ModuleSpace,
-                          ModuleVector, NotConformal, apply_sigma,
+                          ModuleVector, NotConformal, _steps, apply_sigma,
                           apply_theta, build_hamming_family,
                           build_node_family, build_virasoro_family,
                           conformal_check, coset_U2_cached, e8_context,
                           e_f_coords, generated_closure_coords,
-                          hamming_cosets_even, inner, module_act,
+                          hamming_context, hamming_cosets_even, inner, module_act,
                           module_act_on_key, product,
                           sigma_phase, tau_from_matrix,
                           theta_split_tau_check)
@@ -20,6 +20,7 @@ from e8voa.lattice import coset_minimum
 from e8voa.rootsys import extended_e8_node
 from e8voa.scalars import Cyclotomic, as_rational
 
+import fraction_reference as ref
 from conftest import sqrt2_root_context
 from test_properties import apply_weyl, random_theta_even
 
@@ -352,6 +353,69 @@ def test_module_space_lowering_pairs_match_the_norm4_scan():
             assert sp.gvecs[col] == ctx.gvec(key)
             assert sp.scaled_keys[col] == tuple(sp.den * x for x in key)
     assert n_spaces == 255 + 2 + 3 + 4 + 5 + 4 + 4 + 4
+
+
+def large_coordinate_context():
+    """sqrt2E8 in the unimodular basis U^T G U, U = (1 + shift)^2, which is
+    far from reduced: its norm-4 coordinates reach 20 and its minimal coset
+    keys 31/2, so the key codes need a large base."""
+    g = e8ctx().gram
+    u = [[(1, 2, 1)[j - i] if 0 <= j - i <= 2 else 0 for j in range(8)] for i in range(8)]
+    gram = [[sum(u[k][i] * g[k][m] * u[m][j] for k in range(8) for m in range(8))
+             for j in range(8)] for i in range(8)]
+    return AlgebraContext(gram, label="sqrt2E8, non-reduced basis")
+
+
+def test_tables_match_the_dot_product_reference():
+    big = large_coordinate_context()
+    assert max(abs(c) for x in big.norm4 for c in x) == 20
+    contexts = [e8ctx(), hamming_context(), big]
+    for letter, rank in [("A", 1), ("A", 2), ("A", 3), ("A", 4),
+                         ("D", 3), ("D", 4), ("D", 5)]:
+        contexts.append(sqrt2_root_context(letter, rank)[1])
+    for ctx in contexts:
+        tables, start = ctx.tables, ctx.expo_start
+        gxs = [ctx.gvec(x) for x in ctx.norm4]
+        assert tables.nbr[start:] == ref.steps(ctx, ctx.norm4, gxs, 1, start), ctx.label
+        assert tables.opp[start:] == [ctx.index["e", tuple(-c for c in x)]
+                                      for x in ctx.norm4], ctx.label
+        assert tables.opp_terms[start:] == [ref.opp_terms(ctx, x) for x in ctx.norm4]
+
+
+@pytest.mark.parametrize("make, stride, n_keys", [(e8ctx, 1, 2400),
+                                                   (large_coordinate_context, 8, None)],
+                         ids=["sqrt2E8", "non-reduced"])
+def test_module_space_lowering_matches_the_dot_product_reference(make, stride, n_keys):
+    # every E8 dual coset; every eighth one in the non-reduced basis, where
+    # the minimal-vector search is slow
+    ctx = make()
+    keys = 0
+    for shift in list(ctx.lattice.dual_coset_shifts())[1::stride]:
+        sp = ModuleSpace(ctx, shift)
+        assert sp.lowering == ref.steps(ctx, sp.scaled_keys, sp.gvecs, sp.den)
+        keys += len(sp)
+    if n_keys is not None:
+        assert keys == n_keys
+
+
+@pytest.mark.parametrize("den", [1, 2])
+def test_steps_match_a_scan_over_every_ordered_pair(den):
+    # small vectors of unequal norms against norm-4 vectors with
+    # coordinates up to 20: the base must outgrow den * 20, not just
+    # twice the small coordinates
+    ctx = large_coordinate_context()
+    xs = sorted({tuple(s if k in (a, b) else 0 for k in range(8))
+                 for a in range(8) for b in range(8) for s in (-1, 1)} | {(0,) * 8})
+    want = [[] for _ in xs]
+    for i, x in enumerate(xs):
+        for j, t in enumerate(xs):
+            d = [p - q for p, q in zip(t, x)]
+            if i != j and not any(c % den for c in d):
+                e = ctx.index.get(("e", tuple(c // den for c in d)))
+                if e is not None:
+                    want[i].append((e, j))
+    assert _steps(ctx, xs, den) == want
+    assert sum(map(len, want)) > 0
 
 
 def test_action_off_the_minimal_weight_space_is_rejected():

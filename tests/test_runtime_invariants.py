@@ -14,9 +14,13 @@ and the rank mod p compare integers: they call no Cyclotomic,
 scalar_inverse, sigma_phase or act_matrix.  Cyclotomic sums, products,
 inverses and embeddings run on integer numerators over one denominator:
 they call no Fraction, and no polynomial Euclid helper is left.
+Importing the command-line module loads no ``dataclasses`` (and so none
+of ``inspect``, ``dis``, ``ast`` and ``tokenize``), which a cold run pays.
 """
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -220,3 +224,13 @@ def test_cyclotomic_arithmetic_runs_on_integer_numerators():
     defined = {node.name for node in ast.walk(_tree(scalars))
                if isinstance(node, ast.FunctionDef)}
     assert not defined & {"sub_shift", "deg", "scale"}, defined & {"sub_shift", "deg", "scale"}
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    # -S keeps site hooks (.pth files) out, so only e8voa's own imports count
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, e8voa.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -94,9 +94,7 @@ class AlgebraContext:
         self.index = {k: i for i, k in enumerate(self.keys)}
         self.n_quad = r * (r + 1) // 2
         self.expo_start = self.n_quad + r
-        self._gvec = {}
         self._omega = None
-        self._lowering = {}
         self._phases = {}
         self._step_codes = {}
 
@@ -104,51 +102,21 @@ class AlgebraContext:
     def tables(self) -> "_Tables":
         return _Tables(self)
 
-    def gvec(self, key):
-        """G . key as ints, cached; key must lie in the dual lattice."""
-        out = self._gvec.get(key)
-        if out is None:
-            out = self._gvec[key] = _dual_ints(self, key)
-        return out
-
     def pairing(self, u, v) -> Fraction:
         return self.lattice.pair(u, v)
 
-    def lowering(self, key):
-        """Triples (index of e^y, B(key, y), key+y) over norm-4 y with
-        B(key, y) <= -2, cached.
-
-        These are the only exponentials whose action on e^key can stay in a
-        minimal-weight space.
-        """
-        out = self._lowering.get(key)
-        if out is None:
-            gx = self.gvec(key)
-            pairs = ((k, sum(map(mul, gx, y)), y) for k, y in enumerate(self.norm4))
-            out = self._lowering[key] = tuple(
-                (self.expo_start + k, b, tuple(p + q for p, q in zip(key, y)))
-                for k, b, y in pairs if b <= -2)
-        return out
-
     def sigma_phases(self, glue_coords):
-        """Per index, (q, p) with e^(-pi i B(glue, x)) = zeta_q^p on e^x, cached."""
+        """(N, exps), cached: e^(-pi i B(glue, x)) = zeta_N^exps[i] on e^x at
+        index i (``sigma_exponents`` over ``norm4``), None below ``expo_start``."""
         glue = tuple(glue_coords)
         out = self._phases.get(glue)
         if out is None:
             n, exps = sigma_exponents(self, glue, self.norm4)
-            out = [None] * self.expo_start
-            for e in exps:
-                g = gcd(n, e)
-                out.append((n // g, e // g))
-            self._phases[glue] = out
+            out = self._phases[glue] = n, (None,) * self.expo_start + tuple(exps)
         return out
 
     def zero(self) -> "GriessElement":
         return _make(self, 1, 1, ({},))
-
-    def monomial(self, label) -> "GriessElement":
-        """The basis vector with the given label from ``keys``."""
-        return _make(self, 1, 1, ({self.index[label]: 1},))
 
     def omega(self) -> "GriessElement":
         """The Virasoro element, (1/2) sum of dual-basis quadratic states."""
@@ -248,7 +216,7 @@ class _Tables:
                       + [0] * r for a, b in quad]
                      + [[0] * nq + [-6 * g[a][b] for b in range(r)] for a in range(r)])
         pad = [None] * start
-        gxs = [ctx.gvec(x) for x in ctx.norm4]
+        gxs = [_dual_ints(ctx, x) for x in ctx.norm4]
         self.low = pad + [tuple(2 * gx[a] * gx[b] for a, b in quad)
                           + tuple(-2 * c for c in gx) for gx in gxs]
         codes, steps = _key_codes(ctx, ctx.norm4, 1)
@@ -574,17 +542,19 @@ def sigma_exponents(ctx: AlgebraContext, glue_coords, xs, den=1):
 
 def apply_sigma(ctx: AlgebraContext, glue_coords, el: GriessElement,
                 power: int = 1) -> GriessElement:
-    phases = ctx.sigma_phases(glue_coords)
+    """sigma^power on el: e^x times zeta_N^(power exps[x]) (``sigma_phases``),
+    over Q(zeta_m), m the lcm of el.m and the orders N / gcd(N, exps[x])."""
+    n, exps = ctx.sigma_phases(glue_coords)
     start = ctx.expo_start
-    m = lcm(el.m, *(phases[i][0] for terms in el.comps for i in terms if i >= start))
+    m = lcm(el.m, *(n // gcd(n, exps[i])
+                    for terms in el.comps for i in terms if i >= start))
     # raw[e]: the terms multiplied by zeta_m^e; zeta_m^j of el is zeta_m^(j m / el.m)
     raw = [{} for _ in range(m)]
     for j, terms in enumerate(el.comps):
         for i, x in terms.items():
             e = j * (m // el.m)
             if i >= start:
-                q, p = phases[i]
-                e += p * power * (m // q)
+                e += exps[i] * m // n * power
             raw[e % m][i] = x
     return _make(ctx, m, el.den, _spread(raw, m))
 
@@ -624,15 +594,11 @@ class ModuleSpace:
     def __len__(self):
         return len(self.keys)
 
-    def _column_image(self, u: GriessElement, lows, col):
-        """{row: value} of u_1 on key ``col``; ``lows`` is ``_low_terms(u)``."""
-        return _act(self.ctx, u, lows, col, self.gvecs[col], self.lowering[col])
-
     def act_matrix(self, u: GriessElement):
         n, lows = len(self.keys), _low_terms(u)
         mat = [[_ZERO] * n for _ in range(n)]
         for col in range(n):
-            for row, value in self._column_image(u, lows, col).items():
+            for row, value in _act(self, u, lows, col).items():
                 mat[row][col] = value
         return mat
 
@@ -670,12 +636,11 @@ def _low_terms(el):
     return [[(i, x) for i, x in terms.items() if i < start] for terms in el.comps]
 
 
-def _act(ctx, u, lows, key, gx, pairs):
-    """{label: value} of u_1 e^key; ``lows`` is ``_low_terms(u)``, gx is
-    G . key as ints and ``pairs`` the (index of e^y, label of key + y) over
-    the norm-4 y with B(key, y) = -2.  ``key`` and the labels may be module
-    keys or positions in a space."""
-    keys, nq = ctx.keys, ctx.n_quad
+def _act(sp, u, lows, col):
+    """{row: value} of u_1 on key ``col`` of the space sp; ``lows`` is
+    ``_low_terms(u)``.  The quad and deriv terms act on e^key by G . key,
+    and e^y sends it to the key of each lowering pair (y, row)."""
+    keys, nq, gx = sp.ctx.keys, sp.ctx.n_quad, sp.gvecs[col]
     images = []
     for low, terms in zip(lows, u.comps):
         acc = 0
@@ -684,29 +649,14 @@ def _act(ctx, u, lows, key, gx, pairs):
                 acc += x * gx[keys[i][1]] * gx[keys[i][2]]
             else:
                 acc -= x * gx[i - nq]
-        image = {key: acc} if acc else {}
-        for y, target in pairs:
+        image = {col: acc} if acc else {}
+        for y, row in sp.lowering[col]:
             x = terms.get(y)
             if x:
-                image[target] = x
+                image[row] = x
         images.append(image)
-    return {target: _value(u.m, u.den, [image.get(target, 0) for image in images])
-            for target in dict.fromkeys(k for image in images for k in image)}
-
-
-def module_act_on_key(ctx, u: GriessElement, key, index):
-    """{module key: value} of u_1 e^key, for a key of the minimal-weight
-    space whose keys ``index`` holds; the pairs come from ``ctx.lowering``."""
-    support = set().union(*u.comps)
-    pairs = []
-    for y, b, target in ctx.lowering(key):
-        if y in support:
-            if b < -2:
-                raise LeavesMinimalSpace("module key is not of minimal norm")
-            if target not in index:
-                raise LeavesMinimalSpace("action leaves the minimal-weight space")
-            pairs.append((y, target))
-    return _act(ctx, u, _low_terms(u), key, ctx.gvec(key), pairs)
+    return {row: _value(u.m, u.den, [image.get(row, 0) for image in images])
+            for row in dict.fromkeys(k for image in images for k in image)}
 
 
 def module_act(ctx, u: GriessElement, mv: ModuleVector) -> ModuleVector:
@@ -718,7 +668,7 @@ def module_act(ctx, u: GriessElement, mv: ModuleVector) -> ModuleVector:
         col = sp.index.get(key)
         if col is None:
             raise LeavesMinimalSpace("module key is not in the minimal-weight space")
-        for row, v in sp._column_image(u, lows, col).items():
+        for row, v in _act(sp, u, lows, col).items():
             out[row] = out.get(row, 0) + c * v
     return ModuleVector(sp, {sp.keys[r]: v for r, v in out.items() if not is_zero(v)})
 

@@ -354,8 +354,3 @@ def _combo_sub(combo, f, other):
     """combo -= f * other, on {index: coefficient} dicts."""
     for k, y in other.items():
         combo[k] = combo.get(k, 0) - f * y
-
-
-def coords_in_rowspan(basis_rows, v):
-    """Coefficients c with sum(c_i * basis_rows[i]) = v, or None."""
-    return RowSpace(basis_rows).coords(v)

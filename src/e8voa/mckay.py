@@ -80,10 +80,8 @@ def conjugation_verified(i: int) -> bool:
     """
     fams = build_node_family(i)
     ctx = fams.ctx
-    phases = ctx.sigma_phases(fams.node.glue_coords)
+    n, e = ctx.sigma_phases(fams.node.glue_coords)
     start, opp, nbr = ctx.expo_start, ctx.tables.opp, ctx.tables.nbr
-    n = lcm(*(q for q, _ in phases[start:]))
-    e = [None] * start + [p * (n // q) for q, p in phases[start:]]
     return all((e[x] + e[opp[x]]) % n == 0
                and all((e[x] + e[y] - e[z]) % n == 0 for y, z in nbr[x])
                for x in range(start, len(e)))
@@ -92,13 +90,13 @@ def conjugation_verified(i: int) -> bool:
 def sigma_weight2_order(i: int, power: int = 1) -> int:
     """Order of sigma^power on the weight-2 space.
 
-    sigma multiplies e^x by zeta_q^p (``sigma_phases``), so sigma^power has
-    order q / gcd(q, p * power) on e^x.
+    sigma multiplies e^x by zeta_N^e (``sigma_phases``), so sigma^power has
+    order N / gcd(N, e * power) on e^x.
     """
     fams = build_node_family(i)
     ctx = fams.ctx
-    phases = ctx.sigma_phases(fams.node.glue_coords)
-    return lcm(*(q // gcd(q, p * power) for q, p in phases[ctx.expo_start:]))
+    n, exps = ctx.sigma_phases(fams.node.glue_coords)
+    return lcm(*(n // gcd(n, e * power) for e in exps[ctx.expo_start:]))
 
 
 def sigma_sq_weight2_order(i: int) -> int:
@@ -110,12 +108,10 @@ def dihedral_check(i: int) -> dict:
     fams = build_node_family(i)
     ctx = fams.ctx
     node = fams.node
-    phases = ctx.sigma_phases(node.glue_coords)
+    n, e = ctx.sigma_phases(node.glue_coords)
     opp = ctx.tables.opp
-    # theta sends e^x to e^-x, whose phase must be the inverse zeta_q^(-p)
-    start = ctx.expo_start
-    ok_rel = all(phases[opp[x]] == (q, -p % q)
-                 for x, (q, p) in enumerate(phases[start:], start))
+    # theta sends e^x to e^-x, whose phase must be the inverse zeta_N^(-e)
+    ok_rel = all((e[x] + e[opp[x]]) % n == 0 for x in range(ctx.expo_start, len(e)))
     order = sigma_weight2_order(i)
     return {
         "sigma_order": order,
@@ -183,15 +179,14 @@ def dual_tau_orders(i: int) -> dict:
     tau_e has an entry.  M_f = S M_e S^(-1): f-hat = sigma(e-hat), certified
     when the node family is built, has the quad and deriv terms of e-hat,
     so the diagonals agree, and the coefficient of e^y in e-hat times the
-    phase of y, so the identity is e_a - e_b = (exponent of y) on every
-    lowering pair key_b + y = key_a.  Everything here is E8 data, so the
-    cache on the node index cannot go stale.
+    phase of y (``sigma_phases``), so the identity is e_a - e_b = (exponent
+    of y) on every lowering pair key_b + y = key_a.  Everything here is E8
+    data, so the cache on the node index cannot go stale.
     """
     fams = build_node_family(i)
     ctx = fams.ctx
     glue = fams.node.glue_coords
-    start = ctx.expo_start
-    n_y, e_y = sigma_exponents(ctx, glue, ctx.norm4)
+    n_y, e_y = ctx.sigma_phases(glue)
     order = 1
     for idx, (sp, _, tau) in enumerate(dual_tau_data()):
         n, e = sigma_exponents(ctx, glue, sp.scaled_keys, sp.den)
@@ -204,7 +199,7 @@ def dual_tau_orders(i: int) -> dict:
         scale = n // n_y
         for b, pairs in enumerate(sp.lowering):
             for y, a in pairs:
-                ey = scale * e_y[y - start]
+                ey = scale * e_y[y]
                 if (e[a] - e[b] - ey) % n:
                     raise ConjugationFailed(
                         f"node {i}: f-action is not the sigma conjugate on coset "

@@ -295,12 +295,12 @@ class Cyclotomic:
     def _minimal_form(self):
         """(m, coeffs) in Q(zeta_m) for the least m; equal values share it,
         since Q(zeta_a) and Q(zeta_b) meet in Q(zeta_gcd(a, b))."""
-        from .linalg import coords_in_rowspan
+        from .linalg import RowSpace
         n = self.order
         for m in range(3, n):
             if n % m == 0:
                 rows = [Cyclotomic.zeta(m, j)._nums_in(n) for j in range(euler_phi(m))]
-                c = coords_in_rowspan(rows, self.coeffs)
+                c = RowSpace(rows).coords(self.coeffs)
                 if c is not None:
                     return m, tuple(c)
         return n, self.coeffs

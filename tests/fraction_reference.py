@@ -14,8 +14,10 @@ Fraction per power-basis coefficient and the inverse by the extended
 Euclidean algorithm over Q[x].  ``steps`` is ``griess._steps`` as it was
 before lowering pairs were found by int key codes: one dot product per
 pair of vectors and an ``("e", y)`` lookup per hit; ``opp_terms`` is
-``_Tables.opp_terms`` as it was built then, summing equal indices.  The
-oracle tests compare the two.
+``_Tables.opp_terms`` as it was built then, summing equal indices;
+``lowering_scan`` is the per-key scan over all norm-4 vectors that the
+module action used before each ``griess.ModuleSpace`` found its own
+lowering pairs.  The oracle tests compare the two.
 """
 
 from fractions import Fraction
@@ -411,14 +413,14 @@ class FractionCyclotomic:
         return NotImplemented
 
     def _minimal_form(self):
-        from e8voa.linalg import coords_in_rowspan
+        from e8voa.linalg import RowSpace
         from e8voa.scalars import euler_phi
         n = self.order
         for m in range(3, n):
             if n % m == 0:
                 rows = [FractionCyclotomic.zeta(m, j)._embedded_coeffs(n)
                         for j in range(euler_phi(m))]
-                c = coords_in_rowspan(rows, self.coeffs)
+                c = RowSpace(rows).coords(self.coeffs)
                 if c is not None:
                     return m, tuple(c)
         return n, self.coeffs
@@ -453,6 +455,18 @@ def steps(ctx, xs, gxs, den, offset=0):
                 out[i].append((index["e", y], offset + j))
                 out[j].append((index["e", tuple(-c for c in y)], offset + i))
     return out
+
+
+def lowering_scan(ctx, key):
+    """Triples (index of e^y, B(key, y), key + y) over the norm-4 y with
+    B(key, y) <= -2, one dot product with G . key per y; these are the
+    only exponentials whose action on e^key can stay in a minimal-weight
+    space."""
+    from e8voa.griess import _dual_ints
+    gx = _dual_ints(ctx, key)
+    pairs = ((k, sum(map(mul, gx, y)), y) for k, y in enumerate(ctx.norm4))
+    return [(ctx.expo_start + k, b, tuple(p + q for p, q in zip(key, y)))
+            for k, b, y in pairs if b <= -2]
 
 
 def opp_terms(ctx, x):

@@ -171,27 +171,37 @@ def test_corrupt_sigma_phase_fails_conjugation_and_dihedral(monkeypatch, fresh_c
     assert mckay.conjugation_verified(MUTATED_NODE)
     assert dihedral_check(MUTATED_NODE)["verified"]
     mckay.conjugation_verified.cache_clear()
-    phases = list(ctx.sigma_phases(glue))
-    x = next(k for k in range(ctx.expo_start, len(phases)) if phases[k][0] > 1)
-    q, p = phases[x]
-    phases[x] = (q, (p + 1) % q)
-    monkeypatch.setitem(ctx._phases, tuple(glue), phases)
+    n, exps = ctx.sigma_phases(glue)
+    exps = list(exps)
+    x = next(k for k in range(ctx.expo_start, len(exps)) if exps[k])
+    exps[x] = (exps[x] + 1) % n
+    monkeypatch.setitem(ctx._phases, tuple(glue), (n, exps))
     assert not mckay.conjugation_verified(MUTATED_NODE)
     assert not dihedral_check(MUTATED_NODE)["verified"]
 
 
 def test_sigma_phases_match_the_cyclotomic_sigma_phase():
-    # the integer exponents are read as zeta_q^p against the one reference
+    # the integer exponents are read as zeta_N^e against the one reference
     # phase, on every norm-4 key and on every key of one dual coset
     from e8voa.scalars import Cyclotomic
     sp = _unsampled_space()
     for i in (2, 5, 6):
         fams = griess.build_node_family(i)
         ctx, glue = fams.ctx, fams.node.glue_coords
-        phases = ctx.sigma_phases(glue)
+        n, exps = ctx.sigma_phases(glue)
         for k, x in enumerate(ctx.norm4):
-            q, p = phases[ctx.expo_start + k]
-            assert Cyclotomic.zeta(q, p) == griess.sigma_phase(ctx, glue, x)
+            e = exps[ctx.expo_start + k]
+            assert Cyclotomic.zeta(n, e) == griess.sigma_phase(ctx, glue, x)
         n, exps = griess.sigma_exponents(ctx, glue, sp.scaled_keys, sp.den)
         for key, e in zip(sp.keys, exps):
             assert Cyclotomic.zeta(n, e) == griess.sigma_phase(ctx, glue, key)
+
+
+def test_apply_sigma_keeps_the_least_field():
+    # sigma_phases keeps its exponents over N = 2n on these nodes, but the
+    # phases of sigma lie in Q(zeta_n), and so do the values of sigma^p
+    for i in range(9):
+        fams = griess.build_node_family(i)
+        n = fams.node.n
+        for p in range(1, n):
+            assert fams.sigma(fams.e_hat, p).m == (n if n > 2 else 1)

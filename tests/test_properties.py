@@ -10,7 +10,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from e8voa.griess import (GriessElement, apply_sigma, apply_theta,
+from e8voa.griess import (GriessElement, _dual_ints, apply_sigma, apply_theta,
                           build_node_family, inner, product)
 
 from conftest import sqrt2_root_context
@@ -21,7 +21,7 @@ def weyl_matrix(ctx, root_key):
     root_key = tuple(int(x) for x in root_key)
     if ctx.pairing(root_key, root_key) != 4:
         raise ValueError("reflection key must have norm 4")
-    g = ctx.gvec(root_key)
+    g = _dual_ints(ctx, root_key)
     n = ctx.rank
     mat = [[F(int(i == j)) for j in range(n)] for i in range(n)]
     for i in range(n):

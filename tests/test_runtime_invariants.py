@@ -67,7 +67,7 @@ def _calls_of(body, names):
                 yield node.lineno, func.id
 
 
-KERNEL = ("product", "inner", "module_act_on_key")
+KERNEL = ("product", "inner", "_act")
 
 
 def test_weight2_kernel_builds_no_scalar_objects():

@@ -11,10 +11,9 @@ from .scalars import Cyclotomic, NonRationalError, as_rational, phase
 from .lattice import (BudgetExceeded, Coset, EvenLattice, NotMinimal,
                       NotPositiveDefinite, coset_min_norm, count_X_eta,
                       short_vectors)
-from .rootsys import (ChainViolation, ExtendedE8Node, NotRootGenerated,
-                      RootSystem, UnsupportedType, build_root_system,
-                      check_intermediate_chains, classify_root_sublattice,
-                      extended_e8_node)
+from .rootsys import (ExtendedE8Node, NotRootGenerated, RootSystem,
+                      UnsupportedType, build_root_system,
+                      classify_root_sublattice, extended_e8_node)
 from .codes import (BinaryCode, Z4Code, construction_A, dual_code,
                     is_type_II, named_code, residue_code_B)
 from .griess import (AlgebraContext, BadSpectrum, ContextMismatch,

@@ -26,8 +26,7 @@ from operator import mul
 
 from .codes import construction_A, data_cached, named_code
 from .lattice import EvenLattice, coset_minimum, enumerate_short
-from .linalg import (RowSpace, clear_denominators, identity, invert,
-                     mat_mul, rank_mod_p)
+from .linalg import RowSpace, clear_denominators, identity, invert, rank_mod_p
 from .scalars import Cyclotomic, _cyc, half_turn_phase, is_zero, power_table
 
 
@@ -176,14 +175,6 @@ def _steps(ctx, xs, den, offset=0):
     return out
 
 
-def _merged(terms):
-    """(index, weight) pairs with equal indices summed and zeros dropped."""
-    out = {}
-    for i, w in terms:
-        out[i] = out.get(i, 0) + w
-    return tuple((i, w) for i, w in out.items() if w)
-
-
 class _Tables:
     """The integer structure tables of one context, indexed like ``ctx.keys``.
 
@@ -206,10 +197,14 @@ class _Tables:
         def q(a, b):
             return ctx.index[("q", a, b) if a <= b else ("q", b, a)]
 
-        self.qq = [[_merged([(q(b, d), 2 * g[a][c]), (q(b, c), 2 * g[a][d]),
-                             (q(a, d), 2 * g[b][c]), (q(a, c), 2 * g[b][d])])
+        def nonzero(*terms):
+            # a repeated target needs no merging: the product sums every term
+            return tuple(t for t in terms if t[1])
+
+        self.qq = [[nonzero((q(b, d), 2 * g[a][c]), (q(b, c), 2 * g[a][d]),
+                            (q(a, d), 2 * g[b][c]), (q(a, c), 2 * g[b][d]))
                     for c, d in quad]
-                   + [_merged([(nq + b, 4 * g[a][c]), (nq + a, 4 * g[b][c])])
+                   + [nonzero((nq + b, 4 * g[a][c]), (nq + a, 4 * g[b][c]))
                       for c in range(r)]
                    for a, b in quad]
         self.form = ([[g[a][c] * g[b][d] + g[a][d] * g[b][c] for c, d in quad]
@@ -693,23 +688,25 @@ class TauInvolution:
 def tau_from_matrix(mat, allowed) -> TauInvolution:
     """tau of an action matrix M, certified diagonalizable over ``allowed``.
 
-    Once prod (M - lam) = 0, tau is the Lagrange polynomial sum_lam s_lam
-    prod_{mu != lam} (M - mu) / (lam - mu), s_lam = -1 on the 1/16 class,
-    +1 elsewhere.  The basis sums to I, so tau = I - 2 (1/16-class terms),
-    over (0, 1/2, 1/16) I + (512/7) M (M - 1/2); the products run on ints.
+    ``allowed`` holds one eigenvalue t of the 1/16 class (t - 1/16 an
+    integer).  P = prod_{lam != t} (M - lam) is formed once, on ints: the
+    spectrum is certified by P (M - t) = 0, and then P is P(t) times the
+    projection onto the t-eigenspace, so tau = I - 2 P / P(t).  Over
+    (0, 1/2, 1/16) this is tau = I + (512/7) M (M - 1/2).
     """
     rows, den = clear_denominators(mat)
-    if not annihilates(rows, den, allowed):
-        raise BadSpectrum("action is not diagonalizable over the expected set")
     a, shifts = _int_shifts(rows, den, allowed)
-    tau = identity(len(a))
-    for lam, s in zip(allowed, shifts):
-        if (lam - Fraction(1, 16)).denominator == 1:
-            others = [t for t in shifts if t != s]
-            c = Fraction(-2, prod(s - t for t in others))
-            tau = [[x + c * y for x, y in zip(row, num)]
-                   for row, num in zip(tau, _shifted_product(a, others))]
-    return TauInvolution(tau)
+    (t,) = [s for lam, s in zip(allowed, shifts)
+            if (lam - Fraction(1, 16)).denominator == 1]
+    others = [s for s in shifts if s != t]
+    p = _shifted_product(a, others)
+    # P (a - t) = 0 entry by entry: (P a)_ij = t P_ij
+    cols = list(zip(*a))
+    if any(sum(map(mul, row, col)) != t * x for row in p for col, x in zip(cols, row)):
+        raise BadSpectrum("action is not diagonalizable over the expected set")
+    c = Fraction(-2, prod(t - s for s in others))
+    return TauInvolution([[int(i == j) + c * x for j, x in enumerate(row)]
+                          for i, row in enumerate(p)])
 
 
 def _int_shifts(mat, den, eigenvalues):
@@ -726,7 +723,10 @@ def _shifted_product(a, shifts):
     for k, s in enumerate(shifts):
         term = [[x - s if i == j else x for j, x in enumerate(row)]
                 for i, row in enumerate(a)]
-        out = mat_mul(out, term) if k else term
+        if k:
+            cols = list(zip(*term))
+            term = [[sum(map(mul, row, col)) for col in cols] for row in out]
+        out = term
     return out
 
 
@@ -909,9 +909,8 @@ def build_hamming_family() -> HammingFamilies:
 
 
 class U2Data:
-    def __init__(self, node, basis_labels, basis, gram, structure, block_dims):
+    def __init__(self, node, basis, gram, structure, block_dims):
         self.node = node
-        self.basis_labels = basis_labels
         self.basis = basis
         self.gram = gram
         self.structure = structure
@@ -1047,8 +1046,6 @@ def coset_U2(i: int) -> U2Data:
             f"against lower bounds {lower}")
 
     expected = l + n - 1
-    labels = ([f"omega_tilde_{k+1}" for k in range(l)]
-              + [f"X_{j}" for j in range(1, n)])
     basis = list(fams.omega_tilde) + [fams.X[j] for j in range(1, n)]
     # claimed basis really lies in the kernel
     for b in basis:
@@ -1082,7 +1079,7 @@ def coset_U2(i: int) -> U2Data:
     if any(structure[a][b] != structure[b][a]
            for a in range(expected) for b in range(a)):
         raise DimensionMismatch(f"node {i}: U2 structure constants are not symmetric")
-    return U2Data(node, labels, basis, gram, structure, block_dims)
+    return U2Data(node, basis, gram, structure, block_dims)
 
 
 @lru_cache(maxsize=None)

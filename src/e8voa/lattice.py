@@ -46,10 +46,6 @@ class BudgetExceeded(RuntimeError):
 _ZERO = Fraction(0)
 
 
-def _frac_vec(v):
-    return tuple(Fraction(x) for x in v)
-
-
 def _over_one_den(v):
     """(ints, den) with v_i = ints_i / den, for int or Fraction entries."""
     if all(type(x) is int for x in v):
@@ -61,32 +57,29 @@ def _over_one_den(v):
 class EvenLattice:
     """A positive definite lattice given by basis rows and a Gram matrix.
 
-    ``scale`` multiplies the ambient dot product, so a sqrt(2)-rescaled
-    lattice is represented by the unscaled basis with scale 2 and never
+    The form is the Gram matrix alone: ``gram`` defaults to the ambient
+    dot products of the basis rows, and a lattice whose form is not that
+    (a sqrt(2)-rescaled one, say) passes its Gram matrix, so it never
     needs irrational coordinates.
     """
 
-    def __init__(self, basis, gram=None, scale=1):
-        self._setup(clear_denominators(list(basis)), gram, scale)
+    def __init__(self, basis, gram=None):
+        self._setup(clear_denominators(list(basis)),
+                    None if gram is None else clear_denominators(gram))
 
-    def _setup(self, int_basis, gram, scale):
-        """Set-up from the basis as (int rows, den): basis_i = rows_i / den."""
+    def _setup(self, int_basis, int_gram=None):
+        """Set-up from (int rows, den) pairs, basis_i = rows_i / den, for the
+        basis and the Gram matrix (by default the basis rows' dot products)."""
         self._int_rows = int_basis
         self.rank = len(int_basis[0])
-        self.scale = Fraction(scale)
         self._span = None
         self._hermite_rows = None
         self._ldl = None
-        if gram is None:
-            rows, den = self._int_rows
-            num = self.scale.numerator
-            den = den * den * self.scale.denominator
-            ints = [[num * sum(map(mul, u, v)) for v in rows] for u in rows]
-            self._int_gram_rows = ints, den
-        else:
-            self._int_gram_rows = clear_denominators(gram)
-        ints = self._int_gram_rows[0]
-        if ints != [list(col) for col in zip(*ints)]:
+        if int_gram is None:
+            rows, den = int_basis
+            int_gram = [[sum(map(mul, u, v)) for v in rows] for u in rows], den * den
+        self._int_gram_rows = int_gram
+        if int_gram[0] != [list(col) for col in zip(*int_gram[0])]:
             raise ValueError("Gram matrix must be symmetric")
 
     @cached_property
@@ -284,14 +277,14 @@ def enumerate_short(lat: EvenLattice, bound, shift=None,
         return [((), Fraction(0))]
     xs0, s_den = _over_one_den(s)
     ms = m_den * s_den
-    scale = e_den * ms * ms
-    r0 = bound.numerator * scale
+    norm_k = e_den * ms * ms
+    r0 = bound.numerator * norm_k
     dd = [di * bound.denominator for di in d_int]
     xs = [0] * n
     fx = [None] * n
     # one Fraction per distinct coordinate and norm, shared by the results
     coord = lru_cache(None)(partial(Fraction, denominator=s_den))
-    norm_of = lru_cache(None)(partial(Fraction, denominator=scale * bound.denominator))
+    norm_of = lru_cache(None)(partial(Fraction, denominator=norm_k * bound.denominator))
     results = []
     append = results.append
     deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
@@ -338,7 +331,7 @@ class Coset:
 
     def __init__(self, lattice: EvenLattice, shift):
         self.lattice = lattice
-        self.shift = _frac_vec(shift)
+        self.shift = tuple(Fraction(x) for x in shift)
         c = lattice.coords(self.shift)
         if c is None:
             raise ValueError("coset shift lies outside the rational span")
@@ -417,33 +410,39 @@ def _x_eta_ints(root_system, gamma: Coset):
 def size_reduce_basis(lat: EvenLattice) -> EvenLattice:
     """Greedy pairwise reduction; improves enumeration without LLL swaps.
 
-    Runs on the integer basis rows: the scale and the common denominator
-    cancel from every comparison and from each rounded projection.
+    Runs on the integer Gram rows, whose denominator cancels from every
+    comparison and rounded projection; the result keeps the reduced Gram.
     """
     basis, den = lat._int_rows
+    gram, g_den = lat._int_gram_rows
     basis = [list(r) for r in basis]
-    norms = [sum(x * x for x in r) for r in basis]
+    gram = [list(r) for r in gram]
     n = lat.rank
     improved = True
     while improved:
         improved = False
-        order = sorted(range(n), key=lambda i: (norms[i], basis[i]))
+        order = sorted(range(n), key=lambda i: (gram[i][i], basis[i]))
         for i in order:
             for j in order:
-                nj = norms[j]
+                nj = gram[j][j]
                 if i == j or nj == 0:
                     continue
-                ti = _round_ratio(sum(map(mul, basis[i], basis[j])), nj)
+                ti = _round_ratio(gram[i][j], nj)
                 if ti == 0:
                     continue
-                cand = [a - ti * b for a, b in zip(basis[i], basis[j])]
-                nc = sum(x * x for x in cand)
-                if nc < norms[i]:
-                    basis[i] = cand
-                    norms[i] = nc
+                row = [a - ti * b for a, b in zip(gram[i], gram[j])]
+                row[i] -= ti * row[j]
+                if row[i] < gram[i][i]:
+                    basis[i] = [a - ti * b for a, b in zip(basis[i], basis[j])]
+                    gram[i] = row
+                    for k, x in enumerate(row):
+                        gram[k][i] = x
                     improved = True
-    basis.sort(key=lambda r: (sum(x * x for x in r), r))
-    return lattice_over(basis, den, lat.scale)
+    order = sorted(range(n), key=lambda i: (gram[i][i], basis[i]))
+    out = object.__new__(EvenLattice)
+    out._setup(([basis[i] for i in order], den),
+               ([[gram[i][j] for j in order] for i in order], g_den))
+    return out
 
 
 def _round_ratio(p, q):
@@ -452,11 +451,11 @@ def _round_ratio(p, q):
     return f + (2 * r > q or (2 * r == q and f % 2 == 1))
 
 
-def lattice_over(rows, den, scale=1) -> EvenLattice:
+def lattice_over(rows, den) -> EvenLattice:
     """The lattice with basis rows int_rows / den, the rows kept as ints."""
     g = gcd(den, *(x for row in rows for x in row))
     lat = object.__new__(EvenLattice)
-    lat._setup(([[x // g for x in row] for row in rows], den // g), None, scale)
+    lat._setup(([[x // g for x in row] for row in rows], den // g))
     return lat
 
 

@@ -26,11 +26,6 @@ def identity(n):
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a, b):
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
 def vec_mat(v, a):
     n = len(a[0])
     out = [0] * n

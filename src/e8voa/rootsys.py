@@ -24,10 +24,6 @@ class NotRootGenerated(ValueError):
     pass
 
 
-class ChainViolation(RuntimeError):
-    pass
-
-
 COXETER = {"A": lambda n: n + 1, "D": lambda n: 2 * n - 2,
            "E": {6: 12, 7: 18, 8: 30}.get}
 
@@ -77,15 +73,12 @@ def _lex_positive(v) -> bool:
 class RootSystem:
     """An ADE root system with explicit coordinates, roots of norm 2."""
 
-    def __init__(self, simple_roots, components=None):
+    def __init__(self, simple_roots, components):
         self.simple_roots = [tuple(Fraction(x) for x in r) for r in simple_roots]
-        self.ambient_dim = len(self.simple_roots[0])
         self.lattice = EvenLattice(self.simple_roots)
         coords = short_root_coords(self.lattice)
         self.root_coords = coords
         self.roots = sorted(self.lattice.ambient(c) for c in coords)
-        if components is None:
-            components = classify_root_sublattice(self.lattice)
         self.components = components
 
     @property
@@ -375,60 +368,3 @@ class ExtendedE8Node:
 @lru_cache(maxsize=None)
 def extended_e8_node(i: int) -> ExtendedE8Node:
     return ExtendedE8Node(i)
-
-
-POWER_MAP_LABELS = {
-    (3, 2): "(4A)^2 = 2B",
-    (5, 3): "(6A)^2 = 3A",
-    (5, 2): "(6A)^3 = 2A",
-    (6, 2): "(4B)^2 = 2A",
-}
-
-
-def check_intermediate_chains():
-    """Verify the intermediate sublattices between L(i) and E8.
-
-    For composite n_i the lattice L(i) + Z d alpha_i with d a proper
-    divisor sits strictly between L(i) and E8; each is classified and the
-    corresponding power-map label attached.
-    """
-    type_to_label = {}
-    for i in range(9):
-        node = extended_e8_node(i)
-        type_to_label[tuple(node.component_types)] = node.label
-    chains = []
-    e8 = e8_paper_data()["lattice"]
-    for i in range(9):
-        node = extended_e8_node(i)
-        n = node.n
-        divisors = [d for d in range(2, n) if n % d == 0]
-        for d in divisors:
-            rows = [list(r) for r in node.l_rows_coords]
-            rows.append([d * x for x in node.alpha_coords[node.i]])
-            h = hermite_normal_form(rows)
-            mid_coords = h
-            mid = EvenLattice([e8.ambient(r) for r in mid_coords])
-            mid_types = classify_root_sublattice(mid)
-            idx_mid = _index_from_det(mid_coords)
-            if idx_mid != d:
-                raise ChainViolation(f"node {i}, divisor {d}: index {idx_mid}")
-            if not all(mid.contains(v) for v in node.lattice.basis):
-                raise ChainViolation(f"node {i}: L(i) not inside the middle lattice")
-            label = type_to_label.get(tuple(mid_types))
-            chains.append({
-                "i": i,
-                "node_label": node.label,
-                "lower": node.component_types,
-                "middle": mid_types,
-                "middle_label": label,
-                "indices": (n // d, d),
-                "power_map": POWER_MAP_LABELS.get((i, d)),
-            })
-    return chains
-
-
-def _index_from_det(coords_rows) -> int:
-    d = abs(det(coords_rows))
-    if d.denominator != 1:
-        raise ChainViolation("sublattice index is not an integer")
-    return d.numerator

@@ -318,9 +318,6 @@ class Cyclotomic:
         return f"{self.order}:[{body}]"
 
 
-Scalar = object  # int | Fraction | Cyclotomic, duck-typed throughout
-
-
 def is_zero(x) -> bool:
     return not x
 

@@ -17,7 +17,8 @@ pair of vectors and an ``("e", y)`` lookup per hit; ``opp_terms`` is
 ``_Tables.opp_terms`` as it was built then, summing equal indices;
 ``lowering_scan`` is the per-key scan over all norm-4 vectors that the
 module action used before each ``griess.ModuleSpace`` found its own
-lowering pairs.  The oracle tests compare the two.
+lowering pairs.  ``mat_mul`` is the plain matrix product the tests
+square tau with.  The oracle tests compare the two.
 """
 
 from fractions import Fraction
@@ -46,6 +47,11 @@ def rref(mat):
         pivots.append(c)
         r += 1
     return m, pivots
+
+
+def mat_mul(a, b):
+    bt = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
 def rank(mat) -> int:

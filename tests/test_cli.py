@@ -1,5 +1,8 @@
 import functools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -178,3 +181,12 @@ def test_verify_mckay_records_any_exception(monkeypatch, capsys):
     assert records["mckay/inner/i=3"]["pass"] is False
     assert records["mckay/inner/i=3"]["actual"] == "ValueError: node 3 is broken"
     assert records["mckay/root-counts/i=3"]["pass"] is True
+
+
+def test_python_dash_m_runs_the_command_line(capsys):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-m", "e8voa", "verify-codes"],
+                         env={**os.environ, "PYTHONPATH": src}, capture_output=True)
+    assert out.returncode == 0
+    assert main(["verify-codes"]) == 0
+    assert out.stdout == capsys.readouterr().out.encode()

@@ -45,7 +45,8 @@ def e8_lattice():
 
 
 def sqrt2_e8():
-    return EvenLattice(e8_lattice().basis, scale=2)
+    e8 = e8_lattice()
+    return EvenLattice(e8.basis, gram=[[2 * x for x in row] for row in e8.gram])
 
 
 def test_e8_determinant():
@@ -343,9 +344,10 @@ def _lattices(draw, max_rank=6):
     basis = draw(st.lists(st.lists(entry, min_size=dim, max_size=dim),
                           min_size=rank, max_size=rank))
     from e8voa.linalg import det
-    assume(det([[sum(x * y for x, y in zip(u, v)) for v in basis] for u in basis]) != 0)
-    scale = draw(st.sampled_from([F(1), F(2), F(1, 2), F(3)]))
-    return EvenLattice(basis, scale=scale)
+    dots = [[sum(x * y for x, y in zip(u, v)) for v in basis] for u in basis]
+    assume(det(dots) != 0)
+    s = draw(st.sampled_from([F(1), F(2), F(1, 2), F(3)]))
+    return EvenLattice(basis, gram=[[s * x for x in row] for row in dots])
 
 
 def _contains_by_coords(lat, v):
@@ -398,8 +400,26 @@ def test_size_reduce_basis_matches_the_fraction_reference(lat):
     import fraction_reference as ref
     from e8voa.lattice import size_reduce_basis
     reduced = size_reduce_basis(lat)
-    assert list(reduced.basis) == ref.size_reduce_basis_rows(lat.basis, lat.scale)
-    assert reduced.scale == lat.scale
+    s = lat.gram[0][0] / sum(x * x for x in lat.basis[0])
+    assert list(reduced.basis) == ref.size_reduce_basis_rows(lat.basis, s)
+    assert reduced.gram == [[s * sum(x * y for x, y in zip(u, v)) for v in reduced.basis]
+                            for u in reduced.basis]
+    assert reduced.det_gram() == lat.det_gram()
+
+
+def test_size_reduce_basis_keeps_an_explicit_gram():
+    from e8voa.lattice import size_reduce_basis
+    # the basis rows are orthonormal, but the form is [[4, 2], [2, 4]]: the
+    # reduction and the result follow the Gram matrix, not the rows
+    lat = from_gram([[4, 2], [2, 4]])
+    reduced = size_reduce_basis(lat)
+    assert reduced.det_gram() == lat.det_gram() == 12
+    assert reduced.gram == [[4, 2], [2, 4]]
+    lat = from_gram([[4, 6], [6, 13]])  # b_2 - 2 b_1 has norm 5
+    reduced = size_reduce_basis(lat)
+    assert reduced.det_gram() == lat.det_gram() == 16
+    assert reduced.gram == [[4, -2], [-2, 5]]
+    assert list(reduced.basis) == [(1, 0), (-2, 1)]
 
 
 def test_size_reduce_basis_keeps_the_leech_basis():
@@ -407,6 +427,8 @@ def test_size_reduce_basis_keeps_the_leech_basis():
     from e8voa.leech import build_leech
     ctx = build_leech()
     assert list(ctx.reduced.basis) == ref.size_reduce_basis_rows(ctx.lattice.basis, 1)
+    assert ctx.reduced.gram == [[sum(x * y for x, y in zip(u, v)) for v in ctx.reduced.basis]
+                                for u in ctx.reduced.basis]
 
 
 @st.composite

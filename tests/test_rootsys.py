@@ -4,9 +4,9 @@ import pytest
 
 from e8voa.cli import GRIESS_SUITE
 from e8voa.lattice import EvenLattice
+from e8voa.linalg import det, hermite_normal_form
 from e8voa.rootsys import (EXTENDED_COEFFS, NODE_LABELS, NotRootGenerated,
                            UnsupportedType, build_root_system,
-                           check_intermediate_chains,
                            classify_root_sublattice, decompose_root_lattice,
                            e8_paper_data, extended_e8_node)
 
@@ -122,6 +122,67 @@ def test_classify_rejects_rootless_lattice():
     lat = EvenLattice([(2, 0), (0, 2)])  # gram diag(4,4), no norm-2 vectors
     with pytest.raises(NotRootGenerated):
         classify_root_sublattice(lat)
+
+
+class ChainViolation(RuntimeError):
+    pass
+
+
+POWER_MAP_LABELS = {
+    (3, 2): "(4A)^2 = 2B",
+    (5, 3): "(6A)^2 = 3A",
+    (5, 2): "(6A)^3 = 2A",
+    (6, 2): "(4B)^2 = 2A",
+}
+
+
+def check_intermediate_chains():
+    """Verify the intermediate sublattices between L(i) and E8.
+
+    For composite n_i the lattice L(i) + Z d alpha_i with d a proper
+    divisor sits strictly between L(i) and E8; each is classified and the
+    corresponding power-map label attached.
+    """
+    type_to_label = {}
+    for i in range(9):
+        node = extended_e8_node(i)
+        type_to_label[tuple(node.component_types)] = node.label
+    chains = []
+    e8 = e8_paper_data()["lattice"]
+    for i in range(9):
+        node = extended_e8_node(i)
+        n = node.n
+        divisors = [d for d in range(2, n) if n % d == 0]
+        for d in divisors:
+            rows = [list(r) for r in node.l_rows_coords]
+            rows.append([d * x for x in node.alpha_coords[node.i]])
+            h = hermite_normal_form(rows)
+            mid_coords = h
+            mid = EvenLattice([e8.ambient(r) for r in mid_coords])
+            mid_types = classify_root_sublattice(mid)
+            idx_mid = _index_from_det(mid_coords)
+            if idx_mid != d:
+                raise ChainViolation(f"node {i}, divisor {d}: index {idx_mid}")
+            if not all(mid.contains(v) for v in node.lattice.basis):
+                raise ChainViolation(f"node {i}: L(i) not inside the middle lattice")
+            label = type_to_label.get(tuple(mid_types))
+            chains.append({
+                "i": i,
+                "node_label": node.label,
+                "lower": node.component_types,
+                "middle": mid_types,
+                "middle_label": label,
+                "indices": (n // d, d),
+                "power_map": POWER_MAP_LABELS.get((i, d)),
+            })
+    return chains
+
+
+def _index_from_det(coords_rows) -> int:
+    d = abs(det(coords_rows))
+    if d.denominator != 1:
+        raise ChainViolation("sublattice index is not an integer")
+    return d.numerator
 
 
 def test_intermediate_chains():

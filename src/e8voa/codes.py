@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import os
 from fractions import Fraction
-from functools import lru_cache, wraps
+from functools import cached_property, lru_cache, wraps
 
 from .lattice import EvenLattice, lattice_from_integer_rows
 from .linalg import hermite_normal_form
@@ -96,48 +96,22 @@ class BinaryCode:
 
 
 class Z4Code:
+    """A Z4 code, given by generating rows mod 4 (zero rows dropped).
+
+    Two codes are equal exactly when their preimage lattices are, so
+    equality and the hash read the Hermite rows of ``lattice()``, which
+    are unique for each code.
+    """
+
     def __init__(self, length: int, generators):
         self.length = length
-        gens = [tuple(x % 4 for x in g) for g in generators if any(x % 4 for x in g)]
-        self.generators = self._canonical(gens)
+        self.generators = [tuple(x % 4 for x in g) for g in generators
+                           if any(x % 4 for x in g)]
         self._lattice = None
 
-    def _canonical(self, gens):
-        rows = [list(g) for g in gens]
-        r = 0
-        for c in range(self.length):
-            piv = None
-            for i in range(r, len(rows)):
-                if rows[i][c] % 2 == 1:
-                    piv = i
-                    break
-            if piv is not None:
-                rows[r], rows[piv] = rows[piv], rows[r]
-                if rows[r][c] == 3:
-                    rows[r] = [(3 * x) % 4 for x in rows[r]]
-                for i in range(len(rows)):
-                    if i != r and rows[i][c]:
-                        q = rows[i][c]
-                        rows[i] = [(a - q * b) % 4 for a, b in zip(rows[i], rows[r])]
-                r += 1
-                continue
-            piv = None
-            for i in range(r, len(rows)):
-                if rows[i][c] == 2:
-                    piv = i
-                    break
-            if piv is None:
-                continue
-            rows[r], rows[piv] = rows[piv], rows[r]
-            for i in range(len(rows)):
-                if i != r and rows[i][c] in (2, 3):
-                    q = rows[i][c] // 2
-                    rows[i] = [(a - q * b) % 4 for a, b in zip(rows[i], rows[r])]
-            r += 1
-        rows = [tuple(row) for row in rows[:r] if any(row)]
-        order4 = [row for row in rows if any(x % 2 for x in row)]
-        order2 = [row for row in rows if not any(x % 2 for x in row)]
-        return order4 + order2
+    @cached_property
+    def _key(self):
+        return self.length, tuple(map(tuple, self.lattice()._int_rows[0]))
 
     def lattice(self) -> EvenLattice:
         """The unscaled preimage lattice {x in Z^n : x mod 4 in C}."""
@@ -159,14 +133,10 @@ class Z4Code:
     def __eq__(self, other):
         if not isinstance(other, Z4Code):
             return NotImplemented
-        if self.length != other.length:
-            return False
-        if self.cardinality() != other.cardinality():
-            return False
-        return all(other.contains(g) for g in self.generators)
+        return self._key == other._key
 
     def __hash__(self):
-        return hash((self.length, tuple(self.generators)))
+        return hash(self._key)
 
 
 def named_code(name: str):

@@ -25,7 +25,7 @@ from math import gcd, lcm, prod
 from operator import mul
 
 from .codes import construction_A, data_cached, named_code
-from .lattice import EvenLattice, coset_minimum, enumerate_short
+from .lattice import EvenLattice, coords_of_norm, coset_minimum
 from .linalg import RowSpace, clear_denominators, identity, invert, rank_mod_p
 from .scalars import Cyclotomic, _cyc, half_turn_phase, is_zero, power_table
 
@@ -80,11 +80,9 @@ class AlgebraContext:
         if not self.lattice.is_doubly_even():
             raise ValueError("context lattice must be doubly even")
         self.gram = [[x.numerator for x in row] for row in self.lattice.gram]
-        hits = enumerate_short(self.lattice, 4)
-        if any(n == 2 for _, n in hits):
-            raise ValueError("context lattice must have no norm-2 vectors")
-        norm4 = sorted(tuple(int(c) for c in z) for z, n in hits if n == 4)
-        self.norm4 = tuple(v for v in norm4 if any(v))
+        # doubly even: every norm is divisible by 4, so there is no norm-2
+        # vector, and the norm-4 ones are nonzero
+        self.norm4 = tuple(coords_of_norm(self.lattice, 4))
         self._norm4_max = max((abs(c) for v in self.norm4 for c in v), default=0)
         self.gram_inv = invert(self.gram)
         self.keys = tuple([("q", a, b) for a in range(r) for b in range(a, r)]
@@ -573,12 +571,11 @@ class ModuleSpace:
 
     def __init__(self, ctx: AlgebraContext, shift_coords):
         self.ctx = ctx
-        k, zs = coset_minimum(ctx.lattice, shift_coords)
-        self.min_norm = k
-        self.weight = k / 2
-        self.keys = sorted(zs)
-        rows, self.den = clear_denominators(self.keys)
-        self.scaled_keys = [tuple(row) for row in rows]
+        self.min_norm, den, xs = coset_minimum(ctx.lattice, shift_coords)
+        self.weight = self.min_norm / 2
+        self.den = den
+        self.scaled_keys = sorted(xs)
+        self.keys = [tuple(Fraction(x, den) for x in key) for key in self.scaled_keys]
         self.gvecs = [_dual_ints(ctx, key) for key in self.keys]
         self.lowering = _steps(ctx, self.scaled_keys, self.den)
 

@@ -13,17 +13,20 @@ decomposition of the Gram matrix is computed fraction-free (Bareiss) on
 the integer Gram rows once per lattice and kept over two common
 denominators (one for the off-diagonal part, one for the diagonal), each
 search scales its shift and bound alike, and every level's range is an
-integer square root.  Nothing here ever touches floating point.
-Vectors of a lattice are kept in two parallel pictures: integer
-coefficient tuples with respect to the basis, and the corresponding
-ambient rational tuples.
+integer square root.  Nothing here ever touches floating point.  Short
+vectors leave this module as int tuples: ``enumerate_short`` hands out
+(S*x, N) with S the shift's denominator and N = norm(x) * S^2 * g, g the
+denominator of the Gram rows; ``coords_of_norm`` the coefficient tuples
+of one exact norm; ``coset_minimum`` the minimal vectors of a coset over
+one denominator.  Only ``coset_min_norm`` and ``short_vectors`` turn them
+into ambient rational tuples.
 """
 
 from __future__ import annotations
 
 import time
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import cached_property
 from math import gcd, isqrt, lcm
 from operator import add, mul, sub
 
@@ -257,34 +260,34 @@ def enumerate_short(lat: EvenLattice, bound, shift=None,
                     budget_seconds=None):
     """All x = z + shift (z integer coefficients) with norm(x) <= bound.
 
-    Returns a list of (coeff_tuple, norm) pairs of Fractions, levels n-1..0
-    with each coefficient ascending.  ``shift`` is a rational coefficient
-    vector.  Exceeding ``budget_seconds`` raises BudgetExceeded.
+    Returns a list of int pairs (X, N), levels n-1..0 with each coefficient
+    ascending: X = S*x with S the least common denominator of the shift (1
+    when there is none), and N = X^T A X with A = g*G the integer Gram rows,
+    so norm(x) = N / (S^2 g).  ``shift`` is a rational coefficient vector.
+    Exceeding ``budget_seconds`` raises BudgetExceeded.
 
-    The search runs on ints.  With S the shift's common denominator and
-    M, E, D, U from ``ldl``, X_i = S*x_i is an integer and
-    M*S*(x_i + sum_{j>i} u_ij x_j) = M*S*z_i + C_i, where
-    C_i = M*S*s_i + sum_{j>i} U_ij X_j.  Norms are scaled by
-    K = E*M^2*S^2*den(bound).
+    With M, E, D, U from ``ldl``, M*S*(x_i + sum_{j>i} u_ij x_j) =
+    M*S*z_i + C_i, where C_i = M*S*s_i + sum_{j>i} U_ij X_j.  The search
+    scales norms by K = E*M^2*S^2*den(bound), and K*norm(x) * g equals
+    E*M^2*den(bound) * N, one exact division per hit.
     """
     n = lat.rank
-    bound = Fraction(bound)
     if bound < 0:
         return []
-    m_den, e_den, d_int, urows = lat.ldl()
-    s = [Fraction(0)] * n if shift is None else [Fraction(x) for x in shift]
     if n == 0:
-        return [((), Fraction(0))]
-    xs0, s_den = _over_one_den(s)
+        return [((), 0)]
+    m_den, e_den, d_int, urows = lat.ldl()
+    xs0, s_den = ([0] * n, 1) if shift is None else _over_one_den(shift)
     ms = m_den * s_den
-    norm_k = e_den * ms * ms
-    r0 = bound.numerator * norm_k
-    dd = [di * bound.denominator for di in d_int]
+    b_num, b_den = bound.numerator, bound.denominator
+    r0 = b_num * e_den * ms * ms
+    dd = [di * b_den for di in d_int]
+    # K*norm(x) = q*N / g with q = E*M^2*den(bound); divide out their gcd
+    g_den = lat._int_gram_rows[1]
+    q = e_den * m_den * m_den * b_den
+    common = gcd(g_den, q)
+    n_div, n_mul = q // common, g_den // common
     xs = [0] * n
-    fx = [None] * n
-    # one Fraction per distinct coordinate and norm, shared by the results
-    coord = lru_cache(None)(partial(Fraction, denominator=s_den))
-    norm_of = lru_cache(None)(partial(Fraction, denominator=norm_k * bound.denominator))
     results = []
     append = results.append
     deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
@@ -300,15 +303,14 @@ def enumerate_short(lat: EvenLattice, bound, shift=None,
         m = isqrt(remaining // dl)
         z_range = range(-((m + c) // ms), (m - c) // ms + 1)
         if level == 0:
-            tail = tuple(fx[1:])
+            tail = tuple(xs[1:])
             base = remaining - r0
             for z in z_range:
                 y = ms * z + c
-                append(((coord(s_den * z + x0),) + tail, norm_of(dl * y * y - base)))
+                append(((s_den * z + x0,) + tail, (dl * y * y - base) // n_div * n_mul))
             return
         for z in z_range:
-            xs[level] = big_x = s_den * z + x0
-            fx[level] = coord(big_x)
+            xs[level] = s_den * z + x0
             y = ms * z + c
             descend(level - 1, remaining - dl * y * y)
 
@@ -317,13 +319,17 @@ def enumerate_short(lat: EvenLattice, bound, shift=None,
     return results
 
 
+def coords_of_norm(lat: EvenLattice, norm, budget_seconds=None):
+    """The sorted int coefficient tuples of the lattice vectors of exactly
+    the given squared norm."""
+    target = norm * lat._int_gram_rows[1]
+    return sorted(x for x, n in enumerate_short(lat, norm, budget_seconds=budget_seconds)
+                  if n == target)
+
+
 def short_vectors(lat: EvenLattice, norm, budget_seconds=None):
     """Ambient vectors of the lattice with exactly the given squared norm."""
-    norm = Fraction(norm)
-    hits = enumerate_short(lat, norm, budget_seconds=budget_seconds)
-    out = [lat.ambient(z) for z, nn in hits if nn == norm]
-    out.sort()
-    return out
+    return sorted(lat.ambient(z) for z in coords_of_norm(lat, norm, budget_seconds))
 
 
 class Coset:
@@ -336,7 +342,7 @@ class Coset:
         if c is None:
             raise ValueError("coset shift lies outside the rational span")
         self.shift_coords = tuple(Fraction(x) for x in c)
-        self.min_info = None  # coset_min_norm's unbudgeted result, once computed
+        self.min_info = None  # coset_min_norm's result, once computed
         self.min_ints = None  # count_X_eta's scaled minima and roots, once computed
 
     def __eq__(self, other):
@@ -347,32 +353,31 @@ class Coset:
         diff = [a - b for a, b in zip(self.shift_coords, other.shift_coords)]
         return all(x.denominator == 1 for x in diff)
 
-    def __hash__(self):
-        key = tuple(Fraction(x.numerator % x.denominator, x.denominator)
-                    for x in self.shift_coords)
-        return hash((id(self.lattice), key))
 
-
-def coset_minimum(lat: EvenLattice, shift, budget_seconds=None):
-    """(k, zs): the minimal norm over z + shift, z integral, and the
-    coefficient vectors of z + shift that achieve it."""
+def coset_minimum(lat: EvenLattice, shift):
+    """(k, den, xs): the minimal norm k over z + shift, z integral, and the
+    vectors that achieve it as int tuples X = den * (z + shift), den the
+    least common denominator of the shift."""
     # reduce the shift by rounding to get a finite starting bound
     frac = [x - round(x) for x in shift]
-    hits = enumerate_short(lat, lat.pair(frac, frac), shift=frac,
-                           budget_seconds=budget_seconds)
-    k = min(nn for _, nn in hits)
-    return k, [z for z, nn in hits if nn == k]
+    den = lcm(*(x.denominator for x in frac))
+    hits = enumerate_short(lat, lat.pair(frac, frac), shift=frac)
+    n_min = min(n for _, n in hits)
+    return (Fraction(n_min, den * den * lat._int_gram_rows[1]), den,
+            [x for x, n in hits if n == n_min])
 
 
-def coset_min_norm(c: Coset, budget_seconds=None) -> dict:
-    """Exact minimum squared norm over the coset and all achieving vectors;
-    the first unbudgeted result is kept on the coset, whose shift is fixed."""
+def coset_min_norm(c: Coset) -> dict:
+    """Exact minimum squared norm over the coset and all achieving vectors
+    as sorted ambient Fraction tuples; kept on the coset, whose shift is
+    fixed."""
     info = c.min_info
     if info is None:
-        k, zs = coset_minimum(c.lattice, c.shift_coords, budget_seconds)
-        info = {"k": k, "reps": sorted(c.lattice.ambient(z) for z in zs)}
-        if budget_seconds is None:
-            c.min_info = info
+        k, den, xs = coset_minimum(c.lattice, c.shift_coords)
+        rows = sorted(c.lattice.ambient_ints(x)[0] for x in xs)
+        den *= c.lattice._int_rows[1]
+        reps = [tuple(Fraction(v, den) if v else _ZERO for v in row) for row in rows]
+        info = c.min_info = {"k": k, "reps": reps}
     return info
 
 

@@ -15,8 +15,9 @@ from operator import mul
 from .codes import (block_subcode, construction_A, data_cached,
                     find_column_permutation, is_type_II, named_code,
                     residue_code_B)
-from .lattice import (Coset, EvenLattice, coset_min_norm, enumerate_short,
-                      lattice_from_integer_rows, lattice_over, size_reduce_basis)
+from .lattice import (Coset, EvenLattice, coords_of_norm, coset_min_norm,
+                      enumerate_short, lattice_from_integer_rows, lattice_over,
+                      size_reduce_basis)
 from .linalg import clear_denominators, vec_mat
 from .rootsys import e8_paper_data, simple_system
 
@@ -56,31 +57,25 @@ def certify_minimum(budget_seconds=600) -> bool:
     """No vectors of norm 2 (exhaustive search) and an explicit norm-4 one."""
     ctx = build_leech()
     hits = enumerate_short(ctx.reduced, 2, budget_seconds=budget_seconds)
-    nonzero = [z for z, n in hits if n != 0]
-    if nonzero:
+    if any(n != 0 for _, n in hits):
         return False
-    witness = tuple(Fraction(2 if j == 0 else 0) for j in range(24))
-    if not ctx.lattice.contains(witness):
-        return False
-    return True
+    return ctx.lattice.contains((2,) + (0,) * 23)
 
 
 def kissing_vectors(budget_seconds=None):
     """All minimal vectors of the Leech lattice; slow, behind a flag."""
-    ctx = build_leech()
-    hits = enumerate_short(ctx.reduced, 4, budget_seconds=budget_seconds)
-    return [z for z, n in hits if n == 4]
+    return coords_of_norm(build_leech().reduced, 4, budget_seconds)
 
 
 def _paper_frame_in(lat: EvenLattice, norm4):
     """Keys m_1..m_8 of a doubly even lattice with Gram 2 x (E8 Cartan).
 
-    The norm-4 vectors ``norm4`` of an isometric copy of the rescaled E8
-    lattice form a rescaled root system; a simple system matching the chain
-    labelling of the diagram is extracted and reordered by backtracking.
+    The norm-4 vectors ``norm4`` (sorted int coefficient tuples) of an
+    isometric copy of the rescaled E8 lattice form a rescaled root system;
+    a simple system matching the chain labelling of the diagram is
+    extracted and reordered by backtracking.
     """
-    keys = sorted(tuple(int(x) for x in z) for z in norm4)
-    simple = simple_system(keys)
+    simple = simple_system(norm4)
     if len(simple) != lat.rank:
         raise EmbeddingNotFound("could not extract a simple system")
     pairs = [[lat.pair(u, v) for v in simple] for u in simple]
@@ -170,7 +165,7 @@ def _block(ctx: LeechContext, k: int):
     """Block k of the embedding in Leech coordinates, and its norm-4 vectors."""
     rows, den = embed_sqrt2E8_cubed(ctx)._int_rows
     block = lattice_over(rows[8 * k: 8 * k + 8], den)
-    return block, [z for z, n in enumerate_short(block, 4) if n == 4]
+    return block, coords_of_norm(block, 4)
 
 
 @data_cached("Hamming8")

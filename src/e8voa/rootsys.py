@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul, sub
 
-from .lattice import EvenLattice, hermite_normal_form
+from .lattice import EvenLattice, coords_of_norm, hermite_normal_form
 from .linalg import det, vec_mat
 
 
@@ -76,7 +76,7 @@ class RootSystem:
     def __init__(self, simple_roots, components):
         self.simple_roots = [tuple(Fraction(x) for x in r) for r in simple_roots]
         self.lattice = EvenLattice(self.simple_roots)
-        coords = short_root_coords(self.lattice)
+        coords = coords_of_norm(self.lattice, 2)
         self.root_coords = coords
         self.roots = sorted(self.lattice.ambient(c) for c in coords)
         self.components = components
@@ -87,12 +87,6 @@ class RootSystem:
             raise ValueError("coxeter_number needs an indecomposable system")
         letter, rank = self.components[0]
         return coxeter_number(letter, rank)
-
-
-def short_root_coords(lat: EvenLattice):
-    """Integer coefficient tuples of the norm-2 vectors of an unscaled lattice."""
-    from .lattice import enumerate_short
-    return sorted(tuple(int(x) for x in z) for z, nn in enumerate_short(lat, 2) if nn == 2)
 
 
 @lru_cache(maxsize=None)
@@ -183,7 +177,7 @@ def decompose_root_lattice(lat: EvenLattice):
     Returns a list of RootComponent with coefficient-space data.  The
     lattice must be generated by its norm-2 vectors.
     """
-    coords = short_root_coords(lat)
+    coords = coords_of_norm(lat, 2)
     if not coords:
         raise NotRootGenerated("lattice has no roots")
     h = hermite_normal_form(coords)
@@ -247,7 +241,7 @@ def e8_paper_data():
     """The E8 lattice on the paper basis, its root coordinates and the highest root."""
     basis = _e8_paper_basis()
     lat = EvenLattice(basis)
-    coords = short_root_coords(lat)
+    coords = coords_of_norm(lat, 2)
     return {
         "basis": basis,
         "lattice": lat,

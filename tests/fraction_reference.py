@@ -198,8 +198,9 @@ def coset_classes(node):
 def root_components(lat):
     """[(simple coords, root coords)] of a root lattice's components, with
     every pairing taken as a Fraction by EvenLattice.pair."""
-    from e8voa.rootsys import _lex_positive, short_root_coords
-    coords = short_root_coords(lat)
+    from e8voa.lattice import coords_of_norm
+    from e8voa.rootsys import _lex_positive
+    coords = coords_of_norm(lat, 2)
     pos = [c for c in coords if _lex_positive(c)]
     posset = set(pos)
     simple = [p for p in pos

@@ -190,3 +190,13 @@ def test_python_dash_m_runs_the_command_line(capsys):
     assert out.returncode == 0
     assert main(["verify-codes"]) == 0
     assert out.stdout == capsys.readouterr().out.encode()
+
+
+def test_verify_all_report_bytes_are_pinned():
+    # the printed verify-all report is the contract: every claim passes and
+    # the bytes match the reference digest
+    import hashlib
+    status, report, text = run(RunConfig("verify-all"))
+    assert status == 0 and report["pass"] is True
+    digest = hashlib.sha256((text + "\n").encode()).hexdigest()
+    assert digest == "675160a42b629c202f92ec429acbad5c0e57238a4d85888cb50bad27628cad70"

@@ -63,6 +63,34 @@ def test_z4_self_dual_and_type_II():
     assert is_type_II(z4)
 
 
+def test_z4_equal_codes_hash_equal():
+    # the two generating sets span the same code, {0, (2,3,1,2), (0,2,2,0),
+    # (2,1,3,2)}, so the codes must hash alike
+    a = Z4Code(4, [(2, 3, 1, 2)])
+    b = Z4Code(4, [(2, 1, 3, 2), (0, 2, 2, 0)])
+    assert a == b and hash(a) == hash(b)
+    assert a != Z4Code(4, [(0, 2, 2, 0)])
+    # random generating sets of one code: invertible row operations mod 4,
+    # plus some redundant combinations
+    import random
+    rng = random.Random(17)
+    for _ in range(50):
+        gens = [[rng.randrange(4) for _ in range(5)] for _ in range(rng.randint(1, 3))]
+        other = [list(g) for g in gens]
+        for _ in range(6):
+            i, j = rng.randrange(len(other)), rng.randrange(len(other))
+            if i != j:
+                c = rng.randrange(4)
+                other[i] = [(x + c * y) % 4 for x, y in zip(other[i], other[j])]
+            else:
+                other[i] = [(-x) % 4 for x in other[i]]
+        for _ in range(rng.randint(0, 2)):
+            cs = [rng.randrange(4) for _ in gens]
+            other.append([sum(c * g[k] for c, g in zip(cs, gens)) % 4 for k in range(5)])
+        x, y = Z4Code(5, gens), Z4Code(5, other)
+        assert x == y and hash(x) == hash(y)
+
+
 def test_zero_code_not_type_II():
     zero = Z4Code(24, [])
     assert not is_type_II(zero)

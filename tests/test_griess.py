@@ -343,7 +343,9 @@ def test_module_space_lowering_pairs_match_the_norm4_scan():
     n_spaces = 0
     for ctx, shift, sp in _lowering_spaces():
         n_spaces += 1
-        assert sp.keys == sorted(coset_minimum(ctx.lattice, shift)[1])
+        k, den, xs = coset_minimum(ctx.lattice, shift)
+        assert (sp.min_norm, sp.den, sp.scaled_keys) == (k, den, sorted(xs))
+        assert sp.keys == sorted(tuple(F(x, den) for x in key) for key in xs)
         for col, key in enumerate(sp.keys):
             own = sorted((y, sp.keys[row]) for y, row in sp.lowering[col])
             lowering = ref.lowering_scan(ctx, key)

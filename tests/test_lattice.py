@@ -7,8 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from e8voa.lattice import (BudgetExceeded, Coset, EvenLattice, NotMinimal,
-                           NotPositiveDefinite, coset_min_norm, count_X_eta,
-                           enumerate_short, short_vectors)
+                           NotPositiveDefinite, coords_of_norm, coset_min_norm,
+                           count_X_eta, enumerate_short, short_vectors)
 from e8voa.linalg import identity
 from e8voa.rootsys import build_root_system, e8_paper_data, extended_e8_node
 
@@ -119,9 +119,11 @@ def test_enumeration_matches_box_oracle(rank, seed):
             break
     target = F(rng.randint(1, 8))
     lat = from_gram(gram)
+    # the Gram rows are integral, so each hit's N is its norm
     ours = sorted(tuple(z) for z, n in enumerate_short(lat, target)
                   if n == target)
     assert ours == _box_oracle(gram, target)
+    assert coords_of_norm(lat, target) == _box_oracle(gram, target)
 
 
 def _shifted_box_search(gram, bound, shift):
@@ -167,11 +169,16 @@ def _short_vector_problems(draw):
 @settings(max_examples=60, deadline=None)
 @given(_short_vector_problems())
 def test_shifted_enumeration_matches_box_search(problem):
+    # hits are (S x, S^2 g norm(x)) on ints, S and g the shift's and the
+    # Gram matrix's denominators
     gram, shift, bound = problem
     ours = enumerate_short(from_gram(gram), bound, shift=shift)
     for coeffs, norm in ours:
-        assert type(norm) is F and all(type(x) is F for x in coeffs)
-    assert sorted(ours) == _shifted_box_search(gram, bound, shift)
+        assert type(norm) is int and all(type(x) is int for x in coeffs)
+    s_den = lcm(*(x.denominator for x in shift))
+    g_den = lcm(*(x.denominator for row in gram for x in row))
+    assert sorted(ours) == [(tuple(s_den * x for x in xs), s_den * s_den * g_den * norm)
+                            for xs, norm in _shifted_box_search(gram, bound, shift)]
 
 
 def test_zero_budget_stops_the_rank24_norm4_search():

@@ -5,7 +5,8 @@ or from ``e8voa`` itself, and no module contains a float literal or a
 ``float(...)`` call.  The check reads the syntax tree only, so it cannot
 see ``/`` applied to two ints, which also yields a float at run time.
 The weight-2 kernel functions call no scalar constructor, and lattice
-membership, size reduction, the LDL decomposition, the root decomposition,
+membership, size reduction, the LDL decomposition, short-vector
+enumeration, the exact-norm filter, the root decomposition,
 the glue class map, the X_eta count and the module action matrix call no
 Fraction.  The tau involution is a
 polynomial in the action matrix: it computes no kernel, echelon form or
@@ -116,9 +117,11 @@ def test_coset_vectors_run_on_ints():
 
 
 def test_ldl_root_decomposition_and_glue_classes_run_on_ints():
-    # Bareiss on the int Gram rows; pairings against int Gram columns; the
-    # glue pairing as ints over one denominator
-    _assert_no_fraction_calls("lattice.py", ["EvenLattice.ldl", "EvenLattice.gram_times"])
+    # Bareiss on the int Gram rows; the enumeration on it hands out (S x, N)
+    # int pairs, filtered by exact norm on ints; pairings against int Gram
+    # columns; the glue pairing as ints over one denominator
+    _assert_no_fraction_calls("lattice.py", ["EvenLattice.ldl", "EvenLattice.gram_times",
+                                             "enumerate_short", "coords_of_norm"])
     _assert_no_fraction_calls("rootsys.py", [
         "decompose_root_lattice", "_component_graph", "simple_system",
         "ExtendedE8Node._check_glue", "ExtendedE8Node.coset_classes"])

@@ -26,7 +26,8 @@ from operator import mul
 
 from .codes import construction_A, data_cached, named_code
 from .lattice import EvenLattice, coords_of_norm, coset_minimum
-from .linalg import RowSpace, clear_denominators, identity, invert, rank_mod_p
+from .linalg import (RowSpace, clear_denominators, hermite_normal_form, identity, invert,
+                     rank_mod_p)
 from .scalars import Cyclotomic, _cyc, half_turn_phase, is_zero, power_table
 
 
@@ -488,11 +489,9 @@ def build_virasoro_family(ctx: AlgebraContext, root_keys):
     squares = _square_sum(ctx, keys)
     if any(("e", _neg(k)) not in ctx.index for k in keys):
         raise EmbeddingError("root set must be closed under negation")
-    r = len(RowSpace(keys).rows)
-    h = Fraction(len(keys), r)
-    if h.denominator != 1:
+    h, rem = divmod(len(keys), len(hermite_normal_form(keys)))
+    if rem:
         raise EmbeddingError("root count is not a multiple of the rank")
-    h = int(h)
     # omega(Phi) = sum x(-1)^2 / 8h, s = sum (x(-1)^2 / 8 - e^x) / (h + 2)
     omega_phi = _make(ctx, 1, 8 * h, [squares])
     s_terms = dict(squares)

@@ -28,7 +28,7 @@ import time
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, isqrt, lcm
-from operator import add, mul, sub
+from operator import add, mul, neg, sub
 
 from .linalg import (RowSpace, clear_denominators, det, hermite_normal_form,
                      invert)
@@ -260,16 +260,23 @@ def enumerate_short(lat: EvenLattice, bound, shift=None,
                     budget_seconds=None):
     """All x = z + shift (z integer coefficients) with norm(x) <= bound.
 
-    Returns a list of int pairs (X, N), levels n-1..0 with each coefficient
-    ascending: X = S*x with S the least common denominator of the shift (1
-    when there is none), and N = X^T A X with A = g*G the integer Gram rows,
-    so norm(x) = N / (S^2 g).  ``shift`` is a rational coefficient vector.
-    Exceeding ``budget_seconds`` raises BudgetExceeded.
+    Returns a list of int pairs (X, N), each vector exactly once and in no
+    promised order (``coords_of_norm`` is the sorted view): X = S*x with S
+    the least common denominator of the shift (1 when there is none), and
+    N = X^T A X with A = g*G the integer Gram rows, so norm(x) = N / (S^2 g).
+    ``shift`` is a rational coefficient vector.  Exceeding
+    ``budget_seconds`` raises BudgetExceeded.
 
     With M, E, D, U from ``ldl``, M*S*(x_i + sum_{j>i} u_ij x_j) =
     M*S*z_i + C_i, where C_i = M*S*s_i + sum_{j>i} U_ij X_j.  The search
     scales norms by K = E*M^2*S^2*den(bound), and K*norm(x) * g equals
     E*M^2*den(bound) * N, one exact division per hit.
+
+    Without a shift (or with a zero one) the set is symmetric, so only half
+    the tree is searched: while every coordinate above the current level
+    is 0, C_i = 0 and z_i >= 0 is enough.  That visits the zero vector
+    (the first leaf) and each nonzero x whose highest nonzero coordinate
+    is positive; their negatives are appended at the end.
     """
     n = lat.rank
     if bound < 0:
@@ -293,7 +300,7 @@ def enumerate_short(lat: EvenLattice, bound, shift=None,
     deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
     nodes = 0
 
-    def descend(level, remaining):
+    def descend(level, remaining, top):
         nonlocal nodes
         nodes += 1
         if deadline is not None and nodes % 4096 == 0 and time.monotonic() > deadline:
@@ -301,7 +308,7 @@ def enumerate_short(lat: EvenLattice, bound, shift=None,
         x0, dl = xs0[level], dd[level]
         c = m_den * x0 + sum(map(mul, urows[level], xs[level + 1:]))
         m = isqrt(remaining // dl)
-        z_range = range(-((m + c) // ms), (m - c) // ms + 1)
+        z_range = range(0 if top else -((m + c) // ms), (m - c) // ms + 1)
         if level == 0:
             tail = tuple(xs[1:])
             base = remaining - r0
@@ -312,10 +319,13 @@ def enumerate_short(lat: EvenLattice, bound, shift=None,
         for z in z_range:
             xs[level] = s_den * z + x0
             y = ms * z + c
-            descend(level - 1, remaining - dl * y * y)
+            descend(level - 1, remaining - dl * y * y, top and not z)
 
-    descend(n - 1, r0)
+    symmetric = not any(xs0)
+    descend(n - 1, r0, symmetric)
     del descend  # free the search state now, not at the next cycle collection
+    if symmetric:
+        results += [(tuple(map(neg, v)), norm) for v, norm in results[1:]]
     return results
 
 
@@ -357,14 +367,31 @@ class Coset:
 def coset_minimum(lat: EvenLattice, shift):
     """(k, den, xs): the minimal norm k over z + shift, z integral, and the
     vectors that achieve it as int tuples X = den * (z + shift), den the
-    least common denominator of the shift."""
-    # reduce the shift by rounding to get a finite starting bound
-    frac = [x - round(x) for x in shift]
-    den = lcm(*(x.denominator for x in frac))
-    hits = enumerate_short(lat, lat.pair(frac, frac), shift=frac)
+    least common denominator of the shift.  The search is bounded by the
+    norm of the coset's nearest-plane point."""
+    xs0, den = _over_one_den(shift)
+    scale = den * den * lat._int_gram_rows[1]
+    hits = enumerate_short(lat, Fraction(_nearest_plane(lat, xs0, den)[1], scale),
+                           shift=shift)
     n_min = min(n for _, n in hits)
-    return (Fraction(n_min, den * den * lat._int_gram_rows[1]), den,
-            [x for x, n in hits if n == n_min])
+    return Fraction(n_min, scale), den, [x for x, n in hits if n == n_min]
+
+
+def _nearest_plane(lat: EvenLattice, xs0, s_den):
+    """(X, N): Babai's nearest-plane point x of the coset z + xs0 / s_den, as
+    X = s_den*x and N = X^T A X in the scaling of ``enumerate_short``.
+
+    From the top level down, z_i rounds -C_i / (M*S) to the nearest int,
+    which makes the level's term M*S*z_i + C_i as small as it can be.
+    """
+    m_den, _, _, urows = lat.ldl()
+    ms = m_den * s_den
+    xs = list(xs0)
+    for i in reversed(range(lat.rank)):
+        c = m_den * xs0[i] + sum(map(mul, urows[i], xs[i + 1:]))
+        xs[i] = xs0[i] - s_den * _round_ratio(c, ms)
+    rows = lat._int_gram_rows[0]
+    return xs, sum(x * sum(map(mul, row, xs)) for x, row in zip(xs, rows))
 
 
 def coset_min_norm(c: Coset) -> dict:

@@ -18,7 +18,9 @@ pair of vectors and an ``("e", y)`` lookup per hit; ``opp_terms`` is
 ``lowering_scan`` is the per-key scan over all norm-4 vectors that the
 module action used before each ``griess.ModuleSpace`` found its own
 lowering pairs.  ``mat_mul`` is the plain matrix product the tests
-square tau with.  The oracle tests compare the two.
+square tau with.  ``coset_minimum`` is ``lattice.coset_minimum`` as it was
+before it started from the nearest-plane bound: a search bounded by the
+norm of the shift's rounded remainder.  The oracle tests compare the two.
 """
 
 from fractions import Fraction
@@ -215,6 +217,18 @@ def root_components(lat):
         roots = [r for r in coords if any(lat.pair(r, s) != 0 for s in comp)]
         out.append((sorted(comp), roots))
     return sorted(out)
+
+
+def coset_minimum(lat, shift):
+    """(k, den, xs) of lattice.coset_minimum, searching every vector of the
+    coset up to the norm of frac = shift - round(shift)."""
+    from e8voa.lattice import enumerate_short
+    frac = [x - round(x) for x in shift]
+    den = lcm(*(x.denominator for x in frac))
+    hits = enumerate_short(lat, lat.pair(frac, frac), shift=frac)
+    n_min = min(n for _, n in hits)
+    return (Fraction(n_min, den * den * lat._int_gram_rows[1]), den,
+            [x for x, n in hits if n == n_min])
 
 
 def count_X_eta(root_system, gamma, eta) -> int:

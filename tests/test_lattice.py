@@ -7,8 +7,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from e8voa.lattice import (BudgetExceeded, Coset, EvenLattice, NotMinimal,
-                           NotPositiveDefinite, coords_of_norm, coset_min_norm,
-                           count_X_eta, enumerate_short, short_vectors)
+                           NotPositiveDefinite, _nearest_plane, coords_of_norm,
+                           coset_min_norm, coset_minimum, count_X_eta,
+                           enumerate_short, short_vectors)
 from e8voa.linalg import identity
 from e8voa.rootsys import build_root_system, e8_paper_data, extended_e8_node
 
@@ -181,6 +182,23 @@ def test_shifted_enumeration_matches_box_search(problem):
                             for xs, norm in _shifted_box_search(gram, bound, shift)]
 
 
+@settings(max_examples=60, deadline=None)
+@given(_short_vector_problems(), st.booleans())
+def test_unshifted_enumeration_matches_box_search(problem, zero_shift):
+    # without a shift (or with a zero one) only half the tree is searched
+    # and the negatives are appended: every vector of norm <= bound must
+    # come back exactly once, the zero vector included
+    gram, _, bound = problem
+    n = len(gram)
+    ours = enumerate_short(from_gram(gram), bound, shift=[F(0)] * n if zero_shift else None)
+    g_den = lcm(*(x.denominator for row in gram for x in row))
+    want = [(tuple(int(x) for x in xs), g_den * norm)
+            for xs, norm in _shifted_box_search(gram, bound, [F(0)] * n)]
+    assert len(set(ours)) == len(ours)
+    assert sorted(ours) == want
+    assert ours.count(((0,) * n, 0)) == 1
+
+
 def test_zero_budget_stops_the_rank24_norm4_search():
     from e8voa.leech import build_leech
     with pytest.raises(BudgetExceeded):
@@ -272,6 +290,33 @@ def test_count_x_eta_matches_the_fraction_reference(letter, rank):
         c = Coset(rs.lattice, rs.lattice.ambient(shift))
         for eta in coset_min_norm(c)["reps"]:
             assert count_X_eta(rs, c, eta) == ref.count_X_eta(rs, c, eta)
+
+
+def _survey_lattice():
+    from e8voa.codes import construction_A, named_code
+    return construction_A(named_code("Hamming8"))
+
+
+@pytest.mark.parametrize("lattice", [sqrt2_e8, _survey_lattice],
+                         ids=["sqrt2E8", "hamming-survey"])
+def test_coset_minimum_matches_the_rounding_bound_search(lattice):
+    # the nearest-plane start keeps the minima and minimal vectors of the
+    # rounding-bound search on every dual coset; the nearest-plane point
+    # lies in the coset and bounds its minimum from above
+    import fraction_reference as ref
+    lat = lattice()
+    g_den = lat._int_gram_rows[1]
+    shifts = list(lat.dual_coset_shifts())
+    assert len(shifts) == 256
+    for shift in shifts:
+        k, den, xs = coset_minimum(lat, shift)
+        want_k, want_den, want_xs = ref.coset_minimum(lat, shift)
+        assert (k, den, sorted(xs)) == (want_k, want_den, sorted(want_xs))
+        xs0 = [int(den * s) for s in shift]
+        point, norm = _nearest_plane(lat, xs0, den)
+        assert all((x - x0) % den == 0 for x, x0 in zip(point, xs0))
+        assert F(norm, den * den * g_den) == lat.pair(
+            [F(x, den) for x in point], [F(x, den) for x in point]) >= k
 
 
 def test_coset_equality():

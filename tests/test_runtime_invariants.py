@@ -118,10 +118,12 @@ def test_coset_vectors_run_on_ints():
 
 def test_ldl_root_decomposition_and_glue_classes_run_on_ints():
     # Bareiss on the int Gram rows; the enumeration on it hands out (S x, N)
-    # int pairs, filtered by exact norm on ints; pairings against int Gram
-    # columns; the glue pairing as ints over one denominator
+    # int pairs, filtered by exact norm on ints, and a coset search starts
+    # from its nearest-plane point, rounded on the same rows; pairings
+    # against int Gram columns; the glue pairing as ints over one denominator
     _assert_no_fraction_calls("lattice.py", ["EvenLattice.ldl", "EvenLattice.gram_times",
-                                             "enumerate_short", "coords_of_norm"])
+                                             "enumerate_short", "coords_of_norm",
+                                             "_nearest_plane"])
     _assert_no_fraction_calls("rootsys.py", [
         "decompose_root_lattice", "_component_graph", "simple_system",
         "ExtendedE8Node._check_glue", "ExtendedE8Node.coset_classes"])

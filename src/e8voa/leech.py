@@ -10,12 +10,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import mul, sub
 
 from .codes import (block_subcode, construction_A, data_cached,
                     find_column_permutation, is_type_II, named_code,
                     residue_code_B)
-from .lattice import (Coset, EvenLattice, coords_of_norm, coset_min_norm,
+from .lattice import (EvenLattice, coords_of_norm, coset_minimum,
                       enumerate_short, lattice_from_integer_rows, lattice_over,
                       size_reduce_basis)
 from .linalg import clear_denominators, vec_mat
@@ -163,6 +163,7 @@ def embed_sqrt2E8_cubed(ctx: LeechContext):
 @data_cached("Hamming8")
 def _block(ctx: LeechContext, k: int):
     """Block k of the embedding in Leech coordinates, and its norm-4 vectors."""
+    # every block vector lies in Leech: embed_sqrt2E8_cubed certified the rows
     rows, den = embed_sqrt2E8_cubed(ctx)._int_rows
     block = lattice_over(rows[8 * k: 8 * k + 8], den)
     return block, coords_of_norm(block, 4)
@@ -174,19 +175,12 @@ def block_frames(ctx: LeechContext):
     frames = []
     for k in range(3):
         block, norm4 = _block(ctx, k)
-        frame = [block.ambient(m) for m in _paper_frame_in(block, norm4)]
-        if not all(ctx.lattice.contains(v) for v in frame):
-            raise EmbeddingNotFound("frame vector falls outside Leech")
-        frames.append(frame)
+        frames.append([block.ambient(m) for m in _paper_frame_in(block, norm4)])
     return frames
 
 
 def block_norm4_count(ctx: LeechContext, k: int) -> int:
-    block, norm4 = _block(ctx, k)
-    vecs = [block.ambient_ints(z) for z in norm4]
-    if not all(ctx.lattice.contains(v, den) for v, den in vecs):
-        raise EmbeddingNotFound("norm-4 block vector falls outside Leech")
-    return len(vecs)
+    return len(_block(ctx, k)[1])
 
 
 def sigma_tilde_order(i: int) -> int:
@@ -223,11 +217,22 @@ MINIMAL_SHAPES = (
 )
 
 
-def _canonical_shape(v):
-    return tuple(sorted((Fraction(x) for x in v), reverse=True))
+# the shapes and their negatives as doubled int tuples, sorted descending
+_SHAPES2 = {tuple(sorted((int(2 * e * x) for x in s), reverse=True))
+            for s in MINIMAL_SHAPES for e in (1, -1)}
 
 
-_SHAPE_SET = {_canonical_shape(s) for s in MINIMAL_SHAPES}
+def _doubled(row, den):
+    """2 * row / den as an int tuple, or None when that is not integral."""
+    if all(2 * x % den == 0 for x in row):
+        return tuple(2 * x // den for x in row)
+    return None
+
+
+def _record(k, n_minimal, *vecs):
+    """The record of a coset, its doubled rep (and split) halved to Fractions."""
+    rep, *split = (tuple(Fraction(x, 2) for x in v) for v in vecs)
+    return {"min_norm": k, "rep": rep, "n_minimal": n_minimal, "split": tuple(split) or None}
 
 
 @data_cached("Hamming8")
@@ -238,37 +243,31 @@ def minimal_coset_survey():
     representative matching one of the eleven coordinate shapes up to
     permutation and overall sign, and for norm 2 an orthogonal splitting
     into two norm-1 dual vectors.  The norm-1 dual vectors are exactly the
-    minimal representatives of the norm-1 cosets.
+    minimal representatives of the norm-1 cosets.  Vectors are sorted
+    doubled ambient int tuples 2x until ``_record`` halves them.
     """
     lat = construction_A(named_code("Hamming8"))
-    infos = [coset_min_norm(Coset(lat, lat.ambient(shift)))
-             for shift in lat.dual_coset_shifts()]
-    norm1 = [v for info in infos if info["k"] == 1 for v in info["reps"]]
+    infos = []
+    for shift in lat.dual_coset_shifts():
+        k, den, xs = coset_minimum(lat, shift)
+        rows = sorted(lat.ambient_ints(x)[0] for x in xs)
+        infos.append((k, [_doubled(row, den * lat._int_rows[1]) for row in rows]))
+    norm1 = [v for k, reps in infos if k == 1 for v in reps if v is not None]
     cosets = []
-    for info in infos:
-        k = info["k"]
+    for k, reps in infos:
         if k not in (0, 1, 2):
             raise ShapeMismatch(f"coset has minimal norm {k}")
-        match = None
-        for rep in info["reps"]:
-            c = _canonical_shape(rep)
-            cneg = _canonical_shape([-x for x in rep])
-            if c in _SHAPE_SET or cneg in _SHAPE_SET:
-                match = rep
-                break
+        match = next((v for v in reps if v is not None
+                      and tuple(sorted(v, reverse=True)) in _SHAPES2), None)
         if match is None:
             raise ShapeMismatch("no minimal representative matches the shape list")
-        split = None
+        split = ()
         if k == 2:
-            for a in norm1:
-                b = tuple(x - y for x, y in zip(match, a))
-                nb = sum(x * x for x in b)
-                ab = sum(x * y for x, y in zip(a, b))
-                if nb == 1 and ab == 0:
-                    split = (a, b)
-                    break
-            if split is None:
+            # doubled, |A|^2 = 4 and |R|^2 = 8: |R - A|^2 = 12 - 2 A.R and A.(R - A)
+            # = A.R - 4, so R - A has norm 1 and is orthogonal to A iff A.R == 4
+            a = next((a for a in norm1 if sum(map(mul, a, match)) == 4), None)
+            if a is None:
                 raise ShapeMismatch("norm-2 representative admits no orthogonal split")
-        cosets.append({"min_norm": k, "rep": match,
-                       "n_minimal": len(info["reps"]), "split": split})
+            split = (a, tuple(map(sub, match, a)))
+        cosets.append(_record(k, len(reps), match, *split))
     return cosets

@@ -20,7 +20,12 @@ module action used before each ``griess.ModuleSpace`` found its own
 lowering pairs.  ``mat_mul`` is the plain matrix product the tests
 square tau with.  ``coset_minimum`` is ``lattice.coset_minimum`` as it was
 before it started from the nearest-plane bound: a search bounded by the
-norm of the shift's rounded remainder.  The oracle tests compare the two.
+norm of the shift's rounded remainder.  ``minimal_coset_survey`` is
+``leech.minimal_coset_survey`` as it was before it moved onto doubled int
+tuples: one ``lattice.Coset`` per dual coset shift, solved back from its
+ambient vector, minima from ``lattice.coset_min_norm``, and the shape
+match and the orthogonal split on Fraction tuples.  The oracle tests
+compare the two.
 """
 
 from fractions import Fraction
@@ -246,6 +251,51 @@ def count_X_eta(root_system, gamma, eta) -> int:
         if beta in minimal:
             count += 1
     return count
+
+
+def _canonical_shape(v):
+    return tuple(sorted((Fraction(x) for x in v), reverse=True))
+
+
+def minimal_coset_survey():
+    """The 256 survey records on Fraction tuples, through ``Coset`` and
+    ``coset_min_norm``."""
+    from e8voa.codes import construction_A, named_code
+    from e8voa.lattice import Coset, coset_min_norm
+    from e8voa.leech import MINIMAL_SHAPES, ShapeMismatch
+    shapes = {_canonical_shape(s) for s in MINIMAL_SHAPES}
+    lat = construction_A(named_code("Hamming8"))
+    infos = [coset_min_norm(Coset(lat, lat.ambient(shift)))
+             for shift in lat.dual_coset_shifts()]
+    norm1 = [v for info in infos if info["k"] == 1 for v in info["reps"]]
+    cosets = []
+    for info in infos:
+        k = info["k"]
+        if k not in (0, 1, 2):
+            raise ShapeMismatch(f"coset has minimal norm {k}")
+        match = None
+        for rep in info["reps"]:
+            c = _canonical_shape(rep)
+            cneg = _canonical_shape([-x for x in rep])
+            if c in shapes or cneg in shapes:
+                match = rep
+                break
+        if match is None:
+            raise ShapeMismatch("no minimal representative matches the shape list")
+        split = None
+        if k == 2:
+            for a in norm1:
+                b = tuple(x - y for x, y in zip(match, a))
+                nb = sum(x * x for x in b)
+                ab = sum(x * y for x, y in zip(a, b))
+                if nb == 1 and ab == 0:
+                    split = (a, b)
+                    break
+            if split is None:
+                raise ShapeMismatch("norm-2 representative admits no orthogonal split")
+        cosets.append({"min_norm": k, "rep": match,
+                       "n_minimal": len(info["reps"]), "split": split})
+    return cosets
 
 
 class FractionCyclotomic:

@@ -47,6 +47,19 @@ def test_each_block_has_240_minimal_vectors():
         assert block_norm4_count(ctx, k) == 240
 
 
+def test_block_vectors_and_frames_lie_in_leech():
+    # block_norm4_count and block_frames rely on the certified block rows
+    # instead of checking each vector; this keeps that fact checked
+    from e8voa.leech import _block
+    ctx = build_leech()
+    lam = ctx.lattice
+    for k in range(3):
+        block, norm4 = _block(ctx, k)
+        assert len(norm4) == 240
+        assert all(lam.contains(*block.ambient_ints(z)) for z in norm4)
+        assert all(lam.contains(v) for v in block_frames(ctx)[k])
+
+
 def test_embedding_is_built_from_the_block_int_rows():
     # the cross-block zeros are read off the integer Gram rows, and the
     # rows match the embedding built from the Fraction block bases
@@ -109,6 +122,16 @@ def test_survey_norm2_splittings():
         assert sum(x * x for x in b) == 1
         assert sum(x * y for x, y in zip(a, b)) == 0
         assert tuple(x + y for x, y in zip(a, b)) == tuple(c["rep"])
+
+
+def test_survey_matches_the_fraction_reference():
+    import fraction_reference as ref
+    survey = minimal_coset_survey()
+    reference = ref.minimal_coset_survey()
+    assert len(survey) == len(reference) == 256
+    for got, want in zip(survey, reference):
+        assert got == want
+        assert all(type(x) is F for x in got["rep"])
 
 
 def test_shape_list_is_exactly_eleven():

@@ -7,11 +7,11 @@ see ``/`` applied to two ints, which also yields a float at run time.
 The weight-2 kernel functions call no scalar constructor, and lattice
 membership, size reduction, the LDL decomposition, short-vector
 enumeration, the exact-norm filter, the root decomposition,
-the glue class map, the X_eta count and the module action matrix call no
-Fraction.  The tau involution is a
-polynomial in the action matrix: it computes no kernel, echelon form or
-inverse, and its matrix products call no Fraction.  The involution checks
-and the rank mod p compare integers: they call no Cyclotomic,
+the glue class map, the X_eta count, the module action matrix and the
+Leech dual-coset survey's minima, shape match and split call no Fraction.
+The tau involution is a polynomial in the action matrix: it computes no
+kernel, echelon form or inverse, and its matrix products call no Fraction.
+The involution checks and the rank mod p compare integers: they call no Cyclotomic,
 scalar_inverse, sigma_phase or act_matrix.  Cyclotomic sums, products,
 inverses and embeddings run on integer numerators over one denominator:
 they call no Fraction, and no polynomial Euclid helper is left.
@@ -114,6 +114,12 @@ def test_coset_vectors_run_on_ints():
     # matrix fills with a module constant and reads values from _act only
     _assert_no_fraction_calls("lattice.py", ["count_X_eta", "_x_eta_ints"])
     _assert_no_fraction_calls("griess.py", ["ModuleSpace.act_matrix"])
+
+
+def test_leech_survey_runs_on_ints():
+    # minima, shape match and orthogonal split on doubled int tuples; only
+    # _record, outside these bodies, halves them to Fractions
+    _assert_no_fraction_calls("leech.py", ["minimal_coset_survey", "_doubled"])
 
 
 def test_ldl_root_decomposition_and_glue_classes_run_on_ints():

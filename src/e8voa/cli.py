@@ -41,6 +41,8 @@ class RunConfig:
             raise ValueError("node filter entries must be 0..8")
         if self.time_budget_seconds <= 0:
             raise ValueError("time budget must be positive")
+        if field_order_override is not None and field_order_override <= 0:
+            raise ValueError("field order must be positive")
 
 
 def _equals(expected, actual):
@@ -401,14 +403,17 @@ def main(argv=None) -> int:
     parser.add_argument("--field-order", type=int, default=None,
                         help="re-check table values inside Q(zeta_N) for this N")
     args = parser.parse_args(argv)
-    config = RunConfig(
-        command=args.command,
-        node_filter=args.node or [],
-        output_format=args.format,
-        time_budget_seconds=args.budget,
-        field_order_override=args.field_order,
-        long_checks=args.long,
-    )
+    try:
+        config = RunConfig(
+            command=args.command,
+            node_filter=args.node or [],
+            output_format=args.format,
+            time_budget_seconds=args.budget,
+            field_order_override=args.field_order,
+            long_checks=args.long,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
     status, _, text = run(config)
     print(text)
     return status

@@ -1,20 +1,26 @@
 """Binary and Z4 linear codes, duals, and Construction A lattices.
 
 Binary codewords are tuples of 0/1; Z4 codewords are tuples over 0..3.
-Code membership and duality are computed through the associated integer
-lattices {x : x mod q in C}, which keeps every check exact and avoids any
-reliance on a particular standard form.
+Every code C over Z/q is held as one object, its preimage lattice
+L = {x in Z^n : x mod q in C}, and everything else is read off the Hermite
+basis B of L: B is upper triangular with pivots dividing q, so the rows
+with a pivot below q generate C, and the pivots give its size.  The dual
+code's lattice is qL*, spanned by the columns of qB^-1, one exact back
+substitution.  Two identities reduce the other constructions to duals: the
+torsion code {b : 2b in C} of a Z4 code is the dual of the residue code of
+C-perp, and a shortened code is the dual of the dual code punctured to the
+same columns.  Every check is exact and on Python ints.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-from fractions import Fraction
-from functools import cached_property, lru_cache, wraps
+from functools import lru_cache, wraps
+from math import prod
+from operator import mul
 
-from .lattice import EvenLattice, lattice_from_integer_rows
-from .linalg import hermite_normal_form
+from .lattice import EvenLattice, lattice_from_integer_rows, lattice_over
 
 
 def data_dir() -> str:
@@ -38,42 +44,59 @@ def _load_digit_rows(path, alphabet):
     return rows
 
 
-def _rref_f2(rows, length):
-    rows = [list(r) for r in rows]
-    r = 0
-    for c in range(length):
-        piv = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                rows[i] = [(a + b) % 2 for a, b in zip(rows[i], rows[r])]
-        r += 1
-    return [tuple(row) for row in rows[:r] if any(row)]
+class _Code:
+    """A linear code over Z/q of the given length, held as its preimage
+    lattice L = {x in Z^n : x mod q in C}, built once from qI and the
+    generating rows.
 
+    L contains qZ^n, so its Hermite rows ``_rows`` form an upper triangular
+    n x n matrix whose pivots divide q and whose entries lie below the pivot
+    of their column.  ``generators`` are the rows with a pivot below q; they
+    generate C, and for q = 2 they are its reduced echelon basis over F2.
+    The Hermite rows are unique for each code, so equality and the hash
+    read them.  Subclasses set q.
+    """
 
-class BinaryCode:
     def __init__(self, length: int, generators):
+        rows = [list(g) for g in generators]
+        if any(len(g) != length for g in rows):
+            raise ValueError(f"code generators must have length {length}")
         self.length = length
-        self.generators = _rref_f2(generators, length)
-        self.dimension = len(self.generators)
+        self._lattice = lattice_from_integer_rows(
+            [[self.q * (i == j) for j in range(length)] for i in range(length)] + rows)
+        self._rows = self._lattice._int_rows[0]
+        self._key = type(self), length, tuple(map(tuple, self._rows))
+        self.generators = [tuple(row) for i, row in enumerate(self._rows)
+                           if row[i] < self.q]
+
+    def cardinality(self) -> int:
+        return self.q ** self.length // prod(row[i] for i, row in enumerate(self._rows))
+
+    def contains(self, word) -> bool:
+        return self._lattice.contains(word)
+
+    def __eq__(self, other):
+        return isinstance(other, _Code) and self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
+
+
+class BinaryCode(_Code):
+    """A binary code; ``generators`` is its reduced echelon basis over F2."""
+
+    q = 2
+
+    @property
+    def dimension(self) -> int:
+        return len(self.generators)
 
     def words(self):
         for mask in range(1 << self.dimension):
             w = [0] * self.length
-            m = mask
-            i = 0
-            while m:
-                if m & 1:
-                    g = self.generators[i]
+            for i, g in enumerate(self.generators):
+                if mask >> i & 1:
                     w = [(a + b) % 2 for a, b in zip(w, g)]
-                m >>= 1
-                i += 1
             yield tuple(w)
 
     def weight_distribution(self):
@@ -82,61 +105,13 @@ class BinaryCode:
             dist[sum(w)] += 1
         return tuple(dist)
 
-    def contains(self, word) -> bool:
-        reduced = _rref_f2(list(self.generators) + [tuple(word)], self.length)
-        return len(reduced) == self.dimension
 
-    def __eq__(self, other):
-        if not isinstance(other, BinaryCode):
-            return NotImplemented
-        return self.length == other.length and self.generators == other.generators
+class Z4Code(_Code):
+    """A Z4 code.  ``generators`` are the Hermite rows of the preimage
+    lattice with pivot 1 or 2, not the rows the code was built from; they
+    generate the same code, which is all ``is_type_II`` reads."""
 
-    def __hash__(self):
-        return hash((self.length, tuple(self.generators)))
-
-
-class Z4Code:
-    """A Z4 code, given by generating rows mod 4 (zero rows dropped).
-
-    Two codes are equal exactly when their preimage lattices are, so
-    equality and the hash read the Hermite rows of ``lattice()``, which
-    are unique for each code.
-    """
-
-    def __init__(self, length: int, generators):
-        self.length = length
-        self.generators = [tuple(x % 4 for x in g) for g in generators
-                           if any(x % 4 for x in g)]
-        self._lattice = None
-
-    @cached_property
-    def _key(self):
-        return self.length, tuple(map(tuple, self.lattice()._int_rows[0]))
-
-    def lattice(self) -> EvenLattice:
-        """The unscaled preimage lattice {x in Z^n : x mod 4 in C}."""
-        if self._lattice is None:
-            rows = [[4 * int(i == j) for j in range(self.length)]
-                    for i in range(self.length)]
-            rows += [list(g) for g in self.generators]
-            self._lattice = lattice_from_integer_rows(rows)
-        return self._lattice
-
-    def cardinality(self) -> int:
-        from .linalg import det
-        rows, den = self.lattice()._int_rows
-        return (4 ** self.length) * den ** len(rows) // abs(det(rows))
-
-    def contains(self, word) -> bool:
-        return self.lattice().contains([int(x) for x in word])
-
-    def __eq__(self, other):
-        if not isinstance(other, Z4Code):
-            return NotImplemented
-        return self._key == other._key
-
-    def __hash__(self):
-        return hash(self._key)
+    q = 4
 
 
 def named_code(name: str):
@@ -191,43 +166,29 @@ def data_cached(*names):
     return decorate
 
 
+def _dual_columns(c):
+    """The columns of X = qB^-1 reduced mod q; with qZ^n they span qL*, the
+    preimage lattice of the dual code.
+
+    B X = qI is solved by back substitution; X is upper triangular like B,
+    and it is integral because L contains qZ^n.
+    """
+    b, q, n = c._rows, c.q, c.length
+    cols = []
+    for j in range(n):
+        x = [0] * (j + 1)
+        for i in range(j, -1, -1):
+            s = q * (i == j) - sum(map(mul, b[i][i + 1:j + 1], x[i + 1:]))
+            x[i], r = divmod(s, b[i][i])
+            if r:
+                raise ArithmeticError("dual of a code lattice must be 1/q-integral")
+        cols.append([v % q for v in x] + [0] * (n - j - 1))
+    return cols
+
+
 def dual_code(c):
-    if isinstance(c, BinaryCode):
-        # kernel of the generator matrix over F2
-        gens = c.generators
-        if not gens:
-            full = [[int(i == j) for j in range(c.length)] for i in range(c.length)]
-            return BinaryCode(c.length, full)
-        basis = _f2_kernel(gens, c.length)
-        return BinaryCode(c.length, basis)
-    if isinstance(c, Z4Code):
-        lat = c.lattice()
-        dual_rows = lat.dual_basis_rows()
-        gens = []
-        for row in dual_rows:
-            scaled = [4 * Fraction(x) for x in row]
-            if any(x.denominator != 1 for x in scaled):
-                raise AssertionError("dual lattice of a Z4 code must be 1/4-integral")
-            gens.append(tuple(int(x) % 4 for x in scaled))
-        return Z4Code(c.length, gens)
-    raise TypeError("expected a BinaryCode or Z4Code")
-
-
-def _f2_kernel(rows, length):
-    red = _rref_f2(rows, length)
-    pivots = []
-    for row in red:
-        pivots.append(next(i for i, x in enumerate(row) if x))
-    pivset = set(pivots)
-    free = [c for c in range(length) if c not in pivset]
-    basis = []
-    for f in free:
-        v = [0] * length
-        v[f] = 1
-        for r, c in enumerate(pivots):
-            v[c] = red[r][f] % 2
-        basis.append(tuple(v))
-    return basis
+    """The dual code, whose preimage lattice is qL*."""
+    return type(c)(c.length, _dual_columns(c))
 
 
 def euclidean_weight(word) -> int:
@@ -247,69 +208,27 @@ def is_type_II(c: Z4Code) -> bool:
 
 
 def construction_A(c) -> EvenLattice:
-    if isinstance(c, BinaryCode):
-        rows = [[2 * int(i == j) for j in range(c.length)] for i in range(c.length)]
-        rows += [list(g) for g in c.generators]
-        return lattice_from_integer_rows(rows)
-    if isinstance(c, Z4Code):
-        rows = [[4 * int(i == j) for j in range(c.length)] for i in range(c.length)]
-        rows += [list(g) for g in c.generators]
-        return lattice_from_integer_rows(rows, denominator=2)
-    raise TypeError("expected a BinaryCode or Z4Code")
+    """The lattice L / (q / 2): L itself for a binary code, L / 2 for a Z4
+    code."""
+    return lattice_over(c._rows, c.q // 2)
 
 
 def residue_code_B(c: Z4Code) -> BinaryCode:
     """Binary words b with 2b in the Z4 code.
 
-    The words 2b are exactly the even vectors of the preimage lattice, so
-    the generators come from the intersection of that lattice with 2Z^n.
+    2b lies in C = (C-perp)-perp exactly when b is orthogonal mod 2 to every
+    word of C-perp, so this is the dual of the residue code of C-perp: the
+    binary code that the columns spanning C-perp's lattice generate.
     """
-    ints, den = c.lattice()._int_rows
-    basis = [[x // den for x in row] for row in ints]
-    left = _f2_kernel_left(basis, c.length)
-    rows = []
-    for z in left:
-        v = [0] * c.length
-        for zi, brow in zip(z, basis):
-            if zi:
-                v = [a + zi * b for a, b in zip(v, brow)]
-        rows.append(v)
-    rows += [[2 * x for x in row] for row in basis]
-    h = hermite_normal_form(rows)
-    gens = []
-    for row in h:
-        if any(x % 2 for x in row):
-            raise AssertionError("intersection with 2Z^n has an odd vector")
-        gens.append(tuple((x // 2) % 2 for x in row))
-    return BinaryCode(c.length, gens)
-
-
-def _f2_kernel_left(int_rows, length):
-    """Left kernel over F2 of an integer matrix reduced mod 2."""
-    m = len(int_rows)
-    # transpose mod 2, then right kernel
-    t = [tuple(int_rows[r][c] % 2 for r in range(m)) for c in range(length)]
-    return _f2_kernel(t, m)
+    return dual_code(BinaryCode(c.length, _dual_columns(c)))
 
 
 def block_subcode(c: BinaryCode, columns) -> BinaryCode:
-    """Subcode of words supported inside the given column set, restricted."""
+    """Subcode of words supported inside the given column set, restricted:
+    the dual of the dual code punctured to the columns."""
     columns = list(columns)
-    outside = [j for j in range(c.length) if j not in columns]
-    gens = c.generators
-    if not gens:
-        return BinaryCode(len(columns), [])
-    # combinations z of generators with zero coordinates outside `columns`
-    restricted = [tuple(g[j] for j in outside) for g in gens]
-    combos = _f2_kernel_left([list(r) for r in restricted], len(outside))
-    rows = []
-    for z in combos:
-        w = [0] * c.length
-        for zi, g in zip(z, gens):
-            if zi:
-                w = [(a + b) % 2 for a, b in zip(w, g)]
-        rows.append(tuple(w[j] for j in columns))
-    return BinaryCode(len(columns), rows)
+    punctured = [[x[j] for j in columns] for x in _dual_columns(c)]
+    return dual_code(BinaryCode(len(columns), punctured))
 
 
 def find_column_permutation(source: BinaryCode, target: BinaryCode):
@@ -318,14 +237,7 @@ def find_column_permutation(source: BinaryCode, target: BinaryCode):
         return None
     src_words = set(source.words())
     tgt_words = set(target.words())
-    n = source.length
-    for perm in itertools.permutations(range(n)):
-        ok = True
-        for w in src_words:
-            pw = tuple(w[perm[j]] for j in range(n))
-            if pw not in tgt_words:
-                ok = False
-                break
-        if ok:
+    for perm in itertools.permutations(range(source.length)):
+        if all(tuple(w[j] for j in perm) in tgt_words for w in src_words):
             return perm
     return None

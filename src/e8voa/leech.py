@@ -16,8 +16,7 @@ from .codes import (block_subcode, construction_A, data_cached,
                     find_column_permutation, is_type_II, named_code,
                     residue_code_B)
 from .lattice import (EvenLattice, coords_of_norm, coset_minimum,
-                      enumerate_short, lattice_from_integer_rows, lattice_over,
-                      size_reduce_basis)
+                      enumerate_short, lattice_over, size_reduce_basis)
 from .linalg import clear_denominators, vec_mat
 from .rootsys import e8_paper_data, simple_system
 
@@ -138,9 +137,7 @@ def embed_sqrt2E8_cubed(ctx: LeechContext):
         blk = block_subcode(bc, cols)
         if blk.dimension != 4 or find_column_permutation(blk, h8) is None:
             raise EmbeddingNotFound(f"block {k} does not carry a Hamming code")
-        gens = [[2 * int(i == j) for j in range(8)] for i in range(8)]
-        gens += [list(g) for g in blk.generators]
-        block_lat = lattice_from_integer_rows(gens)
+        block_lat = construction_A(blk)
         if block_lat.det_gram() != 256 or not block_lat.is_doubly_even():
             raise EmbeddingNotFound(f"block {k} lattice is not a rescaled E8")
         blocks.append(block_lat._int_rows)

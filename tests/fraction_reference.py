@@ -1,4 +1,5 @@
-"""Fraction references for the integer lattice set-up and the tau matrices.
+"""Fraction and F2 references for the integer lattice set-up, the tau
+matrices and the codes.
 
 Plain Fraction versions of ``linalg.det``, ``linalg.invert``,
 ``lattice.size_reduce_basis``, ``EvenLattice.ldl``,
@@ -24,8 +25,13 @@ norm of the shift's rounded remainder.  ``minimal_coset_survey`` is
 ``leech.minimal_coset_survey`` as it was before it moved onto doubled int
 tuples: one ``lattice.Coset`` per dual coset shift, solved back from its
 ambient vector, minima from ``lattice.coset_min_norm``, and the shape
-match and the orthogonal split on Fraction tuples.  The oracle tests
-compare the two.
+match and the orthogonal split on Fraction tuples.  The F2 layer of
+``codes`` as it was before every code became its preimage lattice:
+``_rref_f2``, ``_f2_kernel`` and ``_f2_kernel_left``, the three F2
+eliminations, and on them the old binary ``dual_code`` (here
+``binary_dual_code``), ``residue_code_B`` and ``block_subcode``, on rows
+rather than code objects; ``z4_cardinality`` counts a Z4 code from its
+residue and torsion codes.  The oracle tests compare the two.
 """
 
 from fractions import Fraction
@@ -551,3 +557,114 @@ def opp_terms(ctx, x):
         else:
             out[i] = out.get(i, 0) + x[key[1]]
     return tuple((i, w) for i, w in out.items() if w)
+
+
+def _rref_f2(rows, length):
+    rows = [list(r) for r in rows]
+    r = 0
+    for c in range(length):
+        piv = None
+        for i in range(r, len(rows)):
+            if rows[i][c]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                rows[i] = [(a + b) % 2 for a, b in zip(rows[i], rows[r])]
+        r += 1
+    return [tuple(row) for row in rows[:r] if any(row)]
+
+
+def _f2_kernel(rows, length):
+    red = _rref_f2(rows, length)
+    pivots = []
+    for row in red:
+        pivots.append(next(i for i, x in enumerate(row) if x))
+    pivset = set(pivots)
+    free = [c for c in range(length) if c not in pivset]
+    basis = []
+    for f in free:
+        v = [0] * length
+        v[f] = 1
+        for r, c in enumerate(pivots):
+            v[c] = red[r][f] % 2
+        basis.append(tuple(v))
+    return basis
+
+
+def _f2_kernel_left(int_rows, length):
+    """Left kernel over F2 of an integer matrix reduced mod 2."""
+    m = len(int_rows)
+    # transpose mod 2, then right kernel
+    t = [tuple(int_rows[r][c] % 2 for r in range(m)) for c in range(length)]
+    return _f2_kernel(t, m)
+
+
+def binary_generators(length, rows):
+    """The reduced echelon basis over F2 that ``codes.BinaryCode`` kept."""
+    return _rref_f2([[x % 2 for x in row] for row in rows], length)
+
+
+def binary_dual_code(length, gens):
+    """Echelon basis of the dual of the binary code with echelon basis gens."""
+    if not gens:
+        return _rref_f2([[int(i == j) for j in range(length)] for i in range(length)],
+                        length)
+    return _rref_f2(_f2_kernel(gens, length), length)
+
+
+def block_subcode(length, gens, columns):
+    """Echelon basis of the words of the binary code (echelon basis gens)
+    supported inside columns, restricted to them."""
+    columns = list(columns)
+    outside = [j for j in range(length) if j not in columns]
+    if not gens:
+        return []
+    # combinations z of generators with zero coordinates outside `columns`
+    restricted = [tuple(g[j] for j in outside) for g in gens]
+    combos = _f2_kernel_left([list(r) for r in restricted], len(outside))
+    rows = []
+    for z in combos:
+        w = [0] * length
+        for zi, g in zip(z, gens):
+            if zi:
+                w = [(a + b) % 2 for a, b in zip(w, g)]
+        rows.append(tuple(w[j] for j in columns))
+    return _rref_f2(rows, len(columns))
+
+
+def residue_code_B(length, rows):
+    """Echelon basis of {b : 2b in C} for the Z4 code C spanned by rows.
+
+    The words 2b are exactly the even vectors of the preimage lattice, so
+    the generators come from the intersection of that lattice with 2Z^n.
+    """
+    from e8voa.linalg import hermite_normal_form
+    basis = hermite_normal_form(
+        [[4 * int(i == j) for j in range(length)] for i in range(length)]
+        + [list(r) for r in rows])
+    left = _f2_kernel_left(basis, length)
+    vecs = []
+    for z in left:
+        v = [0] * length
+        for zi, brow in zip(z, basis):
+            if zi:
+                v = [a + zi * b for a, b in zip(v, brow)]
+        vecs.append(v)
+    vecs += [[2 * x for x in row] for row in basis]
+    gens = []
+    for row in hermite_normal_form(vecs):
+        if any(x % 2 for x in row):
+            raise AssertionError("intersection with 2Z^n has an odd vector")
+        gens.append(tuple((x // 2) % 2 for x in row))
+    return _rref_f2(gens, length)
+
+
+def z4_cardinality(length, rows):
+    """|C| = 2^(dim Res C + dim Tor C): reduction mod 2 maps C onto its
+    residue code with kernel 2 Tor C, Tor C = {b : 2b in C}."""
+    return 2 ** (len(binary_generators(length, rows))
+                 + len(residue_code_B(length, rows)))

@@ -16,6 +16,24 @@ def test_run_config_validation():
         RunConfig(command="verify-all", node_filter=[9])
     with pytest.raises(ValueError):
         RunConfig(command="verify-all", time_budget_seconds=0)
+    for order in (0, -120):
+        with pytest.raises(ValueError):
+            RunConfig(command="verify-mckay", field_order_override=order)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-leech", "--budget", "0"], ["verify-mckay", "--node", "9"],
+    ["verify-mckay", "--field-order", "-120"],
+    ["verify-mckay", "--field-order", "0"]], ids=" ".join)
+def test_bad_option_values_are_usage_errors(argv):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-m", "e8voa", *argv],
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith("usage: e8voa")
+    assert "e8voa: error: " in out.stderr and "Traceback" not in out.stderr
 
 
 def test_verify_codes_json(capsys):
@@ -118,6 +136,22 @@ def test_corrupted_data_fails(command, corrupt, claim, tmp_path, monkeypatch,
             == [r["claim"] for r in json.loads(clean)["results"]])
     failing = [r["claim"] for r in report["results"] if not r["pass"]]
     assert claim in failing
+
+
+def test_short_code_row_fails_the_claims_that_read_it(tmp_path, monkeypatch, capsys):
+    """A 7-digit row in hamming8.txt is rejected by the code constructor, so
+    each claim that reads the code fails with its ValueError."""
+    data_copy(tmp_path, [("hamming8.txt", "11110000", "1111000")])
+    monkeypatch.setenv("MCKAY_DATA_DIR", str(tmp_path))
+    rc = main(["verify-codes"])
+    out, err = capsys.readouterr()
+    assert rc == 1 and err == ""
+    records = [r for r in json.loads(out)["results"]
+               if r["claim"].startswith("codes/hamming8/")]
+    assert len(records) == 2
+    assert all(not r["pass"] and r["actual"].startswith("ValueError: ")
+               for r in records)
+    assert "IndexError" not in out
 
 
 def test_verify_mckay_rereads_the_data_dir(tmp_path, monkeypatch, capsys):

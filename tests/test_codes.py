@@ -1,11 +1,12 @@
 from fractions import Fraction as F
+from operator import mul
 
 import pytest
 
-from e8voa.codes import (BinaryCode, Z4Code, _load_digit_rows, _rref_f2,
-                         block_subcode, construction_A, dual_code,
-                         euclidean_weight, find_column_permutation,
-                         is_type_II, named_code, residue_code_B)
+from e8voa.codes import (BinaryCode, Z4Code, _load_digit_rows, block_subcode,
+                         construction_A, dual_code, euclidean_weight,
+                         find_column_permutation, is_type_II, named_code,
+                         residue_code_B)
 from e8voa.lattice import short_vectors
 
 
@@ -40,8 +41,7 @@ def test_z4_cardinality():
 
 def _type_counts(z4):
     """(k1, k2) with cardinality 4^k1 * 2^k2; k1 is the mod-2 rank."""
-    k1 = len(_rref_f2([tuple(x % 2 for x in g) for g in z4.generators],
-                      z4.length))
+    k1 = BinaryCode(z4.length, z4.generators).dimension
     size = z4.cardinality()
     k2 = 0
     size //= 4 ** k1
@@ -225,3 +225,47 @@ def test_named_code_follows_the_data_dir_without_cache_clear(tmp_path, monkeypat
     assert switched.generators == [(1,) * 8]
     monkeypatch.delenv("MCKAY_DATA_DIR")
     assert named_code("Hamming8") is default
+
+
+def test_codes_match_the_f2_reference():
+    """Generators, duals, shortened codes, residue codes and sizes against
+    the F2 eliminations the preimage lattices replaced, on seeded random
+    codes of lengths 1-10, the zero and the full code of each length among
+    them, and on random column sets, empty ones included."""
+    import random
+
+    import fraction_reference as ref
+    rng = random.Random(20)
+    for n in range(1, 11):
+        full = [[int(i == j) for j in range(n)] for i in range(n)]
+        cases = [[], full] + [[[rng.randrange(4) for _ in range(n)]
+                               for _ in range(rng.randint(0, n + 2))]
+                              for _ in range(20)]
+        for rows in cases:
+            b_rows = [[x % 2 for x in row] for row in rows]
+            c = BinaryCode(n, b_rows)
+            gens = ref.binary_generators(n, b_rows)
+            assert c.generators == gens
+            assert dual_code(c).generators == ref.binary_dual_code(n, gens)
+            assert dual_code(dual_code(c)) == c
+            for cols in ([], sorted(rng.sample(range(n), rng.randint(0, n)))):
+                assert (block_subcode(c, cols).generators
+                        == ref.block_subcode(n, gens, cols))
+            z = Z4Code(n, rows)
+            assert all(0 <= x < 4 for g in z.generators for x in g)
+            assert Z4Code(n, z.generators) == z
+            assert residue_code_B(z).generators == ref.residue_code_B(n, rows)
+            size = ref.z4_cardinality(n, rows)
+            assert z.cardinality() == size
+            dual = dual_code(z)
+            assert ref.z4_cardinality(n, dual.generators) * size == 4 ** n
+            assert all(sum(map(mul, g, h)) % 4 == 0
+                       for g in dual.generators for h in rows)
+            assert dual_code(dual) == z
+
+
+def test_code_generators_must_have_the_code_length():
+    with pytest.raises(ValueError):
+        BinaryCode(8, [(1, 1, 1, 1, 0, 0, 0)])
+    with pytest.raises(ValueError):
+        Z4Code(4, [(1, 2, 3, 0), (1, 2, 3, 0, 0)])

@@ -9,6 +9,9 @@ membership, size reduction, the LDL decomposition, short-vector
 enumeration, the exact-norm filter, the root decomposition,
 the glue class map, the X_eta count, the module action matrix and the
 Leech dual-coset survey's minima, shape match and split call no Fraction.
+The code constructor, the dual code, the residue and shortened codes and
+Construction A call no Fraction either, and ``codes`` imports nothing from
+``fractions``.
 The tau involution is a polynomial in the action matrix: it computes no
 kernel, echelon form or inverse, and its matrix products call no Fraction.
 The involution checks and the rank mod p compare integers: they call no Cyclotomic,
@@ -120,6 +123,20 @@ def test_leech_survey_runs_on_ints():
     # minima, shape match and orthogonal split on doubled int tuples; only
     # _record, outside these bodies, halves them to Fractions
     _assert_no_fraction_calls("leech.py", ["minimal_coset_survey", "_doubled"])
+
+
+def test_codes_run_on_their_preimage_lattices_without_fractions():
+    # the dual is one integer back substitution, and the residue code, the
+    # shortened codes and Construction A are duals and Hermite rows
+    _assert_no_fraction_calls("codes.py", ["dual_code", "_dual_columns", "residue_code_B",
+                                           "block_subcode", "construction_A",
+                                           "_Code.__init__"])
+    codes = next(p for p in SOURCES if p.name == "codes.py")
+    imported = [node.lineno for node in ast.walk(_tree(codes))
+                if isinstance(node, ast.ImportFrom) and node.module == "fractions"
+                or isinstance(node, ast.Import)
+                and any(a.name == "fractions" for a in node.names)]
+    assert not imported, f"codes.py imports fractions at lines {imported}"
 
 
 def test_ldl_root_decomposition_and_glue_classes_run_on_ints():

@@ -90,7 +90,7 @@ def _codes_claims(config: RunConfig):
     yield "codes/construction-a/h8-doubly-even", lambda: (
         lat().is_doubly_even(), None, None)
     yield "codes/construction-a/h8-norm4-count", lambda: (
-        len(lattice.short_vectors(lat(), 4)) == 240, 240, None)
+        len(lattice.coords_of_norm(lat(), 4)) == 240, 240, None)
     yield "codes/construction-a/z4-rank-det", z4_lattice
     yield "codes/residue/dimension", lambda: _equals(17, bc().dimension)
     for k in range(3):
@@ -170,21 +170,22 @@ def _root_system_claims(letter, rank):
         return ok, f"cc {want}", None
 
     def coset_claims(ridx, shift):
-        coset = cache(lambda: lattice.Coset(rs.lattice, rs.lattice.ambient(shift)))
-        info = cache(lambda: lattice.coset_min_norm(coset()))
+        space = cache(lambda: griess.ModuleSpace(ctx(), shift))
 
         def x_eta():
-            k = info()["k"]
-            return (all(lattice.count_X_eta(rs, coset(), eta) == k * h
-                        for eta in info()["reps"]), f"kh = {k * h}", None)
+            # |X_eta| is the number of lowering pairs at eta (see ModuleSpace)
+            kh = space().weight * h
+            return all(len(pairs) == kh for pairs in space().lowering), f"kh = {kh}", None
 
         def highest_weight():
-            k = info()["k"]
-            sp = griess.ModuleSpace(ctx(), shift)
-            v = griess.ModuleVector(sp, {key: Fraction(1) for key in sp.keys})
-            sv = griess.module_act(ctx(), fam()["s"], v)
-            wv = griess.module_act(ctx(), fam()["omega_tilde"], v)
-            return (sv.is_zero() and (wv - v.scaled(k)).is_zero(),
+            # s v = 0 and w v = k v on the all-ones vector v, as row sums of
+            # the action matrices over their nonzero entries
+            sp = space()
+            k = sp.weight
+
+            def rows_sum_to(u, c):
+                return all(sum(filter(None, row)) == c for row in sp.act_matrix(u))
+            return (rows_sum_to(fam()["s"], 0) and rows_sum_to(fam()["omega_tilde"], k),
                     f"s v = 0 and w v = {k} v", None)
 
         yield f"griess/x-eta/{letter}{rank}/coset-{ridx}", x_eta
@@ -212,6 +213,9 @@ def _hamming_claims():
         return ham().X[0][ones].is_zero() and ham().X[1][ones].is_zero(), None, None
 
     def trichotomy():
+        """Pairings are 0 across signs and 1/32 or 0 within one, by the parity
+        of delta + delta'.  Every delta of ``hamming_cosets_even`` has even
+        weight, so only the zero branch is reached: all 120 pairings are 0."""
         items = sorted(vectors().items())
         for ka, va in items:
             for kb, vb in items:

@@ -20,7 +20,8 @@ from functools import lru_cache, wraps
 from math import prod
 from operator import mul
 
-from .lattice import EvenLattice, lattice_from_integer_rows, lattice_over
+from .lattice import EvenLattice, lattice_over
+from .linalg import hermite_normal_form
 
 
 def data_dir() -> str:
@@ -45,9 +46,9 @@ def _load_digit_rows(path, alphabet):
 
 
 class _Code:
-    """A linear code over Z/q of the given length, held as its preimage
-    lattice L = {x in Z^n : x mod q in C}, built once from qI and the
-    generating rows.
+    """A linear code over Z/q of the given length, held as the Hermite rows
+    of its preimage lattice L = {x in Z^n : x mod q in C}, computed once
+    from qI and the generating rows.
 
     L contains qZ^n, so its Hermite rows ``_rows`` form an upper triangular
     n x n matrix whose pivots divide q and whose entries lie below the pivot
@@ -62,18 +63,14 @@ class _Code:
         if any(len(g) != length for g in rows):
             raise ValueError(f"code generators must have length {length}")
         self.length = length
-        self._lattice = lattice_from_integer_rows(
+        self._rows = hermite_normal_form(
             [[self.q * (i == j) for j in range(length)] for i in range(length)] + rows)
-        self._rows = self._lattice._int_rows[0]
         self._key = type(self), length, tuple(map(tuple, self._rows))
         self.generators = [tuple(row) for i, row in enumerate(self._rows)
                            if row[i] < self.q]
 
     def cardinality(self) -> int:
         return self.q ** self.length // prod(row[i] for i, row in enumerate(self._rows))
-
-    def contains(self, word) -> bool:
-        return self._lattice.contains(word)
 
     def __eq__(self, other):
         return isinstance(other, _Code) and self._key == other._key

@@ -126,9 +126,10 @@ class AlgebraContext:
         return self._omega
 
 
-def _dual_ints(ctx, key):
-    """G . key as ints, for int or Fraction entries; key must lie in the dual."""
-    g, den = ctx.lattice.gram_times(key)
+def _dual_ints(ctx, key, den=1):
+    """G . key / den as ints; key / den (int or Fraction entries) is in the dual."""
+    g, g_den = ctx.lattice.gram_times(key)
+    den *= g_den
     if any(x % den for x in g):
         raise ValueError("key is not in the dual lattice")
     return tuple(x // den for x in g)
@@ -558,14 +559,18 @@ def apply_sigma(ctx: AlgebraContext, glue_coords, el: GriessElement,
 class ModuleSpace:
     """Minimal-weight subspace of the module attached to a dual coset.
 
-    ``keys`` are the sorted rational coefficient vectors of the minimal
-    coset vectors, and ``index``, built on first read, inverts them.
-    Inside, key i is the int tuple ``scaled_keys[i]`` over the coset's one
-    denominator ``den``, ``gvecs[i]`` is G . key as ints, and
-    ``lowering[i]`` lists the (index of e^y, j) over the norm-4 y with
-    key_i + y = key_j, the only exponentials that act within the space;
-    ``_steps`` finds them by differences of the keys' int codes, one int
-    subtraction and one lookup per pair of keys.
+    Key i is the int tuple ``scaled_keys[i]`` over the coset's one
+    denominator ``den``, in sorted order; ``gvecs[i]`` is G . key as ints,
+    and ``lowering[i]`` lists the (index of e^y, j) over the norm-4 y with
+    key_i + y = key_j, the only exponentials that act within the space,
+    found by ``_steps`` on int key codes.  The Fraction ``keys`` and their
+    ``index`` are built on first read.
+
+    In ``sqrt2_root_context`` (R's coefficient basis, its Gram matrix
+    doubled) the norm-4 y are R's roots and ``weight`` is the coset's
+    minimal norm k in R.  The roots are closed under negation, so
+    ``len(lowering[i])`` is |X_eta| at eta = key_i: the number of roots
+    alpha with eta - alpha minimal.
     """
 
     def __init__(self, ctx: AlgebraContext, shift_coords):
@@ -574,19 +579,24 @@ class ModuleSpace:
         self.weight = self.min_norm / 2
         self.den = den
         self.scaled_keys = sorted(xs)
-        self.keys = [tuple(Fraction(x, den) for x in key) for key in self.scaled_keys]
-        self.gvecs = [_dual_ints(ctx, key) for key in self.keys]
-        self.lowering = _steps(ctx, self.scaled_keys, self.den)
+        self.gvecs = [_dual_ints(ctx, key, den) for key in self.scaled_keys]
+        self.lowering = _steps(ctx, self.scaled_keys, den)
+
+    @cached_property
+    def keys(self):
+        return [tuple(Fraction(x, self.den) for x in key) for key in self.scaled_keys]
 
     @cached_property
     def index(self):
         return {z: i for i, z in enumerate(self.keys)}
 
     def __len__(self):
-        return len(self.keys)
+        return len(self.scaled_keys)
 
     def act_matrix(self, u: GriessElement):
-        n, lows = len(self.keys), _low_terms(u)
+        if u.ctx is not self.ctx:
+            raise ContextMismatch("act_matrix argument from a different context")
+        n, lows = len(self), _low_terms(u)
         mat = [[_ZERO] * n for _ in range(n)]
         for col in range(n):
             for row, value in _act(self, u, lows, col).items():

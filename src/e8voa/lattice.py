@@ -18,8 +18,8 @@ vectors leave this module as int tuples: ``enumerate_short`` hands out
 (S*x, N) with S the shift's denominator and N = norm(x) * S^2 * g, g the
 denominator of the Gram rows; ``coords_of_norm`` the coefficient tuples
 of one exact norm; ``coset_minimum`` the minimal vectors of a coset over
-one denominator.  Only ``coset_min_norm`` and ``short_vectors`` turn them
-into ambient rational tuples.
+one denominator.  Only ``coset_min_norm`` turns them into ambient rational
+tuples.
 """
 
 from __future__ import annotations
@@ -337,11 +337,6 @@ def coords_of_norm(lat: EvenLattice, norm, budget_seconds=None):
                   if n == target)
 
 
-def short_vectors(lat: EvenLattice, norm, budget_seconds=None):
-    """Ambient vectors of the lattice with exactly the given squared norm."""
-    return sorted(lat.ambient(z) for z in coords_of_norm(lat, norm, budget_seconds))
-
-
 class Coset:
     """A coset shift + lattice, shift given as an ambient vector."""
 
@@ -489,8 +484,3 @@ def lattice_over(rows, den) -> EvenLattice:
     lat = object.__new__(EvenLattice)
     lat._setup(([[x // g for x in row] for row in rows], den // g))
     return lat
-
-
-def lattice_from_integer_rows(rows, denominator=1) -> EvenLattice:
-    """Lattice generated by integer rows / denominator, via Hermite form."""
-    return lattice_over(hermite_normal_form(rows), denominator)

@@ -152,13 +152,11 @@ def tau_e_negates_dual_exponentials() -> bool:
         if sp.min_norm != 1:
             continue
         m = tau.matrix()
-        for key in sp.keys:
-            i = sp.index[key]
-            j = sp.index[tuple(-x for x in key)]
-            for r in range(len(sp)):
-                want = Fraction(-1) if r == j else Fraction(0)
-                if m[r][i] != want:
-                    return False
+        index = {key: i for i, key in enumerate(sp.scaled_keys)}
+        for i, key in enumerate(sp.scaled_keys):
+            j = index[tuple(-x for x in key)]
+            if any(m[r][i] != (-1 if r == j else 0) for r in range(len(sp))):
+                return False
     return True
 
 

@@ -217,6 +217,29 @@ def test_verify_mckay_records_any_exception(monkeypatch, capsys):
     assert records["mckay/root-counts/i=3"]["pass"] is True
 
 
+def test_a_dropped_lowering_pair_fails_exactly_its_coset_claims(monkeypatch):
+    # both coset claims read the one ModuleSpace of their coset, so a
+    # lowering pair lost on A2's coset 1 fails that coset's two claims
+    from e8voa import cli, griess
+    rs, ctx = griess.sqrt2_root_context("A", 2)
+    target = griess.ModuleSpace(ctx, list(rs.lattice.dual_coset_shifts())[1]).scaled_keys
+    clean = cli.run_claims(cli._root_system_claims("A", 2))
+    steps = griess._steps
+
+    def dropping(ctx, xs, den, offset=0):
+        out = steps(ctx, xs, den, offset)
+        if list(xs) == target:
+            out[0] = out[0][1:]
+        return out
+
+    monkeypatch.setattr(griess, "_steps", dropping)
+    mutated = cli.run_claims(cli._root_system_claims("A", 2))
+    failed = ["griess/x-eta/A2/coset-1", "griess/highest-weight/A2/coset-1"]
+    assert [r["claim"] for r in mutated if not r["pass"]] == failed
+    assert all(r["pass"] for r in clean)
+    assert mutated == [{**r, "pass": r["claim"] not in failed} for r in clean]
+
+
 def test_python_dash_m_runs_the_command_line(capsys):
     src = str(Path(__file__).resolve().parents[1] / "src")
     out = subprocess.run([sys.executable, "-m", "e8voa", "verify-codes"],

@@ -7,7 +7,7 @@ from e8voa.codes import (BinaryCode, Z4Code, _load_digit_rows, block_subcode,
                          construction_A, dual_code, euclidean_weight,
                          find_column_permutation, is_type_II, named_code,
                          residue_code_B)
-from e8voa.lattice import short_vectors
+from e8voa.lattice import coords_of_norm
 
 
 def test_hamming_weight_distribution():
@@ -125,7 +125,7 @@ def test_construction_a_hamming():
     lat = construction_A(named_code("Hamming8"))
     assert lat.det_gram() == 256
     assert lat.is_doubly_even()
-    assert len(short_vectors(lat, 4)) == 240
+    assert len(coords_of_norm(lat, 4)) == 240
 
 
 def test_construction_a_zero_code():

@@ -16,6 +16,7 @@ from e8voa.griess import (MODULE_EIGENVALUES, AlgebraContext, BadSpectrum, Conte
                           product,
                           sigma_phase, tau_from_matrix,
                           theta_split_tau_check)
+from e8voa.cli import GRIESS_SUITE
 from e8voa.lattice import coset_minimum
 from e8voa.rootsys import extended_e8_node
 from e8voa.scalars import Cyclotomic, as_rational
@@ -126,6 +127,23 @@ def test_x_ones_vanishes():
     ones = tuple([1] * 8)
     assert ham.X[0][ones].is_zero()
     assert ham.X[1][ones].is_zero()
+
+
+def test_hamming_trichotomy_reaches_only_the_zero_branch():
+    # every even-coset delta has even weight, so no pair has odd overlap
+    # parity and griess/hamming/inner-trichotomy only ever expects 0
+    ham = build_hamming_family()
+    reps = hamming_cosets_even()
+    assert all(sum(d) % 2 == 0 for d in reps)
+    keys = [(eps, d) for eps in (0, 1) for d in reps]
+    vecs = {k: ham.e_hat(*k) for k in keys}
+    within = across = 0
+    for a, ka in enumerate(keys):
+        for kb in keys[a + 1:]:
+            assert inner(ham.ctx, vecs[ka], vecs[kb]) == 0, (ka, kb)
+            within += ka[0] == kb[0]
+            across += ka[0] != kb[0]
+    assert (within, across) == (56, 64)
 
 
 def test_e_hat_eps_delta_coset_equality():
@@ -428,6 +446,31 @@ def test_module_act_rejects_foreign_keys_and_contexts():
         module_act(ctx, s, ModuleVector(sp, {ctx.norm4[0]: F(1)}))
     with pytest.raises(ContextMismatch):
         module_act(ctx, e_hat(), ModuleVector(sp, {sp.keys[0]: F(1)}))
+
+
+@pytest.mark.parametrize("letter, rank", GRIESS_SUITE, ids=["%s%d" % t for t in GRIESS_SUITE])
+def test_lowering_degree_is_x_eta_on_every_suite_coset(letter, rank):
+    # the context keeps R's coefficient basis and doubles its Gram matrix, so
+    # its norm-4 vectors are R's roots, and the lowering pairs at a minimal
+    # key are the roots y with eta + y minimal: |X_eta| of them
+    from e8voa.lattice import Coset, coset_min_norm
+    rs, ctx = sqrt2_root_context(letter, rank)
+    assert set(ctx.norm4) == set(rs.root_coords)
+    for shift in rs.lattice.dual_coset_shifts():
+        sp = ModuleSpace(ctx, shift)
+        assert sp.weight == ref.coset_minimum(rs.lattice, shift)[0]
+        c = Coset(rs.lattice, rs.lattice.ambient(shift))
+        etas = [rs.lattice.ambient(key) for key in sp.keys]
+        assert sorted(etas) == coset_min_norm(c)["reps"]
+        for pairs, eta in zip(sp.lowering, etas):
+            assert len(pairs) == ref.count_X_eta(rs, c, eta)
+
+
+def test_act_matrix_rejects_an_element_of_another_context():
+    rs, ctx = sqrt2_root_context("A", 2)
+    sp = ModuleSpace(ctx, list(rs.lattice.dual_coset_shifts())[1])
+    with pytest.raises(ContextMismatch):
+        sp.act_matrix(e_hat())
 
 
 def test_tau_module_spectrum_and_involution():

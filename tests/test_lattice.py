@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from e8voa.lattice import (BudgetExceeded, Coset, EvenLattice, NotMinimal,
                            NotPositiveDefinite, _nearest_plane, coords_of_norm,
                            coset_min_norm, coset_minimum, count_X_eta,
-                           enumerate_short, short_vectors)
+                           enumerate_short)
 from e8voa.linalg import identity
 from e8voa.rootsys import build_root_system, e8_paper_data, extended_e8_node
 
@@ -75,16 +75,18 @@ def test_not_positive_definite_detected():
 
 def test_short_vectors_of_sqrt2e8():
     lat = sqrt2_e8()
-    assert len(short_vectors(lat, 4)) == 240
-    assert short_vectors(lat, 2) == []
+    assert len(coords_of_norm(lat, 4)) == 240
+    assert coords_of_norm(lat, 2) == []
 
 
 def test_short_vectors_closed_under_negation_and_sorted():
     lat = sqrt2_e8()
-    vecs = short_vectors(lat, 4)
-    assert vecs == sorted(vecs)
-    vset = set(vecs)
-    assert all(tuple(-x for x in v) in vset for v in vecs)
+    coords = coords_of_norm(lat, 4)
+    assert coords == sorted(coords)
+    assert all(lat.pair(z, z) == 4 for z in coords)
+    vset = {lat.ambient(z) for z in coords}
+    assert len(vset) == 240
+    assert all(tuple(-x for x in v) in vset for v in vset)
 
 
 def _box_oracle(gram, target):
@@ -331,7 +333,7 @@ def test_hamming_construction_norm4_coset_counts():
     # the sixteen norm-4 vectors congruent to 0 mod 2 are the +-2 e_j
     from e8voa.codes import construction_A, named_code
     lat = construction_A(named_code("Hamming8"))
-    vecs = short_vectors(lat, 4)
+    vecs = [lat.ambient(z) for z in coords_of_norm(lat, 4)]
     even = [v for v in vecs if all(int(x) % 2 == 0 for x in v)]
     assert len(even) == 16
     assert all(sorted(abs(int(x)) for x in v) == [0] * 7 + [2] for v in even)

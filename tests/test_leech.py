@@ -64,7 +64,8 @@ def test_embedding_is_built_from_the_block_int_rows():
     # the cross-block zeros are read off the integer Gram rows, and the
     # rows match the embedding built from the Fraction block bases
     from e8voa.codes import block_subcode, residue_code_B
-    from e8voa.lattice import EvenLattice, lattice_from_integer_rows
+    from e8voa.lattice import EvenLattice, lattice_over
+    from e8voa.linalg import hermite_normal_form
     from e8voa.leech import _block
     ctx = build_leech()
     emb = embed_sqrt2E8_cubed(ctx)
@@ -75,7 +76,8 @@ def test_embedding_is_built_from_the_block_int_rows():
     for k in range(3):
         blk = block_subcode(residue_code_B(ctx.code), list(range(8 * k, 8 * k + 8)))
         gens = [[2 * int(i == j) for j in range(8)] for i in range(8)]
-        block_lat = lattice_from_integer_rows(gens + [list(g) for g in blk.generators])
+        block_lat = lattice_over(
+            hermite_normal_form(gens + [list(g) for g in blk.generators]), 1)
         rows24 += [[F(0)] * (8 * k) + list(row) + [F(0)] * (16 - 8 * k)
                    for row in block_lat.basis]
     reference = EvenLattice(rows24)

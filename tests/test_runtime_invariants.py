@@ -7,8 +7,11 @@ see ``/`` applied to two ints, which also yields a float at run time.
 The weight-2 kernel functions call no scalar constructor, and lattice
 membership, size reduction, the LDL decomposition, short-vector
 enumeration, the exact-norm filter, the root decomposition,
-the glue class map, the X_eta count, the module action matrix and the
-Leech dual-coset survey's minima, shape match and split call no Fraction.
+the glue class map, the X_eta count, the module space's set-up and action
+matrix, the root-system coset claims and the Leech dual-coset survey's
+minima, shape match and split call no Fraction; the command-line module
+calls no ``Coset``, ``coset_min_norm``, ``count_X_eta``, ``ModuleVector``,
+``module_act`` or ``ambient``.
 The code constructor, the dual code, the residue and shortened codes and
 Construction A call no Fraction either, and ``codes`` imports nothing from
 ``fractions``.
@@ -114,9 +117,17 @@ def test_lattice_membership_and_size_reduction_run_on_ints():
 
 def test_coset_vectors_run_on_ints():
     # count_X_eta compares int tuples over one denominator; the action
-    # matrix fills with a module constant and reads values from _act only
+    # matrix fills with a module constant and reads values from _act only;
+    # a module space is set up on its int keys, and the root-system coset
+    # claims read lowering pairs and action-matrix row sums off it, with no
+    # Fraction coset, second coset minimum or module vector
     _assert_no_fraction_calls("lattice.py", ["count_X_eta", "_x_eta_ints"])
-    _assert_no_fraction_calls("griess.py", ["ModuleSpace.act_matrix"])
+    _assert_no_fraction_calls("griess.py", ["ModuleSpace.__init__", "ModuleSpace.act_matrix"])
+    _assert_no_fraction_calls("cli.py", ["_root_system_claims"])
+    cli = _tree(next(p for p in SOURCES if p.name == "cli.py"))
+    old = ("Coset", "coset_min_norm", "count_X_eta", "ModuleVector", "module_act", "ambient")
+    calls = [(line, name) for line, name in _called_names(cli) if name in old]
+    assert not calls, f"cli calls (line, name) {calls}"
 
 
 def test_leech_survey_runs_on_ints():

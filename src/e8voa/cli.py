@@ -32,7 +32,7 @@ class RunConfig:
                  output_format: str = "json", time_budget_seconds: int = 600,
                  field_order_override: int | None = None, long_checks: bool = False):
         self.command = command
-        self.node_filter = [] if node_filter is None else node_filter
+        self.node_filter = list(dict.fromkeys(node_filter or []))
         self.output_format = output_format
         self.time_budget_seconds = time_budget_seconds
         self.field_order_override = field_order_override
@@ -179,12 +179,13 @@ def _root_system_claims(letter, rank):
 
         def highest_weight():
             # s v = 0 and w v = k v on the all-ones vector v, as row sums of
-            # the action matrices over their nonzero entries
+            # the int action rows over their denominator
             sp = space()
             k = sp.weight
 
             def rows_sum_to(u, c):
-                return all(sum(filter(None, row)) == c for row in sp.act_matrix(u))
+                rows, den = sp.act_rows(u)
+                return all(sum(row) == c * den for row in rows)
             return (rows_sum_to(fam()["s"], 0) and rows_sum_to(fam()["omega_tilde"], k),
                     f"s v = 0 and w v = {k} v", None)
 

@@ -593,15 +593,22 @@ class ModuleSpace:
     def __len__(self):
         return len(self.scaled_keys)
 
+    def act_rows(self, u: GriessElement):
+        """(rows, den): u_1 on the space as int rows over one denominator,
+        for a rational u."""
+        if u.ctx is not self.ctx:
+            raise ContextMismatch("act_rows argument from a different context")
+        if u.m != 1:
+            raise ValueError("act_rows needs a rational element")
+        return _act(self, u)[0], u.den
+
     def act_matrix(self, u: GriessElement):
+        """u_1 on the space as values: ``_act``'s numerators over u.den, with
+        every zero entry the shared ``_ZERO``."""
         if u.ctx is not self.ctx:
             raise ContextMismatch("act_matrix argument from a different context")
-        n, lows = len(self), _low_terms(u)
-        mat = [[_ZERO] * n for _ in range(n)]
-        for col in range(n):
-            for row, value in _act(self, u, lows, col).items():
-                mat[row][col] = value
-        return mat
+        return [[_value(u.m, u.den, nums) if any(nums) else _ZERO for nums in zip(*rows)]
+                for rows in zip(*_act(self, u))]
 
 
 class ModuleVector:
@@ -631,46 +638,39 @@ class ModuleVector:
     __hash__ = None
 
 
-def _low_terms(el):
-    """Per numerator map of el, its quad and deriv terms."""
-    start = el.ctx.expo_start
-    return [[(i, x) for i, x in terms.items() if i < start] for terms in el.comps]
+def _act(sp, u):
+    """u_1 on the space sp: one n x n int matrix per numerator map of u.
 
-
-def _act(sp, u, lows, col):
-    """{row: value} of u_1 on key ``col`` of the space sp; ``lows`` is
-    ``_low_terms(u)``.  The quad and deriv terms act on e^key by G . key,
-    and e^y sends it to the key of each lowering pair (y, row)."""
-    keys, nq, gx = sp.ctx.keys, sp.ctx.n_quad, sp.gvecs[col]
-    images = []
-    for low, terms in zip(lows, u.comps):
-        acc = 0
-        for i, x in low:
-            if i < nq:
-                acc += x * gx[keys[i][1]] * gx[keys[i][2]]
-            else:
-                acc -= x * gx[i - nq]
-        image = {col: acc} if acc else {}
-        for y, row in sp.lowering[col]:
-            x = terms.get(y)
-            if x:
-                image[row] = x
-        images.append(image)
-    return {row: _value(u.m, u.den, [image.get(row, 0) for image in images])
-            for row in dict.fromkeys(k for image in images for k in image)}
+    The quad and deriv terms act on e^key by G . key, on the diagonal, and
+    e^y sends key b to key a on each lowering pair (y, a) of b."""
+    keys, nq, start, n = sp.ctx.keys, sp.ctx.n_quad, sp.ctx.expo_start, len(sp)
+    mats = []
+    for terms in u.comps:
+        quad = [(x, keys[i][1], keys[i][2]) for i, x in terms.items() if i < nq]
+        deriv = [(x, i - nq) for i, x in terms.items() if nq <= i < start]
+        mat = [[0] * n for _ in range(n)]
+        for b, gx in enumerate(sp.gvecs):
+            mat[b][b] = (sum(x * gx[i] * gx[j] for x, i, j in quad)
+                         - sum(x * gx[i] for x, i in deriv))
+            for y, a in sp.lowering[b]:
+                mat[a][b] = terms.get(y, 0)
+        mats.append(mat)
+    return mats
 
 
 def module_act(ctx, u: GriessElement, mv: ModuleVector) -> ModuleVector:
-    sp, lows = mv.space, _low_terms(u)
+    sp = mv.space
     if sp.ctx is not ctx or u.ctx is not ctx:
         raise ContextMismatch("module_act arguments from a different context")
+    cols = list(zip(*sp.act_matrix(u)))
     out = {}
     for key, c in mv.terms.items():
         col = sp.index.get(key)
         if col is None:
             raise LeavesMinimalSpace("module key is not in the minimal-weight space")
-        for row, v in _act(sp, u, lows, col).items():
-            out[row] = out.get(row, 0) + c * v
+        for row, v in enumerate(cols[col]):
+            if v is not _ZERO:
+                out[row] = out.get(row, 0) + c * v
     return ModuleVector(sp, {sp.keys[r]: v for r, v in out.items() if not is_zero(v)})
 
 
@@ -691,28 +691,32 @@ class TauInvolution:
         return self._matrix
 
 
-def tau_from_matrix(mat, allowed) -> TauInvolution:
-    """tau of an action matrix M, certified diagonalizable over ``allowed``.
+def tau_rows(rows, den, allowed):
+    """(tau, q) with tau_e = tau / q, for the action M = rows / den certified
+    diagonalizable over ``allowed``.
 
     ``allowed`` holds one eigenvalue t of the 1/16 class (t - 1/16 an
     integer).  P = prod_{lam != t} (M - lam) is formed once, on ints: the
-    spectrum is certified by P (M - t) = 0, and then P is P(t) times the
-    projection onto the t-eigenspace, so tau = I - 2 P / P(t).  Over
-    (0, 1/2, 1/16) this is tau = I + (512/7) M (M - 1/2).
+    spectrum is certified by P (M - t) = 0, and then P is q = P(t) times the
+    projection onto the t-eigenspace, so tau = I - 2 P / q, that is q I - 2 P
+    over q.  Over (0, 1/2, 1/16) this is tau = I + (512/7) M (M - 1/2).
     """
-    rows, den = clear_denominators(mat)
     a, shifts = _int_shifts(rows, den, allowed)
-    (t,) = [s for lam, s in zip(allowed, shifts)
-            if (lam - Fraction(1, 16)).denominator == 1]
+    (t,) = [s for lam, s in zip(allowed, shifts) if 16 * lam % 16 == 1]
     others = [s for s in shifts if s != t]
     p = _shifted_product(a, others)
     # P (a - t) = 0 entry by entry: (P a)_ij = t P_ij
     cols = list(zip(*a))
     if any(sum(map(mul, row, col)) != t * x for row in p for col, x in zip(cols, row)):
         raise BadSpectrum("action is not diagonalizable over the expected set")
-    c = Fraction(-2, prod(t - s for s in others))
-    return TauInvolution([[int(i == j) + c * x for j, x in enumerate(row)]
-                          for i, row in enumerate(p)])
+    q = prod(t - s for s in others)
+    return [[q * (i == j) - 2 * x for j, x in enumerate(row)] for i, row in enumerate(p)], q
+
+
+def tau_from_matrix(mat, allowed) -> TauInvolution:
+    """tau of an action matrix of values: the Fraction view of ``tau_rows``."""
+    tau, q = tau_rows(*clear_denominators(mat), allowed)
+    return TauInvolution([[Fraction(x, q) if x else _ZERO for x in row] for row in tau])
 
 
 def _int_shifts(mat, den, eigenvalues):

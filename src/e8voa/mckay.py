@@ -15,10 +15,10 @@ from math import gcd, lcm
 
 from .griess import (MODULE_EIGENVALUES, ModuleSpace, build_node_family,
                      conformal_check, coset_U2_cached, e8_context, inner,
-                     sigma_exponents, tau_from_matrix, theta_split_tau_check)
+                     sigma_exponents, tau_rows, theta_split_tau_check)
 from .linalg import det, hermite_normal_form
 from .rootsys import NODE_LABELS, extended_e8_node
-from .scalars import Cyclotomic, as_rational, is_zero
+from .scalars import Cyclotomic, as_rational
 
 
 class DualNotGenerated(RuntimeError):
@@ -135,27 +135,22 @@ def dual_coset_spaces():
 
 @lru_cache(maxsize=None)
 def dual_tau_data():
-    """tau of e-hat on every dual-coset minimal space (node independent)."""
-    fams = build_node_family(0)
-    ctx = fams.ctx
-    out = []
-    for sp in dual_coset_spaces():
-        mat = sp.act_matrix(fams.e_hat)
-        tau = tau_from_matrix(mat, MODULE_EIGENVALUES)
-        out.append((sp, mat, tau))
-    return out
+    """(sp, tau, q) per dual-coset minimal space: tau_e = tau / q as int
+    rows over one int, for e = e-hat (node independent)."""
+    e_hat = build_node_family(0).e_hat
+    return [(sp, *tau_rows(*sp.act_rows(e_hat), MODULE_EIGENVALUES))
+            for sp in dual_coset_spaces()]
 
 
 def tau_e_negates_dual_exponentials() -> bool:
     """tau(e^x) = -e^(-x) on every norm-1 dual coset."""
-    for sp, _, tau in dual_tau_data():
+    for sp, tau, q in dual_tau_data():
         if sp.min_norm != 1:
             continue
-        m = tau.matrix()
         index = {key: i for i, key in enumerate(sp.scaled_keys)}
         for i, key in enumerate(sp.scaled_keys):
             j = index[tuple(-x for x in key)]
-            if any(m[r][i] != (-1 if r == j else 0) for r in range(len(sp))):
+            if any(tau[r][i] != (-q if r == j else 0) for r in range(len(sp))):
                 return False
     return True
 
@@ -179,11 +174,11 @@ def dual_tau_orders(i: int) -> dict:
     glue = fams.node.glue_coords
     n_y, e_y = ctx.sigma_phases(glue)
     order = 1
-    for idx, (sp, _, tau) in enumerate(dual_tau_data()):
+    for idx, (sp, tau, _) in enumerate(dual_tau_data()):
         n, e = sigma_exponents(ctx, glue, sp.scaled_keys, sp.den)
-        for a, row in enumerate(tau.matrix()):
+        for a, row in enumerate(tau):
             for b, x in enumerate(row):
-                if not is_zero(x) and (e[a] + e[b]) % n:
+                if x and (e[a] + e[b]) % n:
                     raise ConjugationFailed(
                         f"node {i}: tau_e does not invert sigma on coset {idx}: "
                         f"keys ({a}, {b}) have exponents {e[a]}, {e[b]} mod {n}")
@@ -266,8 +261,6 @@ def conway_report(i: int):
         wt = fams.omega_tilde[idx]
         cc = as_rational(conformal_check(ctx, wt))
         status = "verified" if cc == want_cc else "mismatch"
-        if i == 3:
-            status = "recorded"  # no external cross-check exists for this row
         rows.append({
             "element": f"omega_tilde({comp_type[0]}{comp_type[1]})",
             "scale": scale,

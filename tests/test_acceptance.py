@@ -137,9 +137,10 @@ def test_criterion_9_property_suites():
     # tau spectra: {0, 2, 1/2} + the 1/16-congruent pair on weight 2,
     # {0, 1/2, 1/16} on the minimal-weight modules, where tau is the
     # eigenvector-basis involution and squares to I
-    for _, mat, tau in dual_tau_data():
-        m = tau.matrix()
-        ok = ok and m == ref.tau_matrix(mat, MODULE_EIGENVALUES)
+    e_hat = build_node_family(0).e_hat
+    for sp, tau, q in dual_tau_data():
+        m = [[F(x, q) for x in row] for row in tau]
+        ok = ok and m == ref.tau_matrix(sp.act_matrix(e_hat), MODULE_EIGENVALUES)
         ok = ok and ref.mat_mul(m, m) == identity(len(m))
     ok = ok and weight2_tau_theta_verified() == {"even": 156, "odd": 128}
     _ok("criterion 9 (randomized structural identities)", ok)

@@ -21,6 +21,16 @@ def test_run_config_validation():
             RunConfig(command="verify-mckay", field_order_override=order)
 
 
+def test_a_repeated_node_is_reported_once(capsys):
+    # the node filter keeps each node once, in first-seen order
+    assert RunConfig(command="verify-all", node_filter=[5, 3, 5, 3]).node_filter == [5, 3]
+    assert main(["verify-leech", "--node", "3", "--node", "3"]) == 0
+    claims = [r["claim"] for r in json.loads(capsys.readouterr().out)["results"]]
+    assert len(claims) == len(set(claims))
+    assert [c for c in claims if c.startswith("leech/sigma-order/")] == [
+        "leech/sigma-order/i=3"]
+
+
 @pytest.mark.parametrize("argv", [
     ["verify-leech", "--budget", "0"], ["verify-mckay", "--node", "9"],
     ["verify-mckay", "--field-order", "-120"],
@@ -238,6 +248,41 @@ def test_a_dropped_lowering_pair_fails_exactly_its_coset_claims(monkeypatch):
     assert [r["claim"] for r in mutated if not r["pass"]] == failed
     assert all(r["pass"] for r in clean)
     assert mutated == [{**r, "pass": r["claim"] not in failed} for r in clean]
+
+
+def test_a_shifted_action_entry_fails_exactly_the_dual_tau_claims(monkeypatch):
+    # one diagonal entry of e-hat's action on one 16-key dual coset, moved
+    # by 1 / den: tau_rows certifies no spectrum over (0, 1/2, 1/16) there,
+    # so the two claim families that read the dual tau data fail with
+    # BadSpectrum, and every other record stays as it was
+    from e8voa import cli, griess, mckay
+    clean = cli.run_claims(registry(RunConfig(command="verify-all")))
+    target = next(sp for sp in mckay.dual_coset_spaces() if len(sp) == 16)
+    act = griess._act
+
+    def shifted(sp, u):
+        mats = act(sp, u)
+        if sp is target:
+            mats[0][0][0] += 1
+        return mats
+
+    caches = (mckay.dual_tau_data, mckay.dual_tau_orders)
+    monkeypatch.setattr(griess, "_act", shifted)
+    for cached in caches:
+        cached.cache_clear()
+    try:
+        mutated = cli.run_claims(registry(RunConfig(command="verify-all")))
+    finally:
+        for cached in caches:
+            cached.cache_clear()
+    failed = (["griess/tau/negates-dual-exponentials"]
+              + [f"mckay/tau-orders/i={i}" for i in range(9)])
+    assert all(r["pass"] for r in clean)
+    assert [r["claim"] for r in mutated if not r["pass"]] == failed
+    assert all(r["actual"].startswith("BadSpectrum: ")
+               for r in mutated if r["claim"] in failed)
+    assert ([r for r in mutated if r["claim"] not in failed]
+            == [r for r in clean if r["claim"] not in failed])
 
 
 def test_python_dash_m_runs_the_command_line(capsys):

@@ -14,7 +14,7 @@ from e8voa.griess import (MODULE_EIGENVALUES, AlgebraContext, BadSpectrum, Conte
                           e_f_coords, generated_closure_coords,
                           hamming_context, hamming_cosets_even, inner, module_act,
                           product,
-                          sigma_phase, tau_from_matrix,
+                          sigma_phase, tau_from_matrix, tau_rows,
                           theta_split_tau_check)
 from e8voa.cli import GRIESS_SUITE
 from e8voa.lattice import coset_minimum
@@ -316,16 +316,27 @@ def brute_force_act_matrix(ctx, u, sp):
     return [list(row) for row in zip(*cols)]
 
 
+def assert_action_matches_brute_force(ctx, u, sp):
+    """act_matrix, and act_rows over its denominator for a rational u, both
+    equal the sum over every norm-4 vector."""
+    want = brute_force_act_matrix(ctx, u, sp)
+    assert sp.act_matrix(u) == want
+    if u.m == 1:
+        rows, den = sp.act_rows(u)
+        assert [[F(x, den) for x in row] for row in rows] == want
+
+
 @pytest.mark.parametrize("letter, rank", [("A", 2), ("A", 3), ("D", 4)])
 def test_act_matrix_matches_a_sum_over_all_norm4_vectors(letter, rank):
     rs, ctx = sqrt2_root_context(letter, rank)
     fam = build_virasoro_family(ctx, rs.root_coords)
     rng = random.Random(rank)
     elements = [fam["s"], fam["omega_tilde"], random_theta_even(ctx, rng)]
+    assert all(u.m == 1 for u in elements)
     for shift in rs.lattice.dual_coset_shifts():
         sp = ModuleSpace(ctx, shift)
         for u in elements:
-            assert sp.act_matrix(u) == brute_force_act_matrix(ctx, u, sp)
+            assert_action_matches_brute_force(ctx, u, sp)
 
 
 def _e8_dual_shift(mask):
@@ -337,11 +348,13 @@ def _e8_dual_shift(mask):
 
 @pytest.mark.parametrize("mask", [1, 16, 129])
 def test_act_matrix_matches_a_sum_over_all_norm4_vectors_on_e8(mask):
-    # e-hat is rational; node 5's f-hat lives over Q(zeta_6)
+    # e-hat is rational, so act_rows is checked too; node 5's f-hat lives
+    # over Q(zeta_6)
     ctx = e8ctx()
     sp = ModuleSpace(ctx, _e8_dual_shift(mask))
+    assert e_hat().m == 1 and build_node_family(5).f_hat.m == 6
     for u in (e_hat(), build_node_family(5).f_hat):
-        assert sp.act_matrix(u) == brute_force_act_matrix(ctx, u, sp)
+        assert_action_matches_brute_force(ctx, u, sp)
 
 
 def _lowering_spaces():
@@ -471,6 +484,12 @@ def test_act_matrix_rejects_an_element_of_another_context():
     sp = ModuleSpace(ctx, list(rs.lattice.dual_coset_shifts())[1])
     with pytest.raises(ContextMismatch):
         sp.act_matrix(e_hat())
+    with pytest.raises(ContextMismatch):
+        sp.act_rows(e_hat())
+    # int rows over one denominator exist only for a rational element
+    sp8 = ModuleSpace(e8ctx(), _e8_dual_shift(1))
+    with pytest.raises(ValueError, match="needs a rational element"):
+        sp8.act_rows(build_node_family(5).f_hat)
 
 
 def test_tau_module_spectrum_and_involution():
@@ -481,6 +500,8 @@ def test_tau_module_spectrum_and_involution():
     tau = tau_involution_module(ctx, e, sp)
     m = tau.matrix()
     assert m == ref.tau_matrix(sp.act_matrix(e), MODULE_EIGENVALUES)
+    rows, q = tau_rows(*sp.act_rows(e), MODULE_EIGENVALUES)
+    assert [[F(x, q) for x in row] for row in rows] == m
     sq = [[sum(m[i][k] * m[k][j] for k in range(len(sp)))
            for j in range(len(sp))] for i in range(len(sp))]
     assert sq == [[F(int(i == j)) for j in range(len(sp))]

@@ -83,9 +83,24 @@ def test_conway_rows_5a_difference_norm():
 
 
 def test_conway_rows_4a_recorded_only():
+    # the omega_tilde(A3) row is checked like every other row: cc = 1
     rows = conway_report(3)
     wt = [r for r in rows if r["target"] == "v_4A"]
-    assert len(wt) == 1 and wt[0]["status"] == "recorded"
+    assert len(wt) == 1 and wt[0]["status"] == "verified"
+    assert wt[0]["central_charge"] == 1
+
+
+def test_a_wrong_central_charge_fails_exactly_node_3s_conway_claim(monkeypatch):
+    from e8voa.cli import RunConfig, registry, run_claims
+    (comp, scale, target, cc), = mckay.CONWAY_OMEGA_ROWS[3]
+    assert cc == 1
+    monkeypatch.setitem(mckay.CONWAY_OMEGA_ROWS, 3, ((comp, scale, target, F(2)),))
+    conway_report.cache_clear()
+    try:
+        records = run_claims(registry(RunConfig(command="verify-mckay")))
+    finally:
+        conway_report.cache_clear()
+    assert [r["claim"] for r in records if not r["pass"]] == ["mckay/conway/i=3"]
 
 
 def test_markdown_table_doubled_column():

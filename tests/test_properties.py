@@ -202,7 +202,8 @@ def test_tau_spectra_lie_in_allowed_sets():
     from e8voa.mckay import dual_tau_data, weight2_tau_theta_verified
     blocks = weight2_tau_theta_verified()
     assert blocks == {"even": 156, "odd": 128}
-    for _, mat, tau in dual_tau_data()[:40]:
-        m = tau.matrix()
-        assert m == ref.tau_matrix(mat, MODULE_EIGENVALUES)
+    e_hat = build_node_family(0).e_hat
+    for sp, tau, q in dual_tau_data()[:40]:
+        m = [[F(x, q) for x in row] for row in tau]
+        assert m == ref.tau_matrix(sp.act_matrix(e_hat), MODULE_EIGENVALUES)
         assert ref.mat_mul(m, m) == identity(len(m))

@@ -7,11 +7,14 @@ see ``/`` applied to two ints, which also yields a float at run time.
 The weight-2 kernel functions call no scalar constructor, and lattice
 membership, size reduction, the LDL decomposition, short-vector
 enumeration, the exact-norm filter, the root decomposition,
-the glue class map, the X_eta count, the module space's set-up and action
-matrix, the root-system coset claims and the Leech dual-coset survey's
-minima, shape match and split call no Fraction; the command-line module
-calls no ``Coset``, ``coset_min_norm``, ``count_X_eta``, ``ModuleVector``,
-``module_act`` or ``ambient``.
+the glue class map, the X_eta count, the module space's set-up, action
+rows and action matrix, the root-system coset claims and the Leech
+dual-coset survey's minima, shape match and split call no Fraction; the
+command-line module calls no ``Coset``, ``coset_min_norm``,
+``count_X_eta``, ``ModuleVector``, ``module_act`` or ``ambient``.
+The tau rows and the dual-coset tau data and claims call no Fraction, and
+neither the command-line module nor ``mckay`` calls the value views
+``act_matrix``, ``tau_from_matrix`` or ``matrix``.
 The code constructor, the dual code, the residue and shortened codes and
 Construction A call no Fraction either, and ``codes`` imports nothing from
 ``fractions``.
@@ -116,13 +119,14 @@ def test_lattice_membership_and_size_reduction_run_on_ints():
 
 
 def test_coset_vectors_run_on_ints():
-    # count_X_eta compares int tuples over one denominator; the action
-    # matrix fills with a module constant and reads values from _act only;
+    # count_X_eta compares int tuples over one denominator; the action rows
+    # are _act's int rows, and the action matrix reads its values off them;
     # a module space is set up on its int keys, and the root-system coset
-    # claims read lowering pairs and action-matrix row sums off it, with no
+    # claims read lowering pairs and action-row sums off it, with no
     # Fraction coset, second coset minimum or module vector
     _assert_no_fraction_calls("lattice.py", ["count_X_eta", "_x_eta_ints"])
-    _assert_no_fraction_calls("griess.py", ["ModuleSpace.__init__", "ModuleSpace.act_matrix"])
+    _assert_no_fraction_calls("griess.py", ["ModuleSpace.__init__", "ModuleSpace.act_rows",
+                                            "ModuleSpace.act_matrix"])
     _assert_no_fraction_calls("cli.py", ["_root_system_claims"])
     cli = _tree(next(p for p in SOURCES if p.name == "cli.py"))
     old = ("Coset", "coset_min_norm", "count_X_eta", "ModuleVector", "module_act", "ambient")
@@ -163,7 +167,7 @@ def test_ldl_root_decomposition_and_glue_classes_run_on_ints():
         "ExtendedE8Node._check_glue", "ExtendedE8Node.coset_classes"])
 
 
-TAU = ("tau_from_matrix", "annihilates", "_int_shifts", "_shifted_product")
+TAU = ("tau_rows", "tau_from_matrix", "annihilates", "_int_shifts", "_shifted_product")
 
 
 def test_tau_is_a_polynomial_in_the_action_matrix():
@@ -173,6 +177,22 @@ def test_tau_is_a_polynomial_in_the_action_matrix():
         calls = list(_calls_of(body, ("kernel_basis", "invert", "rref")))
         assert not calls, f"griess.{name} calls (line, name) {calls}"
     _assert_no_fraction_calls("griess.py", ["annihilates", "_shifted_product"])
+
+
+VIEWS = ("act_matrix", "tau_from_matrix", "matrix")
+
+
+def test_the_dual_tau_claims_read_int_rows():
+    # tau_rows returns tau_e as int rows over one int, from act_rows' int
+    # rows; the claims compare those ints with 0 and -q, and only the
+    # Fraction views outside the claim path make values
+    _assert_no_fraction_calls("griess.py", ["tau_rows"])
+    _assert_no_fraction_calls("mckay.py", ["dual_tau_data", "tau_e_negates_dual_exponentials",
+                                           "dual_tau_orders"])
+    for module in ("cli.py", "mckay.py"):
+        tree = _tree(next(p for p in SOURCES if p.name == module))
+        calls = [(line, name) for line, name in _called_names(tree) if name in VIEWS]
+        assert not calls, f"{module[:-3]} calls (line, name) {calls}"
 
 
 def _is_memo(decorator):

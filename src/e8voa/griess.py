@@ -19,6 +19,7 @@ root lattice never needs irrational entries.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm, prod
@@ -391,13 +392,17 @@ def _square_sum(ctx, keys):
 # the product, the pairing and the automorphisms
 
 
-def _mul_terms(t, start, a, b):
-    """Twice the product u_1 v of two numerator maps, as a numerator map."""
-    acc = [0] * len(t.opp)
-    alow = [(i, x) for i, x in a.items() if i < start]
-    blow = [(i, x) for i, x in b.items() if i < start]
-    aexp = [(i, x) for i, x in a.items() if i >= start]
-    bexp = [(i, x) for i, x in b.items() if i >= start]
+def _split(start, a):
+    """(a, low, exp): a numerator map and its (index, numerator) pairs below
+    and from ``start``, the operand form that ``_mul_terms`` reads."""
+    return a, [e for e in a.items() if e[0] < start], [e for e in a.items() if e[0] >= start]
+
+
+def _mul_terms(t, sa, sb, acc):
+    """acc, a list over the context index or a defaultdict(int), plus twice
+    the product u_1 v of two split numerator maps (``_split``)."""
+    a, alow, aexp = sa
+    b, blow, bexp = sb
     nq = len(t.qq)
     # quad . quad and quad . deriv; deriv . quad and deriv . deriv vanish
     for i, x in alow:
@@ -435,7 +440,7 @@ def _mul_terms(t, start, a, b):
                 y = other.get(yk)
                 if y:
                     acc[target] += 2 * x * y
-    return {i: x for i, x in enumerate(acc) if x}
+    return acc
 
 
 def product(ctx: AlgebraContext, u: GriessElement, v: GriessElement) -> GriessElement:
@@ -443,8 +448,15 @@ def product(ctx: AlgebraContext, u: GriessElement, v: GriessElement) -> GriessEl
     if u.ctx is not ctx or v.ctx is not ctx:
         raise ContextMismatch("product arguments from a different context")
     t, start = ctx.tables, ctx.expo_start
-    m, comps = _field_product(u.m, u.comps, v.m, v.comps,
-                              lambda a, b: _mul_terms(t, start, a, b))
+
+    def times(sa, sb):
+        # operands here are mostly dense, and a list indexes faster than a dict
+        acc = _mul_terms(t, sa, sb, [0] * len(t.opp))
+        return {i: x for i, x in enumerate(acc) if x}
+
+    # an empty component stays falsy, so _field_product skips it
+    m, comps = _field_product(u.m, [c and _split(start, c) for c in u.comps],
+                              v.m, [c and _split(start, c) for c in v.comps], times)
     return _make(ctx, m, 2 * u.den * v.den, comps)
 
 
@@ -760,7 +772,8 @@ def theta_split_tau_check(ctx: AlgebraContext, e: GriessElement):
         ("even", even_keys, (Fraction(0), HALF, Fraction(2))),
         ("odd", odd_keys, (Fraction(1, 16), Fraction(17, 16))),
     ):
-        if not annihilates(*_block_matrix(ctx, e, block), eigs):
+        rows, den = _block_matrix(ctx, e, block)  # square, about half dense: read densely
+        if not annihilates([[r.get(c, 0) for c in range(len(rows))] for r in rows], den, eigs):
             raise BadSpectrum(f"theta-{name} block has eigenvalues outside {eigs}")
         blocks[name] = len(block)
     return blocks
@@ -920,40 +933,30 @@ def build_hamming_family() -> HammingFamilies:
 
 class U2Data:
     def __init__(self, node, basis, gram, structure, block_dims):
-        self.node = node
-        self.basis = basis
-        self.gram = gram
-        self.structure = structure
-        self.block_dims = block_dims
+        self.node, self.basis, self.gram = node, basis, gram
+        self.structure, self.block_dims = structure, block_dims
 
     @property
     def dim(self):
         return len(self.basis)
 
     def multiply_coords(self, u, v):
-        d = self.dim
-        out = [0] * d
-        for i in range(d):
-            if is_zero(u[i]):
-                continue
-            for j in range(d):
-                if is_zero(v[j]):
-                    continue
-                c = u[i] * v[j]
-                for k in range(d):
-                    w = self.structure[i][j][k]
-                    if w:
-                        out[k] = out[k] + c * w
+        out = [0] * self.dim
+        for x, table in zip(u, self.structure):
+            if not is_zero(x):
+                for y, ws in zip(v, table):
+                    if not is_zero(y):
+                        c = x * y
+                        out = [o + c * w if w else o for o, w in zip(out, ws)]
         return out
 
     def inner_coords(self, u, v):
         total = 0
-        for i, x in enumerate(u):
-            if is_zero(x):
-                continue
-            for j, y in enumerate(v):
-                if not is_zero(y) and self.gram[i][j]:
-                    total = total + x * y * self.gram[i][j]
+        for x, row in zip(u, self.gram):
+            if not is_zero(x):
+                for y, g in zip(v, row):
+                    if not is_zero(y) and g:
+                        total = total + x * y * g
         return total
 
 
@@ -979,36 +982,32 @@ def _theta_split_keys(ctx, norm4_keys):
 
 
 def _block_matrix(ctx, op, block):
-    """(mat, den): the int matrix and denominator of op_1 on the block's span.
-
-    Raises ArithmeticError if an image leaves the span of the block.
+    """(rows, den): op_1 on the block's span as sparse {column: int} rows over
+    den = 2 op.den, indexed by the block's vectors.  Raises ArithmeticError if
+    op is not rational, or if an image leaves the block or is not theta-symmetric.
     """
-    where = {i: (c, sign) for c, vec in enumerate(block) for i, sign in vec}
-    cols, dens = [], []
-    for vec in block:
-        img = product(ctx, op, _make(ctx, 1, 1, (dict(vec),)))
-        found = {}
-        for i, x in img.comps[0].items():
-            if img.m != 1 or i not in where:
-                raise ArithmeticError("operator image leaves the block")
-            c, sign = where[i]
-            found.setdefault(c, []).append(x * sign)
-        for c, xs in found.items():
-            if len(xs) != len(block[c]) or len(set(xs)) != 1:
+    if op.m != 1:
+        raise ArithmeticError("block operator is not rational")
+    t, start = ctx.tables, ctx.expo_start
+    sop = _split(start, op.comps[0])
+    where = {i: c for c, vec in enumerate(block) for i, _ in vec}
+    rows = [{} for _ in block]
+    for c, vec in enumerate(block):
+        img = _mul_terms(t, sop, _split(start, dict(vec)), defaultdict(int))
+        img = {i: x for i, x in img.items() if x}
+        if not img.keys() <= where.keys():
+            raise ArithmeticError("operator image leaves the block")
+        for r in {where[i] for i in img}:
+            xs = {img.get(i, 0) * sign for i, sign in block[r]}
+            if len(xs) != 1:
                 raise ArithmeticError("operator image is not theta-symmetric")
-        cols.append({c: xs[0] for c, xs in found.items()})
-        dens.append(img.den)
-    den = lcm(*dens)
-    return [[col.get(r, 0) * (den // d) for col, d in zip(cols, dens)]
-            for r in range(len(block))], den
+            rows[r][c] = xs.pop()
+    return rows, 2 * op.den
 
 
 def _stacked_rows(ctx, operators, block):
-    """The int rows of several operators on a block, stacked."""
-    rows = []
-    for op in operators:
-        rows.extend(_block_matrix(ctx, op, block)[0])
-    return rows
+    """The sparse int rows of several operators on a block, stacked."""
+    return [row for op in operators for row in _block_matrix(ctx, op, block)[0]]
 
 
 def _u2_blocks(fams):
@@ -1058,10 +1057,8 @@ def coset_U2(i: int) -> U2Data:
     expected = l + n - 1
     basis = list(fams.omega_tilde) + [fams.X[j] for j in range(1, n)]
     # claimed basis really lies in the kernel
-    for b in basis:
-        for s in fams.s:
-            if not product(ctx, s, b).is_zero():
-                raise DimensionMismatch(f"node {i}: claimed U2 vector not in kernel")
+    if not all(product(ctx, s, b).is_zero() for b in basis for s in fams.s):
+        raise DimensionMismatch(f"node {i}: claimed U2 vector not in kernel")
     # the rows are the numerators of the rational basis, so a coordinate c
     # over row k is c * den_k / den over the basis element
 

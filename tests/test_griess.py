@@ -563,16 +563,37 @@ def test_u2_dimensions_and_basis():
         assert u2.dim == len(node.components) + node.n - 1
 
 
+def _dense(rows, ncols):
+    return [[row.get(c, 0) for c in range(ncols)] for row in rows]
+
+
 def test_u2_block_dims_match_the_rational_kernels():
     # the certified upper bounds equal the kernel dimensions over Q
     from e8voa.griess import _stacked_rows, _u2_blocks
     from e8voa.linalg import kernel_basis_int
     for i in range(9):
         fams = build_node_family(i)
-        want = {j: sum(len(kernel_basis_int(_stacked_rows(fams.ctx, fams.s, b), len(b)))
+        want = {j: sum(len(kernel_basis_int(_dense(_stacked_rows(fams.ctx, fams.s, b), len(b)),
+                                            len(b)))
                        for b in bs)
                 for j, bs in _u2_blocks(fams).items()}
         assert coset_U2_cached(i).block_dims == want
+
+
+def test_block_matrix_guards_the_direct_sum():
+    # coset_U2's kernel is the direct sum of its block kernels only because
+    # every image stays in its block, theta-symmetric, over Q
+    from e8voa.griess import _block_matrix, _stacked_rows, _u2_blocks
+    fams = build_node_family(5)
+    grade1 = _u2_blocks(fams)[1][0]
+    with pytest.raises(ArithmeticError, match="leaves the block"):
+        _stacked_rows(fams.ctx, fams.s, grade1[1:])
+    ctx = e8ctx()
+    even = _u2_blocks(build_node_family(0))[0][0]
+    with pytest.raises(ArithmeticError, match="not theta-symmetric"):
+        _block_matrix(ctx, GriessElement(ctx, expo={ctx.norm4[0]: 1}), even)
+    with pytest.raises(ArithmeticError, match="not rational"):
+        _block_matrix(ctx, fams.f_hat, grade1)
 
 
 def test_u2_rank_lost_mod_a_small_prime_is_a_dimension_mismatch(monkeypatch):

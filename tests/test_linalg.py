@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from unittest.mock import patch
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -144,30 +145,43 @@ def test_integer_det_and_invert_match_the_fraction_reference(mat):
 
 @st.composite
 def small_int_matrices(draw):
-    """Integer matrices up to 6x6 with entries in [-9, 9], often of low rank:
-    rows may repeat, change sign or vanish.  Every minor is below the
-    Hadamard bound (9 * sqrt(6))^6 < 2^31 - 1, so none vanishes mod the
-    prime unless it vanishes over Q."""
+    """(dense rows, the same rows as {column: int} dicts): integer matrices
+    up to 6x6 with entries in [-9, 9], often of low rank: rows may repeat,
+    change sign or vanish.  A dict row lists its columns in shuffled order
+    and may keep explicit zeros.  Every minor is below the Hadamard bound
+    (9 * sqrt(6))^6 < 2^31 - 1, so none vanishes mod that prime unless it
+    vanishes over Q."""
     ncols = draw(st.integers(1, 6))
     row = st.lists(st.integers(-9, 9), min_size=ncols, max_size=ncols)
     rows = draw(st.lists(row, min_size=1, max_size=6))
     for _ in range(draw(st.integers(0, 6 - len(rows)))):
         src = draw(st.sampled_from(rows))
         rows.append([draw(st.sampled_from([-1, 0, 1])) * x for x in src])
-    return draw(st.permutations(rows))
+    rows = draw(st.permutations(rows))
+    sparse = [{c: row[c] for c in draw(st.permutations(range(ncols)))
+               if row[c] or draw(st.booleans())} for row in rows]
+    return rows, sparse
 
 
 @settings(max_examples=300, deadline=None)
 @given(small_int_matrices())
-def test_rank_mod_p_matches_the_fraction_rank(rows):
+def test_rank_mod_p_matches_the_fraction_rank(mat):
+    # at a prime above every minor the rank is exact; at RANK_PRIME it is
+    # at most the rank over Q
     import fraction_reference as ref
-    from e8voa.linalg import rank_mod_p
-    assert rank_mod_p(rows) == ref.rank(rows)
+    from e8voa import linalg
+    rows, sparse = mat
+    want = ref.rank(rows)
+    assert linalg.rank_mod_p(sparse) <= want
+    with patch.object(linalg, "RANK_PRIME", 2 ** 31 - 1):
+        assert linalg.rank_mod_p(sparse) == want
 
 
 def test_rank_mod_p_only_loses_rank():
     # a multiple of the prime vanishes mod p, so the rank can only drop
     from e8voa.linalg import RANK_PRIME, rank_mod_p
-    assert rank_mod_p([[RANK_PRIME, 0], [0, 1]]) == 1
-    assert rank_mod_p([[1, 2], [2, 4 + RANK_PRIME]]) == 1
-    assert rank_mod_p([]) == rank_mod_p([[0, 0]]) == 0
+    assert rank_mod_p([{0: RANK_PRIME}, {1: 1}]) == 1
+    assert rank_mod_p([{0: 1, 1: 2}, {1: 4 + RANK_PRIME, 0: 2}]) == 1
+    assert rank_mod_p([]) == rank_mod_p([{0: 0, 1: 0}]) == rank_mod_p([{}]) == 0
+    # the only pivot of a sparse column is a multiple of p: rank 2 over Q, 1 mod p
+    assert rank_mod_p([{5: 3 * RANK_PRIME, 9: 7}, {9: 7}]) == 1

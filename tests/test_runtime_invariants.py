@@ -77,12 +77,13 @@ def _calls_of(body, names):
                 yield node.lineno, func.id
 
 
-KERNEL = ("product", "inner", "_act")
+KERNEL = ("product", "inner", "_act", "_mul_terms", "_split", "_block_matrix")
 
 
 def test_weight2_kernel_builds_no_scalar_objects():
-    # the kernel works on integer numerators; Fraction and Cyclotomic values
-    # are made only by the readers it calls, never per term
+    # the kernel, and the U2 block rows read through it, work on integer
+    # numerators; Fraction and Cyclotomic values are made only by the
+    # readers it calls, never per term
     griess = next(p for p in SOURCES if p.name == "griess.py")
     bodies = {node.name: node for node in _tree(griess).body
               if isinstance(node, ast.FunctionDef) and node.name in KERNEL}

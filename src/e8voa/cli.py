@@ -22,7 +22,7 @@ from functools import cache
 
 from . import codes, griess, lattice, leech, mckay
 from .rootsys import build_root_system, extended_e8_node
-from .scalars import Cyclotomic, as_rational
+from .scalars import as_rational
 
 VERSION = "0.1.0"
 
@@ -30,19 +30,20 @@ VERSION = "0.1.0"
 class RunConfig:
     def __init__(self, command: str, node_filter: list[int] | None = None,
                  output_format: str = "json", time_budget_seconds: int = 600,
-                 field_order_override: int | None = None, long_checks: bool = False):
+                 long_checks: bool = False):
         self.command = command
         self.node_filter = list(dict.fromkeys(node_filter or []))
         self.output_format = output_format
         self.time_budget_seconds = time_budget_seconds
-        self.field_order_override = field_order_override
         self.long_checks = long_checks
+        if command not in COMMANDS:
+            raise ValueError(f"unknown command {command!r}")
+        if output_format not in FORMATS:
+            raise ValueError(f"unknown output format {output_format!r}")
         if any(not 0 <= i <= 8 for i in self.node_filter):
             raise ValueError("node filter entries must be 0..8")
         if self.time_budget_seconds <= 0:
             raise ValueError("time budget must be positive")
-        if field_order_override is not None and field_order_override <= 0:
-            raise ValueError("field order must be positive")
 
 
 def _equals(expected, actual):
@@ -314,21 +315,12 @@ def _node_claims(i):
 def _mckay_claims(config: RunConfig):
     for i in _nodes(config):
         yield from _node_claims(i)
-    order = config.field_order_override
-    if order:
-        def field_order():
-            for i in _nodes(config):
-                if order % (2 * extended_e8_node(i).n):
-                    return False, None, None
-                val = mckay.counting_formula_inner(i)
-                if Cyclotomic.from_rational(val, order) != val:
-                    return False, None, None
-            return True, None, None
-        yield "mckay/field-order-override", field_order
 
 
 SECTIONS = (("codes", _codes_claims), ("griess", _griess_claims),
             ("leech", _leech_claims), ("mckay", _mckay_claims))
+COMMANDS = [f"verify-{name}" for name, _ in SECTIONS] + ["verify-all"]
+FORMATS = ["json", "markdown"]
 
 
 def registry(config: RunConfig):
@@ -394,19 +386,14 @@ def main(argv=None) -> int:
         prog="e8voa",
         description="Exact verification of the extended-E8 conformal vector "
                     "constructions and the Leech lattice")
-    parser.add_argument("command", choices=[
-        "verify-mckay", "verify-griess", "verify-leech", "verify-codes",
-        "verify-all"])
+    parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--node", type=int, action="append", default=None,
                         help="restrict node-indexed checks to this node (repeatable)")
-    parser.add_argument("--format", choices=["json", "markdown"],
-                        default="json")
+    parser.add_argument("--format", choices=FORMATS, default="json")
     parser.add_argument("--budget", type=int, default=600,
                         help="time budget in seconds for rank-24 enumeration")
     parser.add_argument("--long", action="store_true",
                         help="enable the long-running kissing-number count")
-    parser.add_argument("--field-order", type=int, default=None,
-                        help="re-check table values inside Q(zeta_N) for this N")
     args = parser.parse_args(argv)
     try:
         config = RunConfig(
@@ -414,7 +401,6 @@ def main(argv=None) -> int:
             node_filter=args.node or [],
             output_format=args.format,
             time_budget_seconds=args.budget,
-            field_order_override=args.field_order,
             long_checks=args.long,
         )
     except ValueError as exc:

@@ -334,9 +334,13 @@ class GriessElement:
         out = ({}, {}, {})
         for i in sorted(set().union(*self.comps)):
             label = self.ctx.keys[i]
-            value = _value(self.m, self.den, [terms.get(i, 0) for terms in self.comps])
+            value = self.coefficient(i)
             out["qde".index(label[0])][label[1:] if label[0] == "q" else label[1]] = value
         return out
+
+    def coefficient(self, i):
+        """The coefficient of context basis vector i."""
+        return _value(self.m, self.den, [terms.get(i, 0) for terms in self.comps])
 
     def scaled(self, c):
         cm, cd, nums = _encode(c)
@@ -831,7 +835,6 @@ class NodeFamilies:
                for comp in node.components]
         self.s = [x["s"] for x in fam]
         self.omega_tilde = [x["omega_tilde"] for x in fam]
-        self.component_h = [x["h"] for x in fam]
 
         self.f_hat = omega16 + GriessElement(ctx, expo={
             k: Cyclotomic.zeta(node.n, j) * Fraction(1, 32) if j else Fraction(1, 32)
@@ -932,13 +935,25 @@ def build_hamming_family() -> HammingFamilies:
 
 
 class U2Data:
-    def __init__(self, node, basis, gram, structure, block_dims):
-        self.node, self.basis, self.gram = node, basis, gram
+    """U2 over its basis; basis vector k alone is nonzero at index pivots[k]."""
+
+    def __init__(self, node, basis, pivots, gram, structure, block_dims):
+        self.node, self.basis, self.pivots, self.gram = node, basis, pivots, gram
         self.structure, self.block_dims = structure, block_dims
 
     @property
     def dim(self):
         return len(self.basis)
+
+    def coords(self, el):
+        """Coordinates c_k = el / b_k at b_k's pivot, or None unless el - sum
+        c_k b_k vanishes on every index.  el may be cyclotomic."""
+        cs = [el.coefficient(p) / b.coefficient(p) for p, b in zip(self.pivots, self.basis)]
+        rest = el
+        for c, b in zip(cs, self.basis):
+            if c:
+                rest = rest + b.scaled(-c)
+        return cs if rest.is_zero() else None
 
     def multiply_coords(self, u, v):
         out = [0] * self.dim
@@ -1034,7 +1049,8 @@ def coset_U2(i: int) -> U2Data:
     - rank_mod_p`` of the stacked rows bounds the kernel from above, as
     the rank mod p is at most the rank over Q.  The claimed basis (l
     vectors of grade 0, one X_j per grade j) lies in the kernel and is
-    independent, so the whole kernel has dimension at least l + n - 1.
+    independent (each vector alone is nonzero at its pivot key), so the
+    whole kernel has dimension at least l + n - 1.
     The kernel is the direct sum of the block kernels (``_block_matrix``
     raises if an image leaves its block), so upper bounds equal to l and
     to 1 are met in every grade.  A prime that loses rank can only make
@@ -1054,39 +1070,31 @@ def coset_U2(i: int) -> U2Data:
             f"node {i}: U2 kernel upper bounds {block_dims} per grade, "
             f"against lower bounds {lower}")
 
-    expected = l + n - 1
     basis = list(fams.omega_tilde) + [fams.X[j] for j in range(1, n)]
     # claimed basis really lies in the kernel
     if not all(product(ctx, s, b).is_zero() for b in basis for s in fams.s):
         raise DimensionMismatch(f"node {i}: claimed U2 vector not in kernel")
-    # the rows are the numerators of the rational basis, so a coordinate c
-    # over row k is c * den_k / den over the basis element
-
-    def numerators(el):
-        if el.m != 1:
-            raise DimensionMismatch(f"node {i}: U2 vector is not rational")
-        return [el.comps[0].get(k, 0) for k in range(len(ctx.keys))]
-
-    space = RowSpace(numerators(b) for b in basis)
-    if len(space.rows) != expected:
-        raise DimensionMismatch(f"node {i}: claimed U2 basis is dependent")
-
+    # and is independent: each vector alone is nonzero at its pivot, some e^x
+    # with x a root of component k for omega_tilde_k, a class-j key for X_j
+    supports = [{p for terms in b.comps for p in terms if p >= ctx.expo_start}
+                for b in basis]
+    pivots = [min(sup.difference(*supports[:k], *supports[k + 1:]), default=None)
+              for k, sup in enumerate(supports)]
+    if None in pivots:
+        raise DimensionMismatch(f"node {i}: U2 basis vector {pivots.index(None)} "
+                                "has no pivot key")
     gram = [[inner(ctx, a, b) for b in basis] for a in basis]
-    structure = []
+    u2 = U2Data(node, basis, pivots, gram, [], block_dims)
     for a in basis:
-        row = []
-        for b in basis:
-            prod = product(ctx, a, b)
-            c = space.coords(numerators(prod))
-            if c is None:
-                raise DimensionMismatch(f"node {i}: U2 is not closed under products")
-            row.append([x * el.den / prod.den for x, el in zip(c, basis)])
-        structure.append(row)
+        row = [u2.coords(product(ctx, a, b)) for b in basis]
+        if None in row:
+            raise DimensionMismatch(f"node {i}: U2 is not closed under products")
+        u2.structure.append(row)
     # the closure below multiplies each unordered pair once
-    if any(structure[a][b] != structure[b][a]
-           for a in range(expected) for b in range(a)):
+    if any(u2.structure[a][b] != u2.structure[b][a]
+           for a in range(len(basis)) for b in range(a)):
         raise DimensionMismatch(f"node {i}: U2 structure constants are not symmetric")
-    return U2Data(node, basis, gram, structure, block_dims)
+    return u2
 
 
 @lru_cache(maxsize=None)
@@ -1105,26 +1113,17 @@ def generated_closure_coords(u2: U2Data, seed_coords):
     """
     space, gens, todo = RowSpace(), [], list(seed_coords)
     while todo:
-        before = set(space.pivots)
-        if space.add(todo.pop()):
-            a = next(r for p, r in zip(space.pivots, space.rows) if p not in before)
+        a = space.add(todo.pop())
+        if a is not None:
             gens.append(a)
             todo += [u2.multiply_coords(a, b) for b in gens]
     return len(space.rows), space.rows
 
 
 def e_f_coords(u2: U2Data):
-    """Coordinates of e-hat and f-hat over the U2 basis, by construction."""
+    """Coordinates of e-hat and f-hat over the U2 basis."""
     fams = build_node_family(u2.node.i)
-    n = u2.node.n
-    omegas = [Fraction(h + 2, 32) for h in fams.component_h]
-    e = omegas + [Fraction(1, 32)] * (n - 1)
-    f = omegas + [Cyclotomic.zeta(n, j) * Fraction(1, 32) for j in range(1, n)]
-    # verify the linear combinations really reproduce the two vectors
-    for name, coords, want in (("e-hat", e, fams.e_hat), ("f-hat", f, fams.f_hat)):
-        el = fams.ctx.zero()
-        for c, b in zip(coords, u2.basis):
-            el = el + b.scaled(c)
-        if not (el - want).is_zero():
-            raise DimensionMismatch(f"{name} coordinates over U2 are wrong")
+    e, f = u2.coords(fams.e_hat), u2.coords(fams.f_hat)
+    if e is None or f is None:
+        raise DimensionMismatch(f"node {u2.node.i}: e-hat or f-hat does not lie in U2")
     return e, f

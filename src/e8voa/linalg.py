@@ -283,8 +283,9 @@ class RowSpace:
         for row in rows:
             self.add(row)
 
-    def add(self, v) -> bool:
-        """Add one input row; False, with the form unchanged, if it is in the span."""
+    def add(self, v):
+        """Add one input row and return the echelon row it inserted, as inserted;
+        None, with the form unchanged, if it is in the span."""
         res = list(v)
         used = []
         for p, row, c in zip(self.pivots, self.rows, self._combos):
@@ -295,7 +296,7 @@ class RowSpace:
         self.inputs += 1
         q = next((j for j, x in enumerate(res) if not is_zero(x)), None)
         if q is None:
-            return False
+            return None
         inv = scalar_inverse(res[q])
         res = [x if is_zero(x) else x * inv for x in res]
         combo = {self.inputs - 1: inv}
@@ -311,7 +312,7 @@ class RowSpace:
         self.pivots.insert(at, q)
         self._combos.insert(at, combo)
         self._tails = None
-        return True
+        return res
 
     def coords(self, v):
         """Coefficients c over the input rows with sum(c_i * input_i) = v, or None.

@@ -16,9 +16,10 @@ def test_run_config_validation():
         RunConfig(command="verify-all", node_filter=[9])
     with pytest.raises(ValueError):
         RunConfig(command="verify-all", time_budget_seconds=0)
-    for order in (0, -120):
-        with pytest.raises(ValueError):
-            RunConfig(command="verify-mckay", field_order_override=order)
+    with pytest.raises(ValueError, match="unknown command"):
+        RunConfig(command="verify-typo")
+    with pytest.raises(ValueError, match="unknown output format"):
+        RunConfig(command="verify-all", output_format="xml")
 
 
 def test_a_repeated_node_is_reported_once(capsys):
@@ -32,9 +33,7 @@ def test_a_repeated_node_is_reported_once(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["verify-leech", "--budget", "0"], ["verify-mckay", "--node", "9"],
-    ["verify-mckay", "--field-order", "-120"],
-    ["verify-mckay", "--field-order", "0"]], ids=" ".join)
+    ["verify-leech", "--budget", "0"], ["verify-mckay", "--node", "9"]], ids=" ".join)
 def test_bad_option_values_are_usage_errors(argv):
     src = str(Path(__file__).resolve().parents[1] / "src")
     out = subprocess.run([sys.executable, "-m", "e8voa", *argv],
@@ -86,15 +85,6 @@ def test_verify_mckay_markdown_table(capsys):
     doubled = [line.split("|")[6].strip() for line in rows]
     assert doubled == ["1", "1/8", "13/256", "1/32", "3/128", "5/256",
                        "1/64", "0", "1/64"]
-
-
-def test_field_order_override(capsys):
-    rc = main(["verify-mckay", "--node", "4", "--field-order", "120"])
-    out = capsys.readouterr().out
-    assert rc == 0
-    report = json.loads(out)
-    assert any(r["claim"] == "mckay/field-order-override" and r["pass"]
-               for r in report["results"])
 
 
 # one semantic corruption per data file: a word of weight 5 in the Hamming
@@ -200,12 +190,14 @@ def test_verify_codes_runs_the_same_under_python_O():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    runs = [subprocess.run([sys.executable, *flags, "-m", "e8voa.cli", "verify-codes"],
-                           capture_output=True, env=env)
-            for flags in ([], ["-O"])]
-    assert runs[0].returncode == 0
-    assert runs[1].returncode == runs[0].returncode
-    assert runs[1].stdout == runs[0].stdout
+    # verify-mckay --node 5 goes through coset_U2, e_f_coords and the closure
+    for argv in (["verify-codes"], ["verify-mckay", "--node", "5"]):
+        runs = [subprocess.run([sys.executable, *flags, "-m", "e8voa.cli", *argv],
+                               capture_output=True, env=env)
+                for flags in ([], ["-O"])]
+        assert runs[0].returncode == 0
+        assert runs[1].returncode == runs[0].returncode
+        assert runs[1].stdout == runs[0].stdout
 
 
 def test_verify_mckay_records_any_exception(monkeypatch, capsys):

@@ -656,6 +656,64 @@ def test_u2_gram_block_structure():
             assert u2.gram[l + j - 1][l + k - 1] == want
 
 
+def test_u2_coords_reject_an_element_outside_u2():
+    u2 = coset_U2_cached(5)
+    assert u2.coords(e8ctx().omega()) is None
+    assert u2.coords(u2.basis[0]) == [1] + [0] * (u2.dim - 1)
+
+
+def test_a_u2_basis_without_pivot_keys_is_a_dimension_mismatch(monkeypatch):
+    # X_2 replaced by X_1: both still lie in the kernel, but neither is
+    # alone nonzero on any key, so independence is not certified
+    import copy
+    from e8voa import griess
+    fams = copy.copy(build_node_family(5))
+    fams.X = {**fams.X, 2: fams.X[1]}
+    monkeypatch.setattr(griess, "build_node_family", lambda i: fams)
+    with pytest.raises(DimensionMismatch, match="node 5: U2 basis vector 3 has no pivot key"):
+        griess.coset_U2(5)
+
+
+def test_e_f_coords_match_the_closed_forms():
+    # e-hat = sum (h_k + 2)/32 omega_tilde_k + sum X_j / 32 and f-hat the
+    # same with X_j twisted by zeta_n^j
+    for i in range(9):
+        node = extended_e8_node(i)
+        omegas = [F(c.h + 2, 32) for c in node.components]
+        e, f = e_f_coords(coset_U2_cached(i))
+        assert e == omegas + [F(1, 32)] * (node.n - 1)
+        assert f == omegas + [Cyclotomic.zeta(node.n, j) * F(1, 32)
+                              for j in range(1, node.n)]
+
+
+def test_a_product_off_u2_fails_exactly_the_u2_claim(monkeypatch):
+    # omega added to the product of one ordered basis pair takes it out of
+    # U2, so coset_U2 raises and only mckay/u2/i=5 fails
+    from e8voa import cli, griess
+    config = cli.RunConfig(command="verify-mckay", node_filter=[5])
+    clean = cli.run_claims(cli.registry(config))
+    fams = build_node_family(5)
+    a, b = fams.omega_tilde[0], fams.X[1]
+    honest = griess.product
+
+    def mutated(ctx, u, v):
+        out = honest(ctx, u, v)
+        return out + ctx.omega() if u is a and v is b else out
+
+    monkeypatch.setattr(griess, "product", mutated)
+    coset_U2_cached.cache_clear()
+    try:
+        records = cli.run_claims(cli.registry(config))
+    finally:
+        coset_U2_cached.cache_clear()
+    assert all(r["pass"] for r in clean)
+    assert [r["claim"] for r in records if not r["pass"]] == ["mckay/u2/i=5"]
+    bad = next(r for r in records if not r["pass"])
+    assert bad["actual"] == "DimensionMismatch: node 5: U2 is not closed under products"
+    assert [r for r in records if r["pass"]] == [r for r in clean
+                                                 if r["claim"] != "mckay/u2/i=5"]
+
+
 # ---------------------------------------------------------------------------
 # the kernel against a reference: the sector rules with one Fraction or
 # Cyclotomic value per term, on the coefficients read back from the elements

@@ -94,9 +94,10 @@ def test_adding_a_dependent_row_leaves_the_form_unchanged():
     rows = [[1, 2, 0], [0, 1, 1]]
     space = RowSpace(rows)
     before = ([list(r) for r in space.rows], list(space.pivots))
-    assert space.add([2, 5, 1]) is False
+    assert space.add([2, 5, 1]) is None
     assert ([list(r) for r in space.rows], list(space.pivots)) == before
-    assert space.add([0, 0, 1]) is True
+    row = space.add([0, 0, 1])
+    assert row == [0, 0, 1] and row is space.rows[2]
     assert space.pivots == [0, 1, 2]
     c = space.coords([2, 5, 1])
     assert len(c) == 4

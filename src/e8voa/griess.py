@@ -814,7 +814,8 @@ def _int_key(vec):
 
 
 class NodeFamilies:
-    """e-hat, f-hat, the graded sums X^j, and the component Virasoro pairs."""
+    """e-hat, f-hat = sigma(e-hat), the graded sums X^j, and the component
+    Virasoro pairs."""
 
     def __init__(self, node):
         ctx = e8_context()
@@ -822,10 +823,16 @@ class NodeFamilies:
         self.node = node
         classes = node.coset_classes()
         self.key_class = {k: classes[k] for k in ctx.norm4}
+        # sigma multiplies e^x by zeta_N^exps[x]; on a class-j key that must
+        # be zeta_n^j, so that f-hat = sigma(e-hat) is the twisted sum
+        big_n, exps = ctx.sigma_phases(node.glue_coords)
+        if any((e * node.n - self.key_class[k] * big_n) % (big_n * node.n)
+               for k, e in zip(ctx.norm4, exps[ctx.expo_start:])):
+            raise AssertionError("sigma phases do not match the coset classes")
 
-        omega16 = ctx.omega().scaled(Fraction(1, 16))
-        self.e_hat = omega16 + GriessElement(
+        self.e_hat = ctx.omega().scaled(Fraction(1, 16)) + GriessElement(
             ctx, expo={k: Fraction(1, 32) for k in ctx.norm4})
+        self.f_hat = self.sigma(self.e_hat)
         self.X = {j: GriessElement(ctx, expo={k: 1 for k in ctx.norm4
                                               if self.key_class[k] == j})
                   for j in range(1, node.n)}
@@ -835,13 +842,6 @@ class NodeFamilies:
                for comp in node.components]
         self.s = [x["s"] for x in fam]
         self.omega_tilde = [x["omega_tilde"] for x in fam]
-
-        self.f_hat = omega16 + GriessElement(ctx, expo={
-            k: Cyclotomic.zeta(node.n, j) * Fraction(1, 32) if j else Fraction(1, 32)
-            for k, j in self.key_class.items()})
-        f_sigma = apply_sigma(ctx, node.glue_coords, self.e_hat)
-        if not (self.f_hat - f_sigma).is_zero():
-            raise AssertionError("sigma(e-hat) does not match the twisted sum")
 
     def sigma(self, el, power=1):
         return apply_sigma(self.ctx, self.node.glue_coords, el, power=power)

@@ -70,13 +70,13 @@ def weight2_tau_theta_verified() -> dict:
 def conjugation_verified(i: int) -> bool:
     """f-hat_1 = sigma e-hat_1 sigma^(-1) as weight-2 operators, exactly.
 
-    f-hat = sigma(e-hat) is certified when the node family is built, so
-    the identity holds once sigma is an automorphism of the weight-2
-    algebra.  sigma fixes the quad and deriv states and multiplies e^x by
-    a phase, and e^x e^y is nonzero only for y = -x or B(x, y) = -2.  So
-    the check is that the phase exponents, over one common order, form a
-    character on the product tables: they cancel on e^x e^-x (``opp``)
-    and add along e^x e^y = e^(x+y) (``nbr``).
+    The node family builds f-hat as sigma(e-hat), so the identity holds
+    once sigma is an automorphism of the weight-2 algebra.  sigma fixes
+    the quad and deriv states and multiplies e^x by a phase, and e^x e^y
+    is nonzero only for y = -x or B(x, y) = -2.  So the check is that the
+    phase exponents, over one common order, form a character on the
+    product tables: they cancel on e^x e^-x (``opp``) and add along
+    e^x e^y = e^(x+y) (``nbr``).
     """
     fams = build_node_family(i)
     ctx = fams.ctx
@@ -104,15 +104,13 @@ def sigma_sq_weight2_order(i: int) -> int:
 
 
 def dihedral_check(i: int) -> dict:
-    """sigma has order n, theta inverts it, and the group has order 2n."""
-    fams = build_node_family(i)
-    ctx = fams.ctx
-    node = fams.node
-    n, e = ctx.sigma_phases(node.glue_coords)
-    opp = ctx.tables.opp
-    # theta sends e^x to e^-x, whose phase must be the inverse zeta_N^(-e)
-    ok_rel = all((e[x] + e[opp[x]]) % n == 0 for x in range(ctx.expo_start, len(e)))
-    return {"verified": ok_rel and sigma_weight2_order(i) == node.n}
+    """sigma has order n, theta inverts it, and the group has order 2n.
+
+    theta sends e^x to e^-x, so theta sigma theta = sigma^(-1) is the
+    ``opp`` half of ``conjugation_verified``.
+    """
+    return {"verified": conjugation_verified(i)
+            and sigma_weight2_order(i) == extended_e8_node(i).n}
 
 
 # ---------------------------------------------------------------------------
@@ -156,17 +154,17 @@ def tau_e_negates_dual_exponentials() -> bool:
 
 
 @lru_cache(maxsize=None)
-def dual_tau_orders(i: int) -> dict:
+def dual_tau_orders(i: int) -> int:
     """Verify tau_e tau_f = sigma^(-2) on the dual modules; return its order.
 
     On each coset sigma is the diagonal S with phase zeta_N^(e_a) on key a
     (``sigma_exponents``), and both identities are checked on every coset
     as integers mod N.  tau_e S tau_e = S^(-1): e_a + e_b = 0 wherever
-    tau_e has an entry.  M_f = S M_e S^(-1): f-hat = sigma(e-hat), certified
-    when the node family is built, has the quad and deriv terms of e-hat,
-    so the diagonals agree, and the coefficient of e^y in e-hat times the
-    phase of y (``sigma_phases``), so the identity is e_a - e_b = (exponent
-    of y) on every lowering pair key_b + y = key_a.  Everything here is E8
+    tau_e has an entry.  M_f = S M_e S^(-1): f-hat = sigma(e-hat) has the
+    quad and deriv terms of e-hat, so the diagonals agree, and the
+    coefficient of e^y in e-hat times the phase of y (``sigma_phases``),
+    so the identity is e_a - e_b = (exponent of y) on every lowering pair
+    key_b + y = key_a.  Everything here is E8
     data, so the cache on the node index cannot go stale.
     """
     fams = build_node_family(i)
@@ -193,33 +191,27 @@ def dual_tau_orders(i: int) -> dict:
                         f"and e^y has {ey} mod {n}")
         # tau_e tau_f = S^(-2) has the phase zeta_N^(-2 e_a) on key a
         order = lcm(order, *(n // gcd(n, 2 * x) for x in e))
-    return {"order": order, "order_matches_n": order == fams.node.n}
+    return order
 
 
 # ---------------------------------------------------------------------------
 # involution orders and axes
 
 
-def tau_product_orders(i: int) -> dict:
-    """Orders of tau_e tau_f on weight 2, on the dual cosets and through Leech.
+def tau_product_orders(i: int) -> tuple:
+    """(on_E8, on_dual, on_leech): the orders of tau_e tau_f on weight 2, on
+    the dual cosets and through Leech.
 
-    ``weight2_conjugation`` is the identity f-hat_1 = sigma e-hat_1
-    sigma^(-1) on weight 2, which makes tau_e tau_f = sigma^(-2) there.
+    tau_e = theta on weight 2 and the identity f-hat_1 = sigma e-hat_1
+    sigma^(-1) there make tau_e tau_f = sigma^(-2) on weight 2; where the
+    identity fails this raises ``ConjugationFailed``.
     """
     from .leech import sigma_tilde_order
-    node = extended_e8_node(i)
     weight2_tau_theta_verified()
-    on_e8 = sigma_sq_weight2_order(i)
-    expected = node.n if node.n % 2 else node.n // 2
-    dual = dual_tau_orders(i)
-    return {
-        "weight2_conjugation": conjugation_verified(i),
-        "on_E8": on_e8,
-        "on_E8_matches": on_e8 == expected,
-        "on_dual": dual["order"],
-        "on_dual_matches": dual["order_matches_n"],
-        "on_leech": sigma_tilde_order(i),
-    }
+    if not conjugation_verified(i):
+        raise ConjugationFailed(
+            f"node {i}: f-hat_1 is not sigma e-hat_1 sigma^(-1) on weight 2")
+    return sigma_sq_weight2_order(i), dual_tau_orders(i), sigma_tilde_order(i)
 
 
 CONWAY_OMEGA_ROWS = {
@@ -299,12 +291,11 @@ def markdown_table(nodes) -> str:
             node = extended_e8_node(i)
             ef = direct_inner(i)
             u2_dim = coset_U2_cached(i).dim
-            orders = tau_product_orders(i)
+            on_e8, on_dual, on_leech = tau_product_orders(i)
         except Exception:
             continue
         comps = "+".join("%s%d" % c for c in node.component_types)
         lines.append(
             f"| {i} | {NODE_LABELS[i]} | {node.n} | {comps} | {ef} "
-            f"| {4 * ef} | {u2_dim} | {orders['on_E8']} "
-            f"| {orders['on_dual']} | {orders['on_leech']} |")
+            f"| {4 * ef} | {u2_dim} | {on_e8} | {on_dual} | {on_leech} |")
     return "\n".join(lines) if len(lines) > 2 else ""

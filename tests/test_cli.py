@@ -182,6 +182,15 @@ def test_run_function_returns_report():
     assert json.loads(text)["pass"] is True
 
 
+def test_the_version_is_stated_once():
+    # the report prints e8voa.__version__, and pyproject.toml must agree
+    tomllib = pytest.importorskip("tomllib")
+    import e8voa
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == e8voa.__version__
+
+
 def test_verify_codes_runs_the_same_under_python_O():
     import os
     import subprocess

@@ -207,9 +207,14 @@ def test_zero_budget_stops_the_rank24_norm4_search():
         enumerate_short(build_leech().reduced, 4, budget_seconds=0)
 
 
-def test_leech_kissing_number():
-    from e8voa.leech import kissing_vectors
-    assert len(kissing_vectors()) == 196560
+def test_verify_leech_long_counts_the_kissing_number():
+    # --long adds the 196560 count to verify-leech as its own claim
+    from e8voa.cli import RunConfig, run
+    status, report, _ = run(RunConfig("verify-leech", long_checks=True))
+    kissing = [r for r in report["results"] if r["claim"] == "leech/kissing-number"]
+    assert kissing == [{"claim": "leech/kissing-number", "pass": True,
+                        "expected": "196560", "actual": "196560"}]
+    assert status == 0 and report["pass"]
 
 
 def test_coset_min_norm_a2():

@@ -28,22 +28,16 @@ def test_labels_and_multiplicities():
 
 
 def test_tau_orders_examples():
-    o3 = tau_product_orders(3)
-    assert o3["on_E8"] == 2 and o3["on_leech"] == 4
-    o4 = tau_product_orders(4)
-    assert o4["on_E8"] == 5 and o4["on_leech"] == 5
-    o0 = tau_product_orders(0)
-    assert (o0["on_E8"], o0["on_dual"], o0["on_leech"]) == (1, 1, 1)
+    # (on_E8, on_dual, on_leech)
+    assert tau_product_orders(3) == (2, 4, 4)
+    assert tau_product_orders(4) == (5, 5, 5)
+    assert tau_product_orders(0) == (1, 1, 1)
 
 
 def test_tau_orders_parity_rule():
     for i in range(9):
-        orders = tau_product_orders(i)
         n = (1, 2, 3, 4, 5, 6, 4, 2, 3)[i]
-        want = n if n % 2 else n // 2
-        assert orders["on_E8"] == want
-        assert orders["on_dual"] == n
-        assert orders["on_leech"] == n
+        assert tau_product_orders(i) == (n if n % 2 else n // 2, n, n)
 
 
 def test_dihedral_relations():
@@ -129,6 +123,7 @@ MUTATED_NODE = 4
 def _clear_involution_caches():
     mckay.dual_tau_orders.cache_clear()
     mckay.conjugation_verified.cache_clear()
+    mckay.conway_report.cache_clear()
     griess.coset_U2_cached.cache_clear()
 
 
@@ -185,6 +180,9 @@ def test_corrupt_sigma_phase_fails_conjugation_and_dihedral(monkeypatch, fresh_c
     glue = fams.node.glue_coords
     assert mckay.conjugation_verified(MUTATED_NODE)
     assert dihedral_check(MUTATED_NODE)["verified"]
+    # the dual-coset order stays cached from before the corruption, so the
+    # orders claim below can fail only on the weight-2 identity
+    mckay.dual_tau_orders(MUTATED_NODE)
     mckay.conjugation_verified.cache_clear()
     n, exps = ctx.sigma_phases(glue)
     exps = list(exps)
@@ -193,6 +191,41 @@ def test_corrupt_sigma_phase_fails_conjugation_and_dihedral(monkeypatch, fresh_c
     monkeypatch.setitem(ctx._phases, tuple(glue), (n, exps))
     assert not mckay.conjugation_verified(MUTATED_NODE)
     assert not dihedral_check(MUTATED_NODE)["verified"]
+    # the orders claim reports no orders for a sigma that does not carry
+    # e-hat_1 to f-hat_1, and the dihedral claim fails beside it
+    from e8voa.cli import RunConfig, registry, run_claims
+    records = {r["claim"]: r for r in run_claims(registry(
+        RunConfig("verify-mckay", node_filter=[MUTATED_NODE])))}
+    assert records[f"mckay/tau-orders/i={MUTATED_NODE}"]["actual"].startswith(
+        f"ConjugationFailed: node {MUTATED_NODE}: f-hat_1 is not sigma e-hat_1")
+    assert not records[f"mckay/dihedral/i={MUTATED_NODE}"]["pass"]
+
+
+def test_a_wrong_leech_order_fails_exactly_its_two_claims(monkeypatch):
+    from e8voa import leech
+    from e8voa.cli import RunConfig, registry, run_claims
+    from e8voa.rootsys import extended_e8_node
+    honest = leech.sigma_tilde_order
+    monkeypatch.setattr(leech, "sigma_tilde_order", lambda i: (
+        extended_e8_node(i).n + 1 if i == 3 else honest(i)))
+    failed = [r for command in ("verify-leech", "verify-mckay")
+              for r in run_claims(registry(RunConfig(command, node_filter=[3])))
+              if not r["pass"]]
+    assert [r["claim"] for r in failed] == ["leech/sigma-order/i=3",
+                                            "mckay/tau-orders/i=3"]
+    assert failed[1]["actual"] == "(2, 4, 5)"
+
+
+def test_a_root_moved_to_another_class_fails_the_node_family():
+    # f-hat is sigma(e-hat) only where sigma's phase on each norm-4 key is
+    # zeta_n to the key's coset class
+    from e8voa.rootsys import ExtendedE8Node
+    node = ExtendedE8Node(5)
+    classes = node.coset_classes()
+    root = next(iter(classes))
+    classes[root] = (classes[root] + 1) % node.n
+    with pytest.raises(AssertionError, match="sigma phases do not match the coset classes"):
+        griess.NodeFamilies(node)
 
 
 def test_sigma_phases_match_the_cyclotomic_sigma_phase():

@@ -20,7 +20,8 @@ Construction A call no Fraction either, and ``codes`` imports nothing from
 ``fractions``.
 The tau involution is a polynomial in the action matrix: it computes no
 kernel, echelon form or inverse, and its matrix products call no Fraction.
-The involution checks and the rank mod p compare integers: they call no Cyclotomic,
+The involution checks, the node family's check of sigma against the coset
+classes and the rank mod p compare integers: they call no Cyclotomic,
 scalar_inverse, sigma_phase or act_matrix.  Cyclotomic sums, products,
 inverses and embeddings run on integer numerators over one denominator:
 they call no Fraction, and no polynomial Euclid helper is left.
@@ -253,7 +254,8 @@ def _called_names(body):
 
 INVOLUTION_CHECKS = {
     "mckay.py": ["dual_tau_orders", "conjugation_verified", "dihedral_check",
-                 "sigma_weight2_order"],
+                 "sigma_weight2_order", "tau_product_orders"],
+    "griess.py": ["NodeFamilies.__init__"],
     "linalg.py": ["rank_mod_p"],
 }
 PHASE_VALUES = ("Cyclotomic", "scalar_inverse", "sigma_phase", "act_matrix")
@@ -261,8 +263,8 @@ PHASE_VALUES = ("Cyclotomic", "scalar_inverse", "sigma_phase", "act_matrix")
 
 def test_involution_checks_compare_integer_exponents():
     # the phases are integer exponents mod their order, and the f-hat action
-    # is never formed: f-hat = sigma(e-hat) is certified once, when the node
-    # family is built
+    # is never formed: the node family builds f-hat as sigma(e-hat), after
+    # checking sigma's exponents against the coset classes as integers
     for module, names in INVOLUTION_CHECKS.items():
         for name, body in _functions(module, names).items():
             calls = [(line, callee) for line, callee in _called_names(body)

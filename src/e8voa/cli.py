@@ -378,27 +378,24 @@ def run(config: RunConfig):
 
 
 def main(argv=None) -> int:
+    # only the options given reach RunConfig, which holds every default
     parser = argparse.ArgumentParser(
-        prog="e8voa",
+        prog="e8voa", argument_default=argparse.SUPPRESS,
         description="Exact verification of the extended-E8 conformal vector "
                     "constructions and the Leech lattice")
     parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--node", type=int, action="append", default=None,
+    parser.add_argument("--node", type=int, action="append", dest="node_filter",
+                        metavar="NODE",
                         help="restrict node-indexed checks to this node (repeatable)")
-    parser.add_argument("--format", choices=FORMATS, default="json")
-    parser.add_argument("--budget", type=int, default=600,
+    parser.add_argument("--format", choices=FORMATS, dest="output_format")
+    parser.add_argument("--budget", type=int, dest="time_budget_seconds",
+                        metavar="BUDGET",
                         help="time budget in seconds for rank-24 enumeration")
-    parser.add_argument("--long", action="store_true",
+    parser.add_argument("--long", action="store_true", dest="long_checks",
                         help="enable the long-running kissing-number count")
     args = parser.parse_args(argv)
     try:
-        config = RunConfig(
-            command=args.command,
-            node_filter=args.node or [],
-            output_format=args.format,
-            time_budget_seconds=args.budget,
-            long_checks=args.long,
-        )
+        config = RunConfig(**vars(args))
     except ValueError as exc:
         parser.error(str(exc))
     status, _, text = run(config)

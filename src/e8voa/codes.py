@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import itertools
 import os
-from functools import lru_cache, wraps
+from collections import namedtuple
+from functools import wraps
 from math import prod
 from operator import mul
 
@@ -111,12 +112,61 @@ class Z4Code(_Code):
     q = 4
 
 
+CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+MEMOS = []  # every memo that data_cached makes, for clear_caches
+
+
+def data_cached(*names):
+    """Cache a builder on its arguments and the values of the named codes.
+
+    The key holds ``named_code(n)`` for each name, so the builder runs
+    again exactly when the value of a code it reads changes, as when
+    ``MCKAY_DATA_DIR`` points at other data.  An exception is stored like
+    a value and raised again, so a failing build fails the same way once
+    per data state.  Each memo joins ``MEMOS`` and has lru_cache's
+    ``cache_info`` and ``cache_clear``.
+    """
+    def decorate(build):
+        memo, counts = {}, [0, 0]  # [misses, hits], indexed by the hit
+
+        @wraps(build)
+        def cached(*args):
+            key = (args, *map(named_code, names))
+            hit = key in memo
+            counts[hit] += 1
+            if not hit:
+                try:
+                    memo[key] = build(*args)
+                except Exception as exc:
+                    memo[key] = exc.with_traceback(None)
+            value = memo[key]
+            if isinstance(value, Exception):
+                raise value.with_traceback(None)
+            return value
+
+        def cache_clear():
+            memo.clear()
+            counts[:] = [0, 0]
+
+        cached.memo, cached.cache_clear = memo, cache_clear
+        cached.cache_info = lambda: CacheInfo(counts[1], counts[0], None, len(memo))
+        MEMOS.append(cached)
+        return cached
+    return decorate
+
+
+def clear_caches():
+    """Empty every memo made by ``data_cached``."""
+    for cached in MEMOS:
+        cached.cache_clear()
+
+
 def named_code(name: str):
     """The named code, read from the data directory in effect now."""
     return _named_code_in(os.path.realpath(data_dir()), name)
 
 
-@lru_cache(maxsize=None)
+@data_cached()
 def _named_code_in(directory: str, name: str):
     if name == "Hamming8":
         rows = _load_digit_rows(os.path.join(directory, "hamming8.txt"), {0, 1})
@@ -131,36 +181,6 @@ def _named_code_in(directory: str, name: str):
                                 {0, 1, 2, 3})
         return Z4Code(24, rows)
     raise ValueError(f"unknown code name: {name}")
-
-
-def data_cached(*names):
-    """Cache a builder on its arguments and the values of the named codes.
-
-    The key holds ``named_code(n)`` for each name, so the builder runs
-    again exactly when the value of a code it reads changes, as when
-    ``MCKAY_DATA_DIR`` points at other data.  An exception is stored like
-    a value and raised again, so a failing build fails the same way once
-    per data state.
-    """
-    def decorate(build):
-        memo = {}
-
-        @wraps(build)
-        def cached(*args):
-            key = (args, tuple(named_code(n) for n in names))
-            if key not in memo:
-                try:
-                    memo[key] = build(*args)
-                except Exception as exc:
-                    memo[key] = exc.with_traceback(None)
-            value = memo[key]
-            if isinstance(value, Exception):
-                raise value.with_traceback(None)
-            return value
-
-        cached.cache_clear = memo.clear
-        return cached
-    return decorate
 
 
 def _dual_columns(c):

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import gcd, lcm, prod
 from operator import mul
 
@@ -795,7 +795,7 @@ def sqrt2_root_context(letter: str, rank: int):
     return rs, AlgebraContext(gram2, label=f"sqrt2{letter}{rank}")
 
 
-@lru_cache(maxsize=None)
+@data_cached()
 def e8_context() -> AlgebraContext:
     from .rootsys import e8_paper_data
     cartan = e8_paper_data()["lattice"].gram
@@ -847,7 +847,7 @@ class NodeFamilies:
         return apply_sigma(self.ctx, self.node.glue_coords, el, power=power)
 
 
-@lru_cache(maxsize=None)
+@data_cached()
 def build_node_family(i: int) -> NodeFamilies:
     from .rootsys import extended_e8_node
     return NodeFamilies(extended_e8_node(i))
@@ -857,7 +857,6 @@ def build_node_family(i: int) -> NodeFamilies:
 # the Hamming-model context and its conformal vectors
 
 
-@data_cached("Hamming8")
 def hamming_context() -> AlgebraContext:
     """The context of the Construction-A lattice of the Hamming code in use now."""
     lat = construction_A(named_code("Hamming8"))
@@ -1097,7 +1096,7 @@ def coset_U2(i: int) -> U2Data:
     return u2
 
 
-@lru_cache(maxsize=None)
+@data_cached()
 def coset_U2_cached(i: int) -> U2Data:
     return coset_U2(i)
 

@@ -10,9 +10,9 @@ claims about them are defined once, in the CLI's claim registry.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm
 
+from .codes import data_cached
 from .griess import (MODULE_EIGENVALUES, ModuleSpace, build_node_family,
                      conformal_check, coset_U2_cached, e8_context, inner,
                      sigma_exponents, tau_rows, theta_split_tau_check)
@@ -59,14 +59,14 @@ def direct_inner(i: int) -> Fraction:
     return as_rational(inner(fams.ctx, fams.e_hat, fams.f_hat))
 
 
-@lru_cache(maxsize=None)
+@data_cached()
 def weight2_tau_theta_verified() -> dict:
     """tau of e-hat equals theta on weight 2, by the block spectra."""
     fams = build_node_family(0)
     return theta_split_tau_check(fams.ctx, fams.e_hat)
 
 
-@lru_cache(maxsize=None)
+@data_cached()
 def conjugation_verified(i: int) -> bool:
     """f-hat_1 = sigma e-hat_1 sigma^(-1) as weight-2 operators, exactly.
 
@@ -117,7 +117,6 @@ def dihedral_check(i: int) -> dict:
 # dual-coset module suite
 
 
-@lru_cache(maxsize=None)
 def dual_coset_spaces():
     """The 255 nontrivial cosets of the lattice in its dual, as modules."""
     ctx = e8_context()
@@ -131,7 +130,7 @@ def dual_coset_spaces():
     return spaces
 
 
-@lru_cache(maxsize=None)
+@data_cached()
 def dual_tau_data():
     """(sp, tau, q) per dual-coset minimal space: tau_e = tau / q as int
     rows over one int, for e = e-hat (node independent)."""
@@ -153,7 +152,7 @@ def tau_e_negates_dual_exponentials() -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+@data_cached()
 def dual_tau_orders(i: int) -> int:
     """Verify tau_e tau_f = sigma^(-2) on the dual modules; return its order.
 
@@ -164,8 +163,7 @@ def dual_tau_orders(i: int) -> int:
     quad and deriv terms of e-hat, so the diagonals agree, and the
     coefficient of e^y in e-hat times the phase of y (``sigma_phases``),
     so the identity is e_a - e_b = (exponent of y) on every lowering pair
-    key_b + y = key_a.  Everything here is E8
-    data, so the cache on the node index cannot go stale.
+    key_b + y = key_a.
     """
     fams = build_node_family(i)
     ctx = fams.ctx
@@ -224,13 +222,11 @@ CONWAY_OMEGA_ROWS = {
 }
 
 
-@lru_cache(maxsize=None)
 def conway_report(i: int):
     """Correspondence rows to Conway's axes, with the checkable parts checked.
 
     The target normalizations live in an external table, so rows are
-    flagged 'recorded' unless the conformal data is verifiable here.  The
-    rows are E8 data only, so the cache on the node index cannot go stale.
+    flagged 'recorded' unless the conformal data is verifiable here.
     """
     fams = build_node_family(i)
     ctx = fams.ctx

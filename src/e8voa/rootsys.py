@@ -9,9 +9,9 @@ of the extended diagram are built here, together with their glue vectors.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from operator import mul, sub
 
+from .codes import data_cached
 from .lattice import EvenLattice, coords_of_norm, hermite_normal_form
 from .linalg import det, vec_mat
 
@@ -89,7 +89,7 @@ class RootSystem:
         return coxeter_number(letter, rank)
 
 
-@lru_cache(maxsize=None)
+@data_cached()
 def build_root_system(letter: str, rank: int) -> RootSystem:
     rs = RootSystem(_simple_roots_model(letter, rank),
                     components=[(letter, rank)])
@@ -223,23 +223,17 @@ EXTENDED_COEFFS = (1, 2, 3, 4, 5, 6, 4, 2, 3)
 NODE_LABELS = ("1A", "2A", "3A", "4A", "5A", "6A", "4B", "2B", "3C")
 
 
-@lru_cache(maxsize=None)
-def _e8_paper_basis():
-    """Simple roots of E8 reordered to the extended-diagram labelling.
+@data_cached()
+def e8_paper_data():
+    """The E8 lattice on the paper basis, its root coordinates and the highest root.
 
-    The chain runs alpha_0 .. alpha_7 with alpha_8 hanging off alpha_5;
-    the relabelling below maps the standard construction onto it.
+    The paper basis is the simple roots of E8 reordered to the
+    extended-diagram labelling: the chain runs alpha_0 .. alpha_7 with
+    alpha_8 hanging off alpha_5.
     """
     std = _simple_roots_model("E", 8)
     # std indices (1-based): 8,7,6,5,4,3,1,2 become paper alpha_1..alpha_8
-    order = [8, 7, 6, 5, 4, 3, 1, 2]
-    return [std[k - 1] for k in order]
-
-
-@lru_cache(maxsize=None)
-def e8_paper_data():
-    """The E8 lattice on the paper basis, its root coordinates and the highest root."""
-    basis = _e8_paper_basis()
+    basis = [std[k - 1] for k in (8, 7, 6, 5, 4, 3, 1, 2)]
     lat = EvenLattice(basis)
     coords = coords_of_norm(lat, 2)
     return {
@@ -359,6 +353,6 @@ class ExtendedE8Node:
         return sum(1 for j in classes.values() if j == 0)
 
 
-@lru_cache(maxsize=None)
+@data_cached()
 def extended_e8_node(i: int) -> ExtendedE8Node:
     return ExtendedE8Node(i)

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import data_copy
+from conftest import assert_only_failed, data_copy
+from e8voa import cli
 from e8voa.cli import RunConfig, main, registry, run
 
 
@@ -20,6 +21,24 @@ def test_run_config_validation():
         RunConfig(command="verify-typo")
     with pytest.raises(ValueError, match="unknown output format"):
         RunConfig(command="verify-all", output_format="xml")
+
+
+def test_the_command_line_passes_only_the_options_given(monkeypatch, capsys):
+    # the defaults live in RunConfig alone
+    configs = []
+
+    def capture(config):
+        configs.append(config)
+        return 0, {}, ""
+
+    monkeypatch.setattr(cli, "run", capture)
+    assert main(["verify-codes"]) == 0
+    assert vars(configs[-1]) == vars(RunConfig("verify-codes"))
+    main(["verify-mckay", "--budget", "5", "--format", "markdown", "--node", "3",
+          "--long"])
+    assert vars(configs[-1]) == vars(RunConfig(
+        "verify-mckay", node_filter=[3], output_format="markdown",
+        time_budget_seconds=5, long_checks=True))
 
 
 def test_a_repeated_node_is_reported_once(capsys):
@@ -199,14 +218,20 @@ def test_verify_codes_runs_the_same_under_python_O():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    # verify-mckay --node 5 goes through coset_U2, e_f_coords and the closure
-    for argv in (["verify-codes"], ["verify-mckay", "--node", "5"]):
+    env.pop("PYTHONHASHSEED", None)
+    # verify-mckay --node 5 goes through coset_U2, e_f_coords and the closure;
+    # its bytes depend neither on -O nor on the hash seed
+    for argv, variants in ((["verify-codes"], [(["-O"], env)]),
+                           (["verify-mckay", "--node", "5"],
+                            [(["-O"], {**env, "PYTHONHASHSEED": "0"}),
+                             ([], {**env, "PYTHONHASHSEED": "4242"})])):
         runs = [subprocess.run([sys.executable, *flags, "-m", "e8voa.cli", *argv],
-                               capture_output=True, env=env)
-                for flags in ([], ["-O"])]
+                               capture_output=True, env=run_env)
+                for flags, run_env in [([], env), *variants]]
         assert runs[0].returncode == 0
-        assert runs[1].returncode == runs[0].returncode
-        assert runs[1].stdout == runs[0].stdout
+        for other in runs[1:]:
+            assert other.returncode == runs[0].returncode
+            assert other.stdout == runs[0].stdout
 
 
 def test_verify_mckay_records_any_exception(monkeypatch, capsys):
@@ -251,39 +276,44 @@ def test_a_dropped_lowering_pair_fails_exactly_its_coset_claims(monkeypatch):
     assert mutated == [{**r, "pass": r["claim"] not in failed} for r in clean]
 
 
-def test_a_shifted_action_entry_fails_exactly_the_dual_tau_claims(monkeypatch):
+def test_a_shifted_action_entry_fails_exactly_the_dual_tau_claims(
+        monkeypatch, clean_verify_all, fresh_caches):
     # one diagonal entry of e-hat's action on one 16-key dual coset, moved
     # by 1 / den: tau_rows certifies no spectrum over (0, 1/2, 1/16) there,
     # so the two claim families that read the dual tau data fail with
     # BadSpectrum, and every other record stays as it was
-    from e8voa import cli, griess, mckay
-    clean = cli.run_claims(registry(RunConfig(command="verify-all")))
-    target = next(sp for sp in mckay.dual_coset_spaces() if len(sp) == 16)
+    from e8voa import griess, mckay
+    # by value: the tau data builds its own spaces
+    target = next(sp.scaled_keys for sp in mckay.dual_coset_spaces() if len(sp) == 16)
     act = griess._act
 
     def shifted(sp, u):
         mats = act(sp, u)
-        if sp is target:
+        if sp.scaled_keys == target:
             mats[0][0][0] += 1
         return mats
 
-    caches = (mckay.dual_tau_data, mckay.dual_tau_orders)
     monkeypatch.setattr(griess, "_act", shifted)
-    for cached in caches:
-        cached.cache_clear()
-    try:
-        mutated = cli.run_claims(registry(RunConfig(command="verify-all")))
-    finally:
-        for cached in caches:
-            cached.cache_clear()
-    failed = (["griess/tau/negates-dual-exponentials"]
-              + [f"mckay/tau-orders/i={i}" for i in range(9)])
-    assert all(r["pass"] for r in clean)
-    assert [r["claim"] for r in mutated if not r["pass"]] == failed
-    assert all(r["actual"].startswith("BadSpectrum: ")
-               for r in mutated if r["claim"] in failed)
-    assert ([r for r in mutated if r["claim"] not in failed]
-            == [r for r in clean if r["claim"] not in failed])
+    mutated = cli.run_claims(registry(RunConfig(command="verify-all")))
+    assert_only_failed(clean_verify_all[1]["results"], mutated,
+                       ["griess/tau/negates-dual-exponentials"]
+                       + [f"mckay/tau-orders/i={i}" for i in range(9)], "BadSpectrum: ")
+
+
+def test_a_theta_odd_block_off_its_spectrum_fails_exactly_the_theta_claims(
+        monkeypatch, clean_verify_all, fresh_caches):
+    # e-hat's 128-row theta-odd weight-2 block reported as not annihilated
+    # by its polynomial: tau_e = theta fails, and with it the tau orders of
+    # every node, which rest on it; the failure is built once and stored
+    from e8voa import griess
+    honest = griess.annihilates
+    monkeypatch.setattr(griess, "annihilates", lambda mat, den, eigenvalues: (
+        len(mat) != 128 and honest(mat, den, eigenvalues)))
+    mutated = cli.run_claims(registry(RunConfig(command="verify-all")))
+    assert_only_failed(clean_verify_all[1]["results"], mutated,
+                       ["griess/tau/weight2-equals-theta"]
+                       + [f"mckay/tau-orders/i={i}" for i in range(9)],
+                       "BadSpectrum: theta-odd block")
 
 
 def test_python_dash_m_runs_the_command_line(capsys):
@@ -295,11 +325,11 @@ def test_python_dash_m_runs_the_command_line(capsys):
     assert out.stdout == capsys.readouterr().out.encode()
 
 
-def test_verify_all_report_bytes_are_pinned():
+def test_verify_all_report_bytes_are_pinned(clean_verify_all):
     # the printed verify-all report is the contract: every claim passes and
     # the bytes match the reference digest
     import hashlib
-    status, report, text = run(RunConfig("verify-all"))
+    status, report, text = clean_verify_all
     assert status == 0 and report["pass"] is True
     digest = hashlib.sha256((text + "\n").encode()).hexdigest()
     assert digest == "675160a42b629c202f92ec429acbad5c0e57238a4d85888cb50bad27628cad70"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_only_failed
 from e8voa.griess import (MODULE_EIGENVALUES, AlgebraContext, BadSpectrum, ContextMismatch,
                           DimensionMismatch, GriessElement, LeavesMinimalSpace, ModuleSpace,
                           ModuleVector, NotConformal, _dual_ints, _steps, apply_sigma,
@@ -596,19 +597,22 @@ def test_block_matrix_guards_the_direct_sum():
         _block_matrix(ctx, fams.f_hat, grade1)
 
 
-def test_u2_rank_lost_mod_a_small_prime_is_a_dimension_mismatch(monkeypatch):
+def test_u2_rank_lost_mod_a_small_prime_is_a_dimension_mismatch(monkeypatch,
+                                                                fresh_caches):
     # mod 7 a grade-0 block of node 5 loses rank, so its upper bound
     # exceeds the lower bound and the certificate fails
     from e8voa import linalg
     monkeypatch.setattr(linalg, "RANK_PRIME", 7)
-    coset_U2_cached.cache_clear()
-    try:
-        with pytest.raises(DimensionMismatch,
-                           match=r"node 5: U2 kernel upper bounds \{0: 18, 1: 1.*\} "
-                                 r"per grade, against lower bounds \{0: 3, 1: 1"):
-            coset_U2_cached(5)
-    finally:
-        coset_U2_cached.cache_clear()
+    with pytest.raises(DimensionMismatch,
+                       match=r"node 5: U2 kernel upper bounds \{0: 18, 1: 1.*\} "
+                             r"per grade, against lower bounds \{0: 3, 1: 1"):
+        coset_U2_cached(5)
+    # the failure is stored like a value: a second call raises it again
+    # without building U2 again
+    with pytest.raises(DimensionMismatch, match="node 5: U2 kernel upper bounds"):
+        coset_U2_cached(5)
+    info = coset_U2_cached.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
 
 
 def test_u2_inner_recovers_table():
@@ -686,12 +690,13 @@ def test_e_f_coords_match_the_closed_forms():
                               for j in range(1, node.n)]
 
 
-def test_a_product_off_u2_fails_exactly_the_u2_claim(monkeypatch):
+def test_a_product_off_u2_fails_exactly_the_u2_claim(monkeypatch, clean_verify_all,
+                                                     fresh_caches):
     # omega added to the product of one ordered basis pair takes it out of
     # U2, so coset_U2 raises and only mckay/u2/i=5 fails
     from e8voa import cli, griess
     config = cli.RunConfig(command="verify-mckay", node_filter=[5])
-    clean = cli.run_claims(cli.registry(config))
+    # fetched after the reset: the family that the U2 build reads
     fams = build_node_family(5)
     a, b = fams.omega_tilde[0], fams.X[1]
     honest = griess.product
@@ -701,17 +706,13 @@ def test_a_product_off_u2_fails_exactly_the_u2_claim(monkeypatch):
         return out + ctx.omega() if u is a and v is b else out
 
     monkeypatch.setattr(griess, "product", mutated)
-    coset_U2_cached.cache_clear()
-    try:
-        records = cli.run_claims(cli.registry(config))
-    finally:
-        coset_U2_cached.cache_clear()
-    assert all(r["pass"] for r in clean)
-    assert [r["claim"] for r in records if not r["pass"]] == ["mckay/u2/i=5"]
-    bad = next(r for r in records if not r["pass"])
-    assert bad["actual"] == "DimensionMismatch: node 5: U2 is not closed under products"
-    assert [r for r in records if r["pass"]] == [r for r in clean
-                                                 if r["claim"] != "mckay/u2/i=5"]
+    records = cli.run_claims(cli.registry(config))
+    clean = [r for r in clean_verify_all[1]["results"]
+             if r["claim"] in {s["claim"] for s in records}]
+    assert len(clean) == len(records)
+    bad = "DimensionMismatch: node 5: U2 is not closed under products"
+    assert_only_failed(clean, records, ["mckay/u2/i=5"], bad)
+    assert next(r for r in records if not r["pass"])["actual"] == bad
 
 
 # ---------------------------------------------------------------------------

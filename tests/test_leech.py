@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import data_copy
+from conftest import assert_only_failed, data_copy
 
 from e8voa.leech import (MINIMAL_SHAPES, block_frames, block_norm4_count,
                          build_leech, certify_minimum, embed_sqrt2E8_cubed,
@@ -183,7 +183,8 @@ def test_build_leech_follows_the_data_dir(tmp_path, monkeypatch):
     assert build_leech() is first
 
 
-def test_failing_leech_build_checks_the_code_once(tmp_path, monkeypatch, capsys):
+def test_failing_leech_build_checks_the_code_once(tmp_path, monkeypatch, capsys,
+                                                  fresh_caches):
     from e8voa import leech
     from e8voa.cli import main
     calls = []
@@ -194,7 +195,6 @@ def test_failing_leech_build_checks_the_code_once(tmp_path, monkeypatch, capsys)
         return is_type_II(code)
 
     monkeypatch.setattr(leech, "is_type_II", counting)
-    leech.build_leech.cache_clear()
     bad = data_copy(tmp_path, [("z4_leech.txt", "3012", "3013")])
     monkeypatch.setenv("MCKAY_DATA_DIR", str(bad))
     assert main(["verify-leech"]) == 1
@@ -214,15 +214,13 @@ def _counting(monkeypatch, module, name, calls):
 
 
 def test_failing_embedding_and_survey_are_built_once(tmp_path, monkeypatch,
-                                                     capsys):
+                                                     capsys, fresh_caches):
     from e8voa import leech
     from e8voa.cli import main
     perms, surveys = [], []
     _counting(monkeypatch, leech, "find_column_permutation", perms)
     # the survey is the one caller of construction_A on a binary code
     _counting(monkeypatch, leech, "construction_A", surveys)
-    leech.embed_sqrt2E8_cubed.cache_clear()
-    leech.minimal_coset_survey.cache_clear()
     bad = data_copy(tmp_path, [("hamming8.txt", "11110000", "11110001")])
     monkeypatch.setenv("MCKAY_DATA_DIR", str(bad))
     assert main(["verify-leech"]) == 1
@@ -243,6 +241,25 @@ def test_survey_is_cached_and_follows_the_data_dir(tmp_path, monkeypatch):
     assert minimal_coset_survey() is first
 
 
+def test_a_shape_missing_from_the_list_fails_exactly_the_dual_coset_claims(
+        monkeypatch, fresh_caches):
+    # without the norm-1 shape (1, 0, ..., 0) some norm-1 coset matches no
+    # shape, so the survey raises and each of its four claims fails with it
+    from e8voa import leech
+    from e8voa.cli import RunConfig, registry, run_claims
+    from e8voa.codes import clear_caches
+    clean = run_claims(registry(RunConfig("verify-leech")))
+    doubled = (2,) + (0,) * 7
+    monkeypatch.setattr(leech, "_SHAPES2",
+                        leech._SHAPES2 - {doubled, tuple(-x for x in doubled[::-1])})
+    clear_caches()
+    mutated = run_claims(registry(RunConfig("verify-leech")))
+    failed = [r["claim"] for r in clean if r["claim"].startswith("leech/dual-cosets/")]
+    assert len(failed) == 4
+    assert_only_failed(clean, mutated, failed, "ShapeMismatch: no minimal "
+                       "representative matches the shape list")
+
+
 def test_hamming_context_follows_the_data_dir(tmp_path, monkeypatch):
     from e8voa.griess import build_hamming_family, hamming_context
     first = build_hamming_family()
@@ -255,4 +272,3 @@ def test_hamming_context_follows_the_data_dir(tmp_path, monkeypatch):
         build_hamming_family()
     monkeypatch.delenv("MCKAY_DATA_DIR")
     assert build_hamming_family() is first
-    assert hamming_context() is first.ctx

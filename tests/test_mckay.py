@@ -89,11 +89,7 @@ def test_a_wrong_central_charge_fails_exactly_node_3s_conway_claim(monkeypatch):
     (comp, scale, target, cc), = mckay.CONWAY_OMEGA_ROWS[3]
     assert cc == 1
     monkeypatch.setitem(mckay.CONWAY_OMEGA_ROWS, 3, ((comp, scale, target, F(2)),))
-    conway_report.cache_clear()
-    try:
-        records = run_claims(registry(RunConfig(command="verify-mckay")))
-    finally:
-        conway_report.cache_clear()
+    records = run_claims(registry(RunConfig(command="verify-mckay")))
     assert [r["claim"] for r in records if not r["pass"]] == ["mckay/conway/i=3"]
 
 
@@ -106,11 +102,11 @@ def test_markdown_table_doubled_column():
 
 def test_dual_cosets_that_do_not_generate_raise_their_own_class(monkeypatch):
     # the check is an explicit raise with its own class, so it also runs
-    # under python -O; the cached spaces are left as they are
+    # under python -O
     from e8voa import mckay
     monkeypatch.setattr(mckay, "hermite_normal_form", lambda rows: rows[:7])
     with pytest.raises(mckay.DualNotGenerated, match="do not generate the dual"):
-        mckay.dual_coset_spaces.__wrapped__()
+        mckay.dual_coset_spaces()
 
 
 # the mutation tests below corrupt one exponent or one lowering pair on a
@@ -118,20 +114,6 @@ def test_dual_cosets_that_do_not_generate_raise_their_own_class(monkeypatch):
 # conjugation check used to be sampled; the checks must name that coset
 UNSAMPLED_COSET = 102
 MUTATED_NODE = 4
-
-
-def _clear_involution_caches():
-    mckay.dual_tau_orders.cache_clear()
-    mckay.conjugation_verified.cache_clear()
-    mckay.conway_report.cache_clear()
-    griess.coset_U2_cached.cache_clear()
-
-
-@pytest.fixture
-def fresh_caches():
-    _clear_involution_caches()
-    yield
-    _clear_involution_caches()
 
 
 def _unsampled_space():
@@ -178,12 +160,11 @@ def test_corrupt_sigma_phase_fails_conjugation_and_dihedral(monkeypatch, fresh_c
     fams = griess.build_node_family(MUTATED_NODE)
     ctx = fams.ctx
     glue = fams.node.glue_coords
-    assert mckay.conjugation_verified(MUTATED_NODE)
-    assert dihedral_check(MUTATED_NODE)["verified"]
+    # checked uncached, so that the corrupted sigma below is checked afresh
+    assert mckay.conjugation_verified.__wrapped__(MUTATED_NODE)
     # the dual-coset order stays cached from before the corruption, so the
     # orders claim below can fail only on the weight-2 identity
     mckay.dual_tau_orders(MUTATED_NODE)
-    mckay.conjugation_verified.cache_clear()
     n, exps = ctx.sigma_phases(glue)
     exps = list(exps)
     x = next(k for k in range(ctx.expo_start, len(exps)) if exps[k])

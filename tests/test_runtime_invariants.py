@@ -207,11 +207,16 @@ def _is_memo(decorator):
     return isinstance(decorator, ast.Name) and decorator.id in ("lru_cache", "cache")
 
 
+SCALAR_TABLES = [("scalars.py", "_images"), ("scalars.py", "cyclotomic_polynomial"),
+                 ("scalars.py", "euler_phi"), ("scalars.py", "power_table")]
+
+
 def test_data_file_readers_are_cached_only_by_data_cached():
     # an lru_cache keyed on its arguments alone would keep serving what it
-    # built from the data directory in use when it first ran, so nothing
-    # that reaches named_code may sit behind one; codes.data_cached keys
-    # on the code values instead
+    # built from the data directory in use when it first ran, and
+    # clear_caches cannot reach it; so only the pure small-int tables of
+    # scalars sit behind one, and none of them reaches named_code, while
+    # codes.data_cached keys on the code values and is registered
     defs = {}
     for path in SOURCES:
         for node in _tree(path).body:
@@ -229,14 +234,38 @@ def test_data_file_readers_are_cached_only_by_data_cached():
                 todo.append(callee)
         return "named_code" in seen
 
-    memoized = [(module, node.name) for nodes in defs.values()
-                for module, node in nodes
-                if isinstance(node, ast.FunctionDef)
-                and any(_is_memo(d) for d in node.decorator_list)]
-    assert ("griess.py", "build_node_family") in memoized
+    # module functions and methods live as long as the process; a memo on
+    # a function nested in a claim generator dies with its run
+    memoized = sorted((path.name, node.name) for path in SOURCES
+                      for top in _tree(path).body
+                      for node in [top, *(top.body if isinstance(top, ast.ClassDef) else [])]
+                      if isinstance(node, ast.FunctionDef)
+                      and any(_is_memo(d) for d in node.decorator_list))
+    assert memoized == SCALAR_TABLES
     bad = [f"{module}:{name}" for module, name in memoized
            if reaches_named_code(name)]
     assert not bad, f"lru_cache over a data-file reader: {bad}"
+
+
+def test_clear_caches_empties_every_registered_memo(capsys, fresh_caches):
+    from e8voa import codes, griess, mckay, rootsys
+    from e8voa.cli import main
+    assert main(["verify-mckay", "--node", "1"]) == 0
+    capsys.readouterr()
+    for cached in (griess.build_node_family, griess.coset_U2_cached,
+                   mckay.dual_tau_orders, rootsys.extended_e8_node,
+                   codes._named_code_in):
+        assert cached.cache_info().currsize > 0, cached.__name__
+    codes.clear_caches()
+    assert [c.__name__ for c in codes.MEMOS if c.cache_info().currsize] == []
+
+
+def test_a_memo_counts_hits_and_misses_like_lru_cache(fresh_caches):
+    from e8voa.rootsys import extended_e8_node
+    assert extended_e8_node(2) is extended_e8_node(2)
+    assert extended_e8_node.cache_info() == (1, 1, None, 1)
+    extended_e8_node.cache_clear()
+    assert extended_e8_node.cache_info() == (0, 0, None, 0)
 
 
 def _called_names(body):

@@ -9,8 +9,11 @@ cyclotomic and every computation is exact.
 
 An element holds integer numerators over one denominator, indexed by the
 context's basis; a value in Q(zeta_m) has phi(m) numerators, one per power
-of zeta_m.  The product and the pairing walk integer tables that each
-context compiles on first use, so no scalar object is made per term.
+of zeta_m.  Sums, scalings, products, pairings and sigma place numerator
+maps at powers of zeta_m and fold them once, in ``_fold``, on the rows that
+``Cyclotomic`` uses.  For sigma of order n, sigma^p adds at most the field
+Q(zeta_(n/gcd(n, p))).  The product and the pairing walk integer tables that
+each context compiles on first use, so no scalar object is made per term.
 
 Coordinates are coefficient vectors with respect to a fixed basis of N,
 with all pairings taken through the Gram matrix, so a sqrt(2)-rescaled
@@ -29,7 +32,7 @@ from .codes import construction_A, data_cached, named_code
 from .lattice import EvenLattice, coords_of_norm, coset_minimum
 from .linalg import (RowSpace, clear_denominators, hermite_normal_form, identity, invert,
                      rank_mod_p)
-from .scalars import Cyclotomic, _cyc, half_turn_phase, is_zero, power_table
+from .scalars import Cyclotomic, _cyc, _images, _rational, euler_phi, half_turn_phase, is_zero
 
 
 class ContextMismatch(ValueError):
@@ -228,10 +231,11 @@ class _Tables:
 
 
 def _encode(x):
-    """(m, den, nums) with x = sum_j nums[j] zeta_m^j / den."""
+    """(m, den, nums) with x = sum_j nums[j] zeta_m^j / den; x is an int, a
+    Fraction or a Cyclotomic, else TypeError."""
     if isinstance(x, Cyclotomic):
         return (x.order if x.order > 2 else 1), x.den, x.nums
-    x = x if isinstance(x, (int, Fraction)) else Fraction(x)
+    x = _rational(x)
     return 1, x.denominator, (x.numerator,)
 
 
@@ -242,38 +246,39 @@ def _value(m, den, nums):
     return _cyc(m, den, nums)
 
 
-def _add_into(out, terms, w):
-    """out += w * terms, on {index: numerator} maps."""
-    for i, x in terms.items():
-        out[i] = out.get(i, 0) + w * x
-
-
-def _spread(raw, m):
-    """sum_e raw[e] zeta_m^e as phi(m) numerator maps on the power basis."""
-    if m == 1:
-        return raw
-    table = power_table(m)
-    out = [{} for _ in table[0]]
-    for e, terms in enumerate(raw):
-        for c, w in enumerate(table[e % m]):
-            if w:
-                _add_into(out[c], terms, w)
+def _fold(m, placed):
+    """sum w terms zeta_m^e over the (e, terms, w) in placed, terms a
+    {index: int} map, as phi(m) numerator maps on the power basis of
+    Q(zeta_m); zeta_m^e is folded by the rows that ``Cyclotomic`` uses."""
+    rows = _images(m, 1, m)
+    out = [{} for _ in range(euler_phi(m))]
+    for e, terms, w in placed:
+        for c, r in rows[e % m]:
+            acc, wr = out[c], w * r
+            for i, x in terms.items():
+                acc[i] = acc.get(i, 0) + wr * x
     return out
 
 
 def _field_product(mu, us, mv, vs, times):
-    """(m, maps): sum_{j,k} times(us[j], vs[k]) zeta_mu^j zeta_mv^k over Q(zeta_m).
-
-    m = lcm(mu, mv); ``times`` maps two nonzero operands to a numerator map.
-    """
+    """(m, maps): sum_{j,k} times(us[j], vs[k]) zeta_mu^j zeta_mv^k over Q(zeta_m),
+    m = lcm(mu, mv); ``times`` maps two nonzero operands to a numerator map."""
     m = lcm(mu, mv)
-    raw = [{} for _ in range(m)]
-    for j, a in enumerate(us):
-        if a:
-            for k, b in enumerate(vs):
-                if b:
-                    _add_into(raw[(j * (m // mu) + k * (m // mv)) % m], times(a, b), 1)
-    return m, _spread(raw, m)
+    return m, _fold(m, ((j * (m // mu) + k * (m // mv), times(a, b), 1)
+                        for j, a in enumerate(us) if a for k, b in enumerate(vs) if b))
+
+
+def _combination(ctx, pairs) -> "GriessElement":
+    """sum c el over the (c, el) in pairs, each c rational or cyclotomic."""
+    coded = [(_encode(c), el) for c, el in pairs]
+    if any(el.ctx is not ctx for _, el in coded):
+        raise ContextMismatch("elements live in different contexts")
+    m = lcm(1, *(lcm(cm, el.m) for (cm, _, _), el in coded))
+    den = lcm(1, *(cd * el.den for (_, cd, _), el in coded))
+    return _make(ctx, m, den, _fold(m, (
+        (j * (m // cm) + k * (m // el.m), terms, x * (den // (cd * el.den)))
+        for (cm, cd, nums), el in coded for j, x in enumerate(nums) if x
+        for k, terms in enumerate(el.comps))))
 
 
 def _normal(m, den, comps):
@@ -322,12 +327,10 @@ class GriessElement:
         coded = [(ctx.index[label], *_encode(c)) for label, c in labels]
         m = lcm(1, *(cm for _, cm, _, _ in coded))
         den = lcm(1, *(d for _, _, d, _ in coded))
-        raw = [{} for _ in range(m)]
-        for i, cm, d, nums in coded:
-            for j, x in enumerate(nums):
-                _add_into(raw[j * (m // cm)], {i: x}, den // d)
         self.ctx = ctx
-        self.m, self.den, self.comps = _normal(m, den, _spread(raw, m))
+        self.m, self.den, self.comps = _normal(m, den, _fold(m, (
+            (j * (m // cm), {i: x}, den // d)
+            for i, cm, d, nums in coded for j, x in enumerate(nums))))
 
     def parts(self):
         """(quad, deriv, expo): the nonzero coefficients, keyed as in the constructor."""
@@ -343,28 +346,18 @@ class GriessElement:
         return _value(self.m, self.den, [terms.get(i, 0) for terms in self.comps])
 
     def scaled(self, c):
-        cm, cd, nums = _encode(c)
-        m, comps = _field_product(self.m, self.comps, cm, nums,
-                                  lambda terms, x: {i: x * y for i, y in terms.items()})
-        return _make(self.ctx, m, self.den * cd, comps)
+        return _combination(self.ctx, [(c, self)])
 
     def __add__(self, other):
         if not isinstance(other, GriessElement):
             return NotImplemented
-        if other.ctx is not self.ctx:
-            raise ContextMismatch("elements live in different contexts")
-        m, den = lcm(self.m, other.m), lcm(self.den, other.den)
-        raw = [{} for _ in range(m)]
-        for el in (self, other):
-            for j, terms in enumerate(el.comps):
-                _add_into(raw[j * (m // el.m)], terms, den // el.den)
-        return _make(self.ctx, m, den, _spread(raw, m))
+        return _combination(self.ctx, [(1, self), (1, other)])
 
     def __sub__(self, other):
-        return self + other.scaled(-1)
+        return _combination(self.ctx, [(1, self), (-1, other)])
 
     def __neg__(self):
-        return self.scaled(-1)
+        return _combination(self.ctx, [(-1, self)])
 
     def is_zero(self) -> bool:
         return not any(self.comps)
@@ -511,10 +504,8 @@ def build_virasoro_family(ctx: AlgebraContext, root_keys):
         raise EmbeddingError("root count is not a multiple of the rank")
     # omega(Phi) = sum x(-1)^2 / 8h, s = sum (x(-1)^2 / 8 - e^x) / (h + 2)
     omega_phi = _make(ctx, 1, 8 * h, [squares])
-    s_terms = dict(squares)
-    for k in keys:
-        _add_into(s_terms, {ctx.index[("e", k)]: 1}, -8)
-    s = _make(ctx, 1, 8 * (h + 2), [s_terms])
+    s = _make(ctx, 1, 8 * (h + 2), _fold(1, [(0, squares, 1)] + [
+        (0, {ctx.index[("e", k)]: 1}, -8) for k in keys]))
     return {"omega": omega_phi, "s": s, "omega_tilde": omega_phi - s, "h": h}
 
 
@@ -552,20 +543,15 @@ def sigma_exponents(ctx: AlgebraContext, glue_coords, xs, den=1):
 def apply_sigma(ctx: AlgebraContext, glue_coords, el: GriessElement,
                 power: int = 1) -> GriessElement:
     """sigma^power on el: e^x times zeta_N^(power exps[x]) (``sigma_phases``),
-    over Q(zeta_m), m the lcm of el.m and the orders N / gcd(N, exps[x])."""
+    over Q(zeta_m), m the lcm of el.m and the orders N / gcd(N, power exps[x])."""
     n, exps = ctx.sigma_phases(glue_coords)
     start = ctx.expo_start
-    m = lcm(el.m, *(n // gcd(n, exps[i])
+    m = lcm(el.m, *(n // gcd(n, exps[i] * power)
                     for terms in el.comps for i in terms if i >= start))
-    # raw[e]: the terms multiplied by zeta_m^e; zeta_m^j of el is zeta_m^(j m / el.m)
-    raw = [{} for _ in range(m)]
-    for j, terms in enumerate(el.comps):
-        for i, x in terms.items():
-            e = j * (m // el.m)
-            if i >= start:
-                e += exps[i] * m // n * power
-            raw[e % m][i] = x
-    return _make(ctx, m, el.den, _spread(raw, m))
+    # zeta_m^j of el is zeta_m^(j m / el.m); power exps[x] m / n is whole, m / n need not be
+    return _make(ctx, m, el.den, _fold(m, (
+        (j * (m // el.m) + (exps[i] * power * m // n if i >= start else 0), {i: x}, 1)
+        for j, terms in enumerate(el.comps) for i, x in terms.items())))
 
 
 # ---------------------------------------------------------------------------
@@ -897,12 +883,9 @@ class HammingFamilies:
                 ctx, expo={k: (-1) ** (sum(amb[k]) // 2 % 2) for k in keys})
 
     def e_hat(self, eps: int, delta) -> GriessElement:
-        ctx = self.ctx
-        out = ctx.omega().scaled(Fraction(1, 16))
-        for gamma in self.code_words:
-            sign = (-1) ** (sum(d * g for d, g in zip(delta, gamma)) % 2)
-            out = out + self.X[eps][gamma].scaled(Fraction(sign, 32))
-        return out
+        return _combination(self.ctx, [(Fraction(1, 16), self.ctx.omega())] + [
+            (Fraction((-1) ** (sum(map(mul, delta, gamma)) % 2), 32), self.X[eps][gamma])
+            for gamma in self.code_words])
 
     def standard_frame(self):
         ctx = self.ctx
@@ -948,10 +931,7 @@ class U2Data:
         """Coordinates c_k = el / b_k at b_k's pivot, or None unless el - sum
         c_k b_k vanishes on every index.  el may be cyclotomic."""
         cs = [el.coefficient(p) / b.coefficient(p) for p, b in zip(self.pivots, self.basis)]
-        rest = el
-        for c, b in zip(cs, self.basis):
-            if c:
-                rest = rest + b.scaled(-c)
+        rest = _combination(el.ctx, [(1, el)] + [(-c, b) for c, b in zip(cs, self.basis)])
         return cs if rest.is_zero() else None
 
     def multiply_coords(self, u, v):

@@ -230,6 +230,16 @@ def test_context_mismatch_detected():
         product(ctx_a, el_a, el_b)
 
 
+def test_scalars_must_be_exact():
+    # Fraction(x) would take both: 0.1 as an inexact value with denominator 2^55
+    ctx = sqrt2_root_context("A", 2)[1]
+    for bad in (0.1, "1/3"):
+        with pytest.raises(TypeError, match="not a rational scalar"):
+            GriessElement(ctx, quad={(0, 0): bad})
+        with pytest.raises(TypeError, match="not a rational scalar"):
+            ctx.omega().scaled(bad)
+
+
 def test_non_integral_exponential_key_is_rejected():
     # (-3/2, -3/2) would truncate to the norm-4 key (-1, -1) of sqrt2 A2
     rs, ctx = sqrt2_root_context("A", 2)
@@ -491,6 +501,14 @@ def test_act_matrix_rejects_an_element_of_another_context():
     sp8 = ModuleSpace(e8ctx(), _e8_dual_shift(1))
     with pytest.raises(ValueError, match="needs a rational element"):
         sp8.act_rows(build_node_family(5).f_hat)
+
+
+def test_act_rows_accepts_a_sigma_power_with_rational_coefficients():
+    # the phases of sigma^2 at node 3 are powers of zeta_4^2 = -1
+    fams = build_node_family(3)
+    el = fams.sigma(fams.e_hat, power=2)
+    assert el.m == 1
+    assert_action_matches_brute_force(fams.ctx, el, ModuleSpace(fams.ctx, _e8_dual_shift(1)))
 
 
 def test_tau_module_spectrum_and_involution():
@@ -828,6 +846,35 @@ def test_kernel_matches_reference_over_cyclotomic_fields():
     assert {u.m for u in z5} == {5} and {u.m for u in z6} == {6}
     _assert_matches_reference(ctx, list(zip(z5[:3], z5[3:])) + list(zip(z6[:3], z6[3:]))
                               + list(zip(z5, z6)))
+
+
+def test_sums_and_scalings_over_mixed_fields_fold_once():
+    _, ctx = sqrt2_root_context("A", 3)
+    rng = random.Random(607)
+
+    def over(n):
+        return sum((Cyclotomic.zeta(n, j) * F(rng.randint(-3, 3), rng.randint(1, 3))
+                    for j in range(n)), F(rng.randint(-2, 2)))
+
+    u = random_element(ctx, rng, lambda: over(5), 0.5)
+    v = random_element(ctx, rng, lambda: over(6), 0.5)
+    a, b = over(3), over(4)
+    assert (u.m, v.m, a.order, b.order) == (5, 6, 3, 4)
+    w = u.scaled(a) + v.scaled(b) - u
+    for i in range(len(ctx.keys)):
+        ui, vi = u.coefficient(i), v.coefficient(i)
+        assert w.coefficient(i) == a * ui + b * vi - ui
+    zero = u - u
+    assert (zero.m, zero.den, zero.comps) == (1, 1, ({},))
+
+
+def test_sigma_powers_compose_at_node_5():
+    fams = build_node_family(5)
+    e = fams.e_hat
+    assert fams.sigma(e, power=6) == e
+    for p in range(1, 6):
+        for q in range(1, 6):
+            assert fams.sigma(fams.sigma(e, power=q), power=p) == fams.sigma(e, power=p + q)
 
 
 def test_kernel_matches_reference_on_node_vectors():

@@ -301,6 +301,19 @@ def test_involution_checks_compare_integer_exponents():
             assert not calls, f"{module[:-3]}.{name} calls (line, name) {calls}"
 
 
+def test_griess_folds_powers_of_zeta_in_one_place():
+    # element sums, scalings, products, pairings and sigma place numerator
+    # maps at powers of zeta_m and fold them by the rows Cyclotomic uses
+    tree = _tree(next(p for p in SOURCES if p.name == "griess.py"))
+    imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for a in node.names}
+    assert "power_table" not in imported
+    bodies = [node for top in tree.body
+              for node in [top, *(top.body if isinstance(top, ast.ClassDef) else [])]
+              if isinstance(node, ast.FunctionDef)]
+    assert [node.name for node in bodies if any(_calls_of(node, ("_images",)))] == ["_fold"]
+
+
 CYCLOTOMIC_INT_PATH = [
     "Cyclotomic.__add__", "Cyclotomic.__sub__", "Cyclotomic.__mul__",
     "Cyclotomic.inverse", "Cyclotomic.embed", "Cyclotomic._sum",

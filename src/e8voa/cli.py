@@ -116,7 +116,7 @@ def _leech_claims(config: RunConfig):
 
     yield "leech/lattice/even-unimodular-rank24", even_unimodular
     yield "leech/lattice/minimum-norm-4", lambda: (
-        leech.certify_minimum(budget), None, None)
+        leech.certify_minimum(), None, None)
     yield "leech/embedding/block-gram", block_gram
     for k in range(3):
         yield (f"leech/embedding/block-{k}-norm4-count",
@@ -390,7 +390,8 @@ def main(argv=None) -> int:
     parser.add_argument("--format", choices=FORMATS, dest="output_format")
     parser.add_argument("--budget", type=int, dest="time_budget_seconds",
                         metavar="BUDGET",
-                        help="time budget in seconds for rank-24 enumeration")
+                        help="time budget in seconds for the --long kissing-number "
+                             "enumeration")
     parser.add_argument("--long", action="store_true", dest="long_checks",
                         help="enable the long-running kissing-number count")
     args = parser.parse_args(argv)

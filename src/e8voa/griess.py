@@ -354,6 +354,8 @@ class GriessElement:
         return _combination(self.ctx, [(1, self), (1, other)])
 
     def __sub__(self, other):
+        if not isinstance(other, GriessElement):
+            return NotImplemented
         return _combination(self.ctx, [(1, self), (-1, other)])
 
     def __neg__(self):

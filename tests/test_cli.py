@@ -157,6 +157,20 @@ def test_corrupted_data_fails(command, corrupt, claim, tmp_path, monkeypatch,
     assert claim in failing
 
 
+def test_the_leech_minimum_reads_no_hamming_code(tmp_path, monkeypatch):
+    """The glue certificate reads the blocks of the Z4 code alone: with the
+    Hamming code corrupted the minimum still passes and the embedding,
+    which compares its blocks with that code, fails."""
+    data_copy(tmp_path, [("hamming8.txt", *CORRUPTIONS["hamming8.txt"])])
+    monkeypatch.setenv("MCKAY_DATA_DIR", str(tmp_path))
+    records = {r["claim"]: r for r in cli.run_claims(registry(RunConfig("verify-leech")))}
+    assert records["leech/lattice/minimum-norm-4"] == {
+        "claim": "leech/lattice/minimum-norm-4", "pass": True}
+    assert records["leech/embedding/block-gram"] == {
+        "claim": "leech/embedding/block-gram", "pass": False,
+        "actual": "EmbeddingNotFound: block 0 does not carry a Hamming code"}
+
+
 def test_short_code_row_fails_the_claims_that_read_it(tmp_path, monkeypatch, capsys):
     """A 7-digit row in hamming8.txt is rejected by the code constructor, so
     each claim that reads the code fails with its ValueError."""

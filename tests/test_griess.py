@@ -240,6 +240,19 @@ def test_scalars_must_be_exact():
             ctx.omega().scaled(bad)
 
 
+def test_adding_or_subtracting_a_non_element_raises_type_error():
+    # both operators return NotImplemented for an operand that is not an
+    # element, so Python raises TypeError rather than failing inside the fold
+    from e8voa.griess import e8_context
+    omega = e8_context().omega()
+    for bad in (1, F(1, 2), None):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            omega + bad
+        with pytest.raises(TypeError, match="unsupported operand"):
+            omega - bad
+    assert (omega - omega).is_zero()
+
+
 def test_non_integral_exponential_key_is_rejected():
     # (-3/2, -3/2) would truncate to the norm-4 key (-1, -1) of sqrt2 A2
     rs, ctx = sqrt2_root_context("A", 2)

@@ -20,7 +20,94 @@ def test_leech_lattice_invariants():
 
 
 def test_minimum_norm_certified():
-    assert certify_minimum(budget_seconds=600)
+    assert certify_minimum()
+
+
+def test_the_rank24_search_finds_no_norm2_vector():
+    # the Fincke-Pohst search the glue certificate replaced, kept as its oracle
+    from e8voa.lattice import enumerate_short
+    assert [n for _, n in enumerate_short(build_leech().reduced, 2)] == [0]
+
+
+def test_the_glue_code_has_dimension_12_and_least_bound_4():
+    from e8voa.leech import _sqrt2E8_cubed, glue_bounds
+    ctx = build_leech()
+    bounds = glue_bounds(ctx.lattice, _sqrt2E8_cubed(ctx))
+    assert len(bounds) == 2 ** 12 - 1
+    assert len({w for w, _ in bounds}) == len(bounds) and 0 not in dict(bounds)
+    assert min(b for _, b in bounds) == 4
+
+
+def _planted(ctx, extra):
+    """The lattice spanned by the rows of sqrt(2)E8^3 and the ambient int
+    vector extra over 2, with the Z4 code of ctx."""
+    from e8voa.leech import LeechContext, _sqrt2E8_cubed
+    from e8voa.lattice import lattice_over
+    from e8voa.linalg import hermite_normal_form
+    rows, den = _sqrt2E8_cubed(ctx)._int_rows
+    lat = lattice_over(hermite_normal_form(
+        [[2 * x for x in row] for row in rows] + [[den * x for x in extra]]), 2 * den)
+    return LeechContext(ctx.code, lat, lat)
+
+
+def test_a_planted_norm2_glue_vector_is_rejected(monkeypatch, fresh_caches):
+    # u = (m1 + m2) / 2 for the norm-4 vectors m1 = 2 e_0 of M_0 and m2 = 2 e_8
+    # of M_1 has norm 2; its class has bound 1 + 1 on blocks 0 and 1
+    from e8voa import leech
+    from e8voa.cli import RunConfig, registry, run_claims
+    u2 = [2 * (t in (0, 8)) for t in range(24)]  # 2u = 2 e_0 + 2 e_8
+    assert sum(x * x for x in u2) == 4 * 2
+    planted = _planted(build_leech(), u2)
+    (word, bound), = leech.glue_bounds(planted.lattice, leech._sqrt2E8_cubed(planted))
+    assert bound == 2 and word & 255 and word >> 8 & 255 and not word >> 16
+    monkeypatch.setattr(leech, "build_leech", lambda: planted)
+    record, = [r for r in run_claims(registry(RunConfig("verify-leech")))
+               if r["claim"] == "leech/lattice/minimum-norm-4"]
+    assert record == {"claim": "leech/lattice/minimum-norm-4", "pass": False,
+                      "actual": "MinimumNotCertified: glue code has dimension 1, not 12"}
+
+
+def test_a_non_integral_pairing_fails_the_certificate(monkeypatch, fresh_caches):
+    # e_0 / 2 pairs to 1/2 with the lift of a block-0 code word through 0
+    from e8voa import leech
+    planted = _planted(build_leech(), [int(t == 0) for t in range(24)])
+    monkeypatch.setattr(leech, "build_leech", lambda: planted)
+    with pytest.raises(leech.MinimumNotCertified, match="not an integer"):
+        leech.certify_minimum()
+
+
+def test_a_block_that_is_not_doubly_even_fails_the_certificate(monkeypatch,
+                                                              fresh_caches):
+    # the code of the four pairs {01, 23, 45, 67} has dimension 4 and an
+    # even preimage lattice of determinant 256 with vectors of norm 2
+    from e8voa import leech
+    from e8voa.cli import RunConfig, registry, run_claims
+    from e8voa.codes import BinaryCode
+    pairs = BinaryCode(8, [[int(j // 2 == i) for j in range(8)] for i in range(4)])
+    assert leech.construction_A(pairs).det_gram() == 256
+    monkeypatch.setattr(leech, "block_subcode", lambda code, columns: pairs)
+    record, = [r for r in run_claims(registry(RunConfig("verify-leech")))
+               if r["claim"] == "leech/lattice/minimum-norm-4"]
+    assert not record["pass"]
+    assert record["actual"] == ("EmbeddingNotFound: block 0 lattice is not a "
+                                "rescaled E8")
+
+
+def test_swapped_class_bounds_fail_exactly_the_minimum_claim(monkeypatch):
+    # norm bounds 1 and 2 exchanged: the first glue word in span order whose
+    # bound falls below 4 is named with its bound, the same ints every run
+    from e8voa import leech
+    from e8voa.cli import RunConfig, registry, run_claims
+    clean = run_claims(registry(RunConfig("verify-leech")))
+    bounds = leech._class_norm_bounds
+    monkeypatch.setattr(leech, "_class_norm_bounds", lambda emb, k: [
+        b and 3 - b for b in bounds(emb, k)])
+    mutated = run_claims(registry(RunConfig("verify-leech")))
+    assert run_claims(registry(RunConfig("verify-leech"))) == mutated
+    assert_only_failed(clean, mutated, ["leech/lattice/minimum-norm-4"],
+                       "MinimumNotCertified: glue word ")
+    actual, = [r["actual"] for r in mutated if not r["pass"]]
+    assert actual == "MinimumNotCertified: glue word 2523554 has norm bound 3"
 
 
 def test_embedding_gram_and_orthogonality():
@@ -219,14 +306,14 @@ def test_failing_embedding_and_survey_are_built_once(tmp_path, monkeypatch,
     from e8voa.cli import main
     perms, surveys = [], []
     _counting(monkeypatch, leech, "find_column_permutation", perms)
-    # the survey is the one caller of construction_A on a binary code
+    # the survey is the one caller of construction_A on the Hamming code
     _counting(monkeypatch, leech, "construction_A", surveys)
     bad = data_copy(tmp_path, [("hamming8.txt", "11110000", "11110001")])
     monkeypatch.setenv("MCKAY_DATA_DIR", str(bad))
     assert main(["verify-leech"]) == 1
     capsys.readouterr()
     assert len(perms) == 1
-    assert len([c for c in surveys if c[0].length == 8]) == 1
+    assert len([c for c in surveys if c[0] == leech.named_code("Hamming8")]) == 1
 
 
 def test_survey_is_cached_and_follows_the_data_dir(tmp_path, monkeypatch):

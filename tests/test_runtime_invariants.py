@@ -6,10 +6,11 @@ or from ``e8voa`` itself, and no module contains a float literal or a
 see ``/`` applied to two ints, which also yields a float at run time.
 The weight-2 kernel functions call no scalar constructor, and lattice
 membership, size reduction, the LDL decomposition, short-vector
-enumeration, the exact-norm filter, the root decomposition,
-the glue class map, the X_eta count, the module space's set-up, action
-rows and action matrix, the root-system coset claims and the Leech
-dual-coset survey's minima, shape match and split call no Fraction; the
+enumeration, the exact-norm filter, the root decomposition, the glue
+class map, the Leech minimum's glue certificate, the X_eta count, the
+module space's set-up, action rows and action matrix, the root-system
+coset claims and the Leech dual-coset survey's minima, shape match and
+split call no Fraction; the
 command-line module calls no ``Coset``, ``coset_min_norm``,
 ``count_X_eta``, ``ModuleVector``, ``module_act`` or ``ambient``.
 The tau rows and the dual-coset tau data and claims call no Fraction, and
@@ -140,6 +141,14 @@ def test_leech_survey_runs_on_ints():
     # minima, shape match and orthogonal split on doubled int tuples; only
     # _record, outside these bodies, halves them to Fractions
     _assert_no_fraction_calls("leech.py", ["minimal_coset_survey", "_doubled"])
+
+
+def test_leech_minimum_certificate_runs_on_ints():
+    # glue words from int pairings, 8-bit class tables of exact int norms
+    # and sums of table entries over the glue code
+    _assert_no_fraction_calls("leech.py", [
+        "certify_minimum", "glue_bounds", "_glue_words", "_class_norm_bounds",
+        "_sqrt2E8_cubed"])
 
 
 def test_codes_run_on_their_preimage_lattices_without_fractions():

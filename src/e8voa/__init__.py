@@ -8,8 +8,8 @@ code.  All arithmetic is exact: rationals and cyclotomic integers only.
 """
 
 from .scalars import Cyclotomic, NonRationalError, as_rational, phase
-from .lattice import (BudgetExceeded, Coset, EvenLattice, NotMinimal,
-                      NotPositiveDefinite, coset_min_norm, count_X_eta)
+from .lattice import (Coset, EvenLattice, NotMinimal, NotPositiveDefinite,
+                      coset_min_norm, count_X_eta)
 from .rootsys import (ExtendedE8Node, NotRootGenerated, RootSystem,
                       UnsupportedType, build_root_system,
                       classify_root_sublattice, extended_e8_node)

@@ -27,12 +27,10 @@ from .scalars import as_rational
 
 class RunConfig:
     def __init__(self, command: str, node_filter: list[int] | None = None,
-                 output_format: str = "json", time_budget_seconds: int = 600,
-                 long_checks: bool = False):
+                 output_format: str = "json", long_checks: bool = False):
         self.command = command
         self.node_filter = list(dict.fromkeys(node_filter or []))
         self.output_format = output_format
-        self.time_budget_seconds = time_budget_seconds
         self.long_checks = long_checks
         if command not in COMMANDS:
             raise ValueError(f"unknown command {command!r}")
@@ -40,8 +38,6 @@ class RunConfig:
             raise ValueError(f"unknown output format {output_format!r}")
         if any(not 0 <= i <= 8 for i in self.node_filter):
             raise ValueError("node filter entries must be 0..8")
-        if self.time_budget_seconds <= 0:
-            raise ValueError("time budget must be positive")
 
 
 def _equals(expected, actual):
@@ -97,8 +93,6 @@ def _codes_claims(config: RunConfig):
 
 
 def _leech_claims(config: RunConfig):
-    budget = config.time_budget_seconds
-
     def survey():
         return leech.minimal_coset_survey()
 
@@ -135,7 +129,7 @@ def _leech_claims(config: RunConfig):
         None, None)
     if config.long_checks:
         yield "leech/kissing-number", lambda: _equals(
-            196560, len(leech.kissing_vectors(budget_seconds=budget)))
+            196560, len(leech.kissing_vectors()))
 
 
 GRIESS_SUITE = ([("A", n) for n in range(1, 9)] + [("D", n) for n in range(3, 9)]
@@ -388,10 +382,6 @@ def main(argv=None) -> int:
                         metavar="NODE",
                         help="restrict node-indexed checks to this node (repeatable)")
     parser.add_argument("--format", choices=FORMATS, dest="output_format")
-    parser.add_argument("--budget", type=int, dest="time_budget_seconds",
-                        metavar="BUDGET",
-                        help="time budget in seconds for the --long kissing-number "
-                             "enumeration")
     parser.add_argument("--long", action="store_true", dest="long_checks",
                         help="enable the long-running kissing-number count")
     args = parser.parse_args(argv)

@@ -809,8 +809,7 @@ class NodeFamilies:
         ctx = e8_context()
         self.ctx = ctx
         self.node = node
-        classes = node.coset_classes()
-        self.key_class = {k: classes[k] for k in ctx.norm4}
+        self.key_class = node.coset_classes()
         # sigma multiplies e^x by zeta_N^exps[x]; on a class-j key that must
         # be zeta_n^j, so that f-hat = sigma(e-hat) is the twisted sum
         big_n, exps = ctx.sigma_phases(node.glue_coords)
@@ -826,8 +825,7 @@ class NodeFamilies:
                   for j in range(1, node.n)}
 
         self.components = node.components
-        fam = [build_virasoro_family(ctx, [_int_key(r) for r in comp.root_coords])
-               for comp in node.components]
+        fam = [build_virasoro_family(ctx, comp.root_coords) for comp in node.components]
         self.s = [x["s"] for x in fam]
         self.omega_tilde = [x["omega_tilde"] for x in fam]
 

@@ -24,7 +24,6 @@ tuples.
 
 from __future__ import annotations
 
-import time
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, isqrt, lcm
@@ -39,10 +38,6 @@ class NotPositiveDefinite(ValueError):
 
 
 class NotMinimal(ValueError):
-    pass
-
-
-class BudgetExceeded(RuntimeError):
     pass
 
 
@@ -256,16 +251,14 @@ class EvenLattice:
         return self._ldl
 
 
-def enumerate_short(lat: EvenLattice, bound, shift=None,
-                    budget_seconds=None):
+def enumerate_short(lat: EvenLattice, bound, shift=None):
     """All x = z + shift (z integer coefficients) with norm(x) <= bound.
 
     Returns a list of int pairs (X, N), each vector exactly once and in no
     promised order (``coords_of_norm`` is the sorted view): X = S*x with S
     the least common denominator of the shift (1 when there is none), and
     N = X^T A X with A = g*G the integer Gram rows, so norm(x) = N / (S^2 g).
-    ``shift`` is a rational coefficient vector.  Exceeding
-    ``budget_seconds`` raises BudgetExceeded.
+    ``shift`` is a rational coefficient vector.
 
     With M, E, D, U from ``ldl``, M*S*(x_i + sum_{j>i} u_ij x_j) =
     M*S*z_i + C_i, where C_i = M*S*s_i + sum_{j>i} U_ij X_j.  The search
@@ -297,14 +290,8 @@ def enumerate_short(lat: EvenLattice, bound, shift=None,
     xs = [0] * n
     results = []
     append = results.append
-    deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
-    nodes = 0
 
     def descend(level, remaining, top):
-        nonlocal nodes
-        nodes += 1
-        if deadline is not None and nodes % 4096 == 0 and time.monotonic() > deadline:
-            raise BudgetExceeded("short-vector enumeration ran out of time")
         x0, dl = xs0[level], dd[level]
         c = m_den * x0 + sum(map(mul, urows[level], xs[level + 1:]))
         m = isqrt(remaining // dl)
@@ -329,12 +316,11 @@ def enumerate_short(lat: EvenLattice, bound, shift=None,
     return results
 
 
-def coords_of_norm(lat: EvenLattice, norm, budget_seconds=None):
+def coords_of_norm(lat: EvenLattice, norm):
     """The sorted int coefficient tuples of the lattice vectors of exactly
     the given squared norm."""
     target = norm * lat._int_gram_rows[1]
-    return sorted(x for x, n in enumerate_short(lat, norm, budget_seconds=budget_seconds)
-                  if n == target)
+    return sorted(x for x, n in enumerate_short(lat, norm) if n == target)
 
 
 class Coset:

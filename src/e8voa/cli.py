@@ -281,10 +281,10 @@ def _node_claims(i):
         node = extended_e8_node(i)
         u2 = griess.coset_U2_cached(i)
         e, f = griess.e_f_coords(u2)
-        closure_dim, _ = griess.generated_closure_coords(u2, [e, f])
-        return (u2.dim == len(node.components) + node.n - 1
-                and as_rational(u2.inner_coords(e, f)) == want
-                and closure_dim == u2.dim, None, None)
+        rank, _ = griess.generated_closure_coords(u2, [e, f])
+        found = (u2.dim, rank, as_rational(u2.inner_coords(e, f)))
+        expected = (len(node.components) + node.n - 1,) * 2 + (want,)
+        return (True, None, None) if found == expected else (False, expected, found)
 
     def tau_orders():
         n = extended_e8_node(i).n

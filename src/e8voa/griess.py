@@ -25,14 +25,16 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import gcd, lcm, prod
 from operator import mul
 
 from .codes import construction_A, data_cached, named_code
 from .lattice import EvenLattice, coords_of_norm, coset_minimum
-from .linalg import (RowSpace, clear_denominators, hermite_normal_form, identity, invert,
-                     rank_mod_p)
-from .scalars import Cyclotomic, _cyc, _images, _rational, euler_phi, half_turn_phase, is_zero
+from . import linalg
+from .linalg import (clear_denominators, hermite_normal_form, identity, invert, rank_mod_p,
+                     residues_mod_p)
+from .scalars import Cyclotomic, _cyc, _encode, _images, euler_phi, half_turn_phase, is_zero
 
 
 class ContextMismatch(ValueError):
@@ -197,25 +199,24 @@ class _Tables:
         g, r = ctx.gram, ctx.rank
         nq, start = ctx.n_quad, ctx.expo_start
         quad = [k[1:] for k in ctx.keys[:nq]]
+        qi = [[0] * r for _ in range(r)]
+        for i, (a, b) in enumerate(quad):
+            qi[a][b] = qi[b][a] = i
 
-        def q(a, b):
-            return ctx.index[("q", a, b) if a <= b else ("q", b, a)]
-
-        def nonzero(*terms):
-            # a repeated target needs no merging: the product sums every term
-            return tuple(t for t in terms if t[1])
-
-        self.qq = [[nonzero((q(b, d), 2 * g[a][c]), (q(b, c), 2 * g[a][d]),
-                            (q(a, d), 2 * g[b][c]), (q(a, c), 2 * g[b][d]))
+        # zero weights dropped; a repeated target is not merged: the product sums all
+        self.qq = [[tuple(t for t in ((qb[d], 2 * ga[c]), (qb[c], 2 * ga[d]),
+                                      (qa[d], 2 * gb[c]), (qa[c], 2 * gb[d])) if t[1])
+                    if ga[c] or ga[d] or gb[c] or gb[d] else ()
                     for c, d in quad]
-                   + [nonzero((nq + b, 4 * g[a][c]), (nq + a, 4 * g[b][c]))
+                   + [tuple(t for t in ((nq + b, 4 * ga[c]), (nq + a, 4 * gb[c])) if t[1])
                       for c in range(r)]
-                   for a, b in quad]
+                   for a, b in quad
+                   for qa, qb, ga, gb in [(qi[a], qi[b], g[a], g[b])]]
         self.form = ([[g[a][c] * g[b][d] + g[a][d] * g[b][c] for c, d in quad]
                       + [0] * r for a, b in quad]
                      + [[0] * nq + [-6 * g[a][b] for b in range(r)] for a in range(r)])
         pad = [None] * start
-        gxs = [_dual_ints(ctx, x) for x in ctx.norm4]
+        gxs = [[sum(map(mul, row, x)) for row in g] for x in ctx.norm4]
         self.low = pad + [tuple(2 * gx[a] * gx[b] for a, b in quad)
                           + tuple(-2 * c for c in gx) for gx in gxs]
         codes, steps = _key_codes(ctx, ctx.norm4, 1)
@@ -228,15 +229,6 @@ class _Tables:
 
 # ---------------------------------------------------------------------------
 # elements: integer numerators over the context index
-
-
-def _encode(x):
-    """(m, den, nums) with x = sum_j nums[j] zeta_m^j / den; x is an int, a
-    Fraction or a Cyclotomic, else TypeError."""
-    if isinstance(x, Cyclotomic):
-        return (x.order if x.order > 2 else 1), x.den, x.nums
-    x = _rational(x)
-    return 1, x.denominator, (x.numerator,)
 
 
 def _value(m, den, nums):
@@ -850,20 +842,13 @@ def hamming_context() -> AlgebraContext:
 
 
 def hamming_cosets_even():
-    """Representatives of the even cosets of the Hamming code in F_2^8."""
-    h8 = named_code("Hamming8")
-    words = sorted(set(h8.words()))
-    seen = set()
-    reps = []
-    for mask in range(256):
-        w = tuple((mask >> k) & 1 for k in range(8))
-        if sum(w) % 2:
-            continue
-        cls = frozenset(tuple((a + b) % 2 for a, b in zip(w, c)) for c in words)
-        if cls in seen:
-            continue
-        seen.add(cls)
-        reps.append(w)
+    """Representatives of the even cosets of the Hamming code in F_2^8: the
+    first even word of each coset, by mask."""
+    words, seen, reps = set(named_code("Hamming8").words()), set(), []
+    for w in (tuple((mask >> k) & 1 for k in range(8)) for mask in range(256)):
+        if sum(w) % 2 == 0 and w not in seen:
+            seen.update(tuple((a + b) % 2 for a, b in zip(w, c)) for c in words)
+            reps.append(w)
     return reps
 
 
@@ -874,13 +859,15 @@ class HammingFamilies:
         ctx = hamming_context()
         self.ctx = ctx
         self.code_words = sorted(set(named_code("Hamming8").words()))
-        amb = {k: tuple(int(x) for x in ctx.lattice.ambient(k)) for k in ctx.norm4}
-        self.X = {0: {}, 1: {}}
-        for gamma in self.code_words:
-            keys = [k for k, a in amb.items() if tuple(x % 2 for x in a) == gamma]
-            self.X[0][gamma] = GriessElement(ctx, expo={k: 1 for k in keys})
-            self.X[1][gamma] = GriessElement(
-                ctx, expo={k: (-1) ** (sum(amb[k]) // 2 % 2) for k in keys})
+        by_word = {gamma: ({}, {}) for gamma in self.code_words}  # e^k: 1, (-1)^(sum(a)/2)
+        for k in ctx.norm4:
+            a, den = ctx.lattice.ambient_ints(k)
+            if den != 1:
+                raise ValueError("Hamming-model key with a non-integral ambient vector")
+            plain, signed = by_word[tuple(x % 2 for x in a)]
+            plain[k], signed[k] = 1, (-1) ** (sum(a) // 2 % 2)
+        self.X = {eps: {gamma: GriessElement(ctx, expo=maps[eps])
+                        for gamma, maps in by_word.items()} for eps in (0, 1)}
 
     def e_hat(self, eps: int, delta) -> GriessElement:
         return _combination(self.ctx, [(Fraction(1, 16), self.ctx.omega())] + [
@@ -934,24 +921,9 @@ class U2Data:
         rest = _combination(el.ctx, [(1, el)] + [(-c, b) for c, b in zip(cs, self.basis)])
         return cs if rest.is_zero() else None
 
-    def multiply_coords(self, u, v):
-        out = [0] * self.dim
-        for x, table in zip(u, self.structure):
-            if not is_zero(x):
-                for y, ws in zip(v, table):
-                    if not is_zero(y):
-                        c = x * y
-                        out = [o + c * w if w else o for o, w in zip(out, ws)]
-        return out
-
     def inner_coords(self, u, v):
-        total = 0
-        for x, row in zip(u, self.gram):
-            if not is_zero(x):
-                for y, g in zip(v, row):
-                    if not is_zero(y) and g:
-                        total = total + x * y * g
-        return total
+        return sum(x * y * g for x, row in zip(u, self.gram) if x
+                   for y, g in zip(v, row) if y and g)
 
 
 def _theta_split_keys(ctx, norm4_keys):
@@ -1082,21 +1054,34 @@ def coset_U2_cached(i: int) -> U2Data:
 
 
 def generated_closure_coords(u2: U2Data, seed_coords):
-    """Smallest product-closed subspace of U2 containing the seeds.
+    """(rank, rows): a lower bound on the dimension of the product closure in
+    U2 of the seeds (U2 coordinates), and spanning rows of it mod p.
 
-    Everything happens in coordinates over the U2 basis; scalars may be
-    cyclotomic.  Returns the dimension and a row-reduced basis.  U2 is
-    commutative (``coset_U2`` certifies its structure constants symmetric),
-    so each unordered pair of spanning rows is multiplied once.  A spanning
-    row is an echelon row as first inserted, which is sparse.
-    """
-    space, gens, todo = RowSpace(), [], list(seed_coords)
-    while todo:
-        a = space.add(todo.pop())
-        if a is not None:
-            gens.append(a)
-            todo += [u2.multiply_coords(a, b) for b in gens]
-    return len(space.rows), space.rows
+    Seeds and structure constants are reduced once by the ring map
+    ``residues_mod_p``, so each row kept is the image of an element of the
+    closure: rank == u2.dim certifies that the seeds generate U2.  A product
+    is kept only if it raises the rank; U2 is commutative (``coset_U2``
+    checks), so each unordered pair is tried once."""
+    p, dim = linalg.RANK_PRIME, u2.dim
+    consts = [(a, b, k, x) for a, table in enumerate(u2.structure)
+              for b, row in enumerate(table) for k, x in enumerate(row) if x]
+    *seeds, ws = residues_mod_p([*seed_coords, [x for *_, x in consts]])
+
+    def times(u, v):
+        out = [0] * dim
+        for (a, b, k, _), w in zip(consts, ws):
+            out[k] += u[a] * v[b] * w
+        return [x % p for x in out]
+
+    # the loop reads the pairs appended as it runs; no rank exceeds dim
+    span, pairs = [], []
+    for a in chain(seeds, (times(u, v) for u, v in pairs)):
+        if rank_mod_p([dict(enumerate(row)) for row in span + [a]]) > len(span):
+            span.append(a)
+            if len(span) == dim:
+                break
+            pairs += [(a, b) for b in span]
+    return len(span), span
 
 
 def e_f_coords(u2: U2Data):

@@ -2,9 +2,10 @@
 
 Matrices are lists of row lists.  Field entries may be int, Fraction, or
 Cyclotomic; everything here is division-exact, no floating point anywhere.
-``rank_mod_p`` bounds the rank over Q from below on sparse {column: int}
-rows mod 32749, the largest prime below 2^15, where a product of residues
-is a one-digit int: on the U2 blocks it takes 0.6 of the time at 2^31 - 1.
+``rank_mod_p`` bounds the rank over Q(zeta_m) from below on sparse {column:
+int} rows mod a prime below 2^15 (``residues_mod_p`` maps Q(zeta_m) there),
+where a product of residues is a one-digit int: on the U2 blocks it takes
+0.6 of the time at 2^31 - 1.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from bisect import bisect
 from fractions import Fraction
 from math import lcm
 
-from .scalars import Cyclotomic, is_zero
+from .scalars import Cyclotomic, _encode, is_zero
 
 
 def scalar_inverse(x):
@@ -135,16 +136,19 @@ def kernel_basis_int(rows, ncols):
     return basis
 
 
-RANK_PRIME = 32749
+# p = 1 mod 2520 = lcm(1..10): F_p holds zeta_m for every field order m <= 10
+# (U2 needs 1, 3, 4, 5 and 6), and p < 2^15 keeps residue products one digit
+RANK_PRIME = 30241
 
 
 def rank_mod_p(rows):
     """Rank over F_p, p = RANK_PRIME, of an int matrix of {column: int} rows.
 
-    Reduction mod p is a ring map, so every minor that vanishes over Q
-    vanishes mod p: this rank is at most the rank over Q, and
-    ``ncols - rank_mod_p`` bounds the kernel dimension over Q from above.
-    Each step pivots on the sparsest remaining row, to keep the fill low.
+    Reduction mod p is a ring map, so every minor that vanishes over Q (or
+    over Q(zeta_m), through ``residues_mod_p``) vanishes mod p: this rank is
+    at most the rank over the field, and ``ncols - rank_mod_p`` bounds the
+    kernel dimension over it from above.  Each step pivots on the sparsest
+    remaining row, to keep the fill low.
     """
     p = RANK_PRIME
     m = [r for r in ({c: x % p for c, x in row.items() if x % p} for row in rows) if r]
@@ -166,6 +170,27 @@ def rank_mod_p(rows):
         m = [row for row in m if row]
         rank += 1
     return rank
+
+
+def residues_mod_p(rows):
+    """Rows of int, Fraction or Cyclotomic scalars as ints mod p = RANK_PRIME, by the
+    ring map sum_j nums_j zeta_k^j / den -> sum_j nums_j r^(j m/k) / den: m is the lcm
+    of the orders, r the first a^((p-1)/m), a = 2, 3, ..., of order m (so a root of the
+    m-th cyclotomic polynomial mod p).  ArithmeticError unless m | p - 1 and p divides no den."""
+    p = RANK_PRIME
+    coded = [[_encode(x) for x in row] for row in rows]
+    m = lcm(1, *(k for row in coded for k, _, _ in row))
+    if (p - 1) % m:
+        raise ArithmeticError(f"F_{p} has no primitive {m}-th root of unity")
+    r = next(r for r in (pow(a, (p - 1) // m, p) for a in range(2, p))
+             if all(pow(r, m // q, p) != 1 for q in range(2, m + 1) if m % q == 0))
+
+    def residue(k, den, nums):
+        if den % p == 0:
+            raise ArithmeticError(f"a denominator vanishes mod {p}")
+        return sum(c * pow(r, j * (m // k), p) for j, c in enumerate(nums)) * pow(den, -1, p) % p
+
+    return [[residue(*x) for x in row] for row in coded]
 
 
 def clear_denominators(rows):

@@ -93,6 +93,15 @@ def _rational(x):
     raise TypeError(f"not a rational scalar: {x!r}")
 
 
+def _encode(x):
+    """(m, den, nums) with x = sum_j nums[j] zeta_m^j / den; x is an int, a
+    Fraction or a Cyclotomic, else TypeError."""
+    if isinstance(x, Cyclotomic):
+        return (x.order if x.order > 2 else 1), x.den, x.nums
+    x = _rational(x)
+    return 1, x.denominator, (x.numerator,)
+
+
 @lru_cache(maxsize=None)
 def _images(n: int, step: int, count: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Row j < count: the nonzero (i, r) of the power-basis row of zeta_n^(j*step).

@@ -20,7 +20,11 @@ pair of vectors and an ``("e", y)`` lookup per hit; ``opp_terms`` is
 ``_Tables.opp_terms`` as it was built then, summing equal indices;
 ``lowering_scan`` is the per-key scan over all norm-4 vectors that the
 module action used before each ``griess.ModuleSpace`` found its own
-lowering pairs.  ``mat_mul`` is the plain matrix product the tests
+lowering pairs.  ``index_tables`` is the quad part of ``griess._Tables``
+as it was built on ``ctx.index`` lookups, ``hamming_X`` the Hamming
+families on Fraction ambient vectors, and ``closure_dim`` (with
+``multiply_coords``) the exact closure in U2 that
+``griess.generated_closure_coords`` bounds from below mod p.  ``mat_mul`` is the plain matrix product the tests
 square tau with.  ``coset_minimum`` is ``lattice.coset_minimum`` as it was
 before it started from the nearest-plane bound: a search bounded by the
 norm of the shift's rounded remainder.  ``minimal_coset_survey`` is
@@ -584,6 +588,76 @@ def opp_terms(ctx, x):
             out[i] = out.get(i, 0) + x[key[1]]
     return tuple((i, w) for i, w in out.items() if w)
 
+
+
+def index_tables(ctx):
+    """qq, form and low of ``griess._Tables`` as they were built on tuple
+    keys: one ``ctx.index`` lookup per quad term, and G x from
+    ``griess._dual_ints``."""
+    from e8voa.griess import _dual_ints
+    g, r = ctx.gram, ctx.rank
+    nq = ctx.n_quad
+    quad = [k[1:] for k in ctx.keys[:nq]]
+
+    def q(a, b):
+        return ctx.index[("q", a, b) if a <= b else ("q", b, a)]
+
+    def nonzero(*terms):
+        return tuple(t for t in terms if t[1])
+
+    qq = [[nonzero((q(b, d), 2 * g[a][c]), (q(b, c), 2 * g[a][d]),
+                   (q(a, d), 2 * g[b][c]), (q(a, c), 2 * g[b][d]))
+           for c, d in quad]
+          + [nonzero((nq + b, 4 * g[a][c]), (nq + a, 4 * g[b][c])) for c in range(r)]
+          for a, b in quad]
+    form = ([[g[a][c] * g[b][d] + g[a][d] * g[b][c] for c, d in quad] + [0] * r
+             for a, b in quad]
+            + [[0] * nq + [-6 * g[a][b] for b in range(r)] for a in range(r)])
+    gxs = [_dual_ints(ctx, x) for x in ctx.norm4]
+    low = [None] * ctx.expo_start + [tuple(2 * gx[a] * gx[b] for a, b in quad)
+                                     + tuple(-2 * c for c in gx) for gx in gxs]
+    return SimpleNamespace(qq=qq, form=form, low=low)
+
+
+def hamming_X(ctx, code_words):
+    """``HammingFamilies.X`` as it was built on Fraction ambient vectors:
+    one scan of the norm-4 keys per code word."""
+    from e8voa.griess import GriessElement
+    amb = {k: tuple(int(x) for x in ctx.lattice.ambient(k)) for k in ctx.norm4}
+    out = {0: {}, 1: {}}
+    for gamma in code_words:
+        keys = [k for k, a in amb.items() if tuple(x % 2 for x in a) == gamma]
+        out[0][gamma] = GriessElement(ctx, expo={k: 1 for k in keys})
+        out[1][gamma] = GriessElement(
+            ctx, expo={k: (-1) ** (sum(amb[k]) // 2 % 2) for k in keys})
+    return out
+
+
+def multiply_coords(u2, u, v):
+    """The product of two coordinate vectors over the U2 basis, by the
+    structure constants; scalars may be cyclotomic."""
+    out = [0] * u2.dim
+    for x, table in zip(u, u2.structure):
+        if x:
+            for y, ws in zip(v, table):
+                if y:
+                    c = x * y
+                    out = [o + c * w if w else o for o, w in zip(out, ws)]
+    return out
+
+
+def closure_dim(u2, seeds):
+    """The dimension over Q(zeta_m) of the smallest product-closed subspace
+    of U2 containing the seeds, on an exact ``linalg.RowSpace``: each new
+    echelon row is multiplied by every one before it and by itself."""
+    from e8voa.linalg import RowSpace
+    space, gens, todo = RowSpace(), [], list(seeds)
+    while todo:
+        a = space.add(todo.pop())
+        if a is not None:
+            gens.append(a)
+            todo += [multiply_coords(u2, a, b) for b in gens]
+    return len(space.rows)
 
 def _rref_f2(rows, length):
     rows = [list(r) for r in rows]

@@ -659,10 +659,23 @@ def test_closure_of_e_alone_is_one_dimensional():
     assert dim == 1
 
 
+def test_fp_closure_rank_is_the_exact_closure_dimension():
+    # the rank mod p bounds the dimension over Q(zeta_n) from below; on
+    # every node it meets it, for {e, f} and for {e} alone on node 4
+    for i in range(9):
+        u2 = coset_U2_cached(i)
+        e, f = e_f_coords(u2)
+        rank, rows = generated_closure_coords(u2, [e, f])
+        assert rank == len(rows) == ref.closure_dim(u2, [e, f]) == u2.dim
+    u2 = coset_U2_cached(4)
+    e, _ = e_f_coords(u2)
+    assert generated_closure_coords(u2, [e])[0] == ref.closure_dim(u2, [e]) == 1
+
+
 def test_closure_node7_two_dimensional_with_zero_product():
     u2 = coset_U2_cached(7)
     e, f = e_f_coords(u2)
-    prod = u2.multiply_coords(e, f)
+    prod = ref.multiply_coords(u2, e, f)
     assert all(x == 0 for x in prod)
     dim, _ = generated_closure_coords(u2, [e, f])
     assert dim == 2 == u2.dim
@@ -707,6 +720,52 @@ def test_a_u2_basis_without_pivot_keys_is_a_dimension_mismatch(monkeypatch):
     monkeypatch.setattr(griess, "build_node_family", lambda i: fams)
     with pytest.raises(DimensionMismatch, match="node 5: U2 basis vector 3 has no pivot key"):
         griess.coset_U2(5)
+
+
+def test_e_twice_fails_exactly_the_u2_claim_with_its_closure_rank(monkeypatch,
+                                                                 clean_verify_all):
+    # e-hat in place of f-hat on node 5: the closure of {e} is the line of e,
+    # so only mckay/u2/i=5 fails, and its actual is (dim U2, 1, <e, e>)
+    from e8voa import cli, griess
+    honest = griess.e_f_coords
+
+    def e_twice(u2):
+        e, f = honest(u2)
+        return (e, e) if u2.node.i == 5 else (e, f)
+
+    monkeypatch.setattr(griess, "e_f_coords", e_twice)
+    records = cli.run_claims(cli.registry(cli.RunConfig("verify-mckay", node_filter=[5])))
+    clean = [r for r in clean_verify_all[1]["results"]
+             if r["claim"] in {s["claim"] for s in records}]
+    assert len(clean) == len(records)
+    actual = "(8, 1, Fraction(1, 4))"
+    assert_only_failed(clean, records, ["mckay/u2/i=5"], actual)
+    failed = next(r for r in records if not r["pass"])
+    assert (failed["expected"], failed["actual"]) == ("(8, 8, Fraction(5, 1024))", actual)
+
+
+def test_tables_match_the_index_keyed_reference():
+    for ctx in (e8ctx(), hamming_context(), sqrt2_root_context("D", 4)[1]):
+        t, want = ctx.tables, ref.index_tables(ctx)
+        assert (t.qq, t.form, t.low) == (want.qq, want.form, want.low)
+
+
+def test_hamming_families_match_the_fraction_ambient_reference():
+    ham = build_hamming_family()
+    want = ref.hamming_X(ham.ctx, ham.code_words)
+    assert [list(ham.X[eps]) for eps in (0, 1)] == [list(want[eps]) for eps in (0, 1)]
+    assert all(ham.X[eps][gamma] == x for eps in (0, 1) for gamma, x in want[eps].items())
+
+
+def test_hamming_keys_must_have_integral_ambient_vectors(monkeypatch):
+    # the same lattice on a halved basis: every ambient vector has
+    # denominator 2, so no key has a parity word
+    from e8voa import griess
+    ctx = hamming_context()
+    halved = AlgebraContext(ctx.gram, basis=[[x / 2 for x in row] for row in ctx.lattice.basis])
+    monkeypatch.setattr(griess, "hamming_context", lambda: halved)
+    with pytest.raises(ValueError, match="non-integral ambient vector"):
+        griess.HammingFamilies()
 
 
 def test_e_f_coords_match_the_closed_forms():

@@ -1,6 +1,10 @@
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 from unittest.mock import patch
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -186,3 +190,48 @@ def test_rank_mod_p_only_loses_rank():
     assert rank_mod_p([]) == rank_mod_p([{0: 0, 1: 0}]) == rank_mod_p([{}]) == 0
     # the only pivot of a sparse column is a multiple of p: rank 2 over Q, 1 mod p
     assert rank_mod_p([{5: 3 * RANK_PRIME, 9: 7}, {9: 7}]) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([3, 4, 5, 6]).flatmap(
+    lambda m: st.tuples(cyclotomics(m), cyclotomics(m))))
+def test_residues_mod_p_is_a_ring_map(pair):
+    from e8voa.linalg import RANK_PRIME as p, residues_mod_p
+    a, b = pair
+    ((x, y, s, t),) = residues_mod_p([[a, b, a + b, a * b]])
+    assert (s, t) == ((x + y) % p, x * y % p)
+
+
+def test_residues_mod_p_agree_across_field_orders():
+    # one root r of order m = 12 serves every order dividing m:
+    # zeta_6^2 and zeta_3 have one residue, and zeta_4^2 is -1
+    from e8voa.linalg import RANK_PRIME as p, residues_mod_p
+    ((a, b, c, d),) = residues_mod_p([[Cyclotomic.zeta(6) ** 2, Cyclotomic.zeta(3),
+                                        Cyclotomic.zeta(4) ** 2, F(-1)]])
+    assert a == b and c == d == p - 1
+
+
+def test_residues_mod_p_raise_without_roots_of_unity_or_units():
+    from e8voa import linalg
+    with pytest.raises(ArithmeticError, match="no primitive 11-th root of unity"):
+        linalg.residues_mod_p([[Cyclotomic.zeta(11)]])
+    with pytest.raises(ArithmeticError, match="denominator vanishes"):
+        linalg.residues_mod_p([[F(1, linalg.RANK_PRIME)]])
+    # the root is searched from p itself: mod 7 there is a sixth root, no fourth
+    with patch.object(linalg, "RANK_PRIME", 7):
+        assert linalg.residues_mod_p([[Cyclotomic.zeta(6)]]) == [[3]]
+        with pytest.raises(ArithmeticError, match="no primitive 4-th root"):
+            linalg.residues_mod_p([[Cyclotomic.zeta(4)]])
+
+
+def test_residues_mod_p_raise_under_python_O():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("from e8voa.linalg import residues_mod_p\n"
+            "from e8voa.scalars import Cyclotomic\n"
+            "try:\n"
+            "    residues_mod_p([[Cyclotomic.zeta(11)]])\n"
+            "except ArithmeticError as exc:\n"
+            "    print(exc)\n")
+    out = subprocess.run([sys.executable, "-O", "-c", code], env={"PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "F_30241 has no primitive 11-th root of unity\n"

@@ -11,8 +11,7 @@ from .scalars import Cyclotomic, NonRationalError, as_rational, phase
 from .lattice import (Coset, EvenLattice, NotMinimal, NotPositiveDefinite,
                       coset_min_norm, count_X_eta)
 from .rootsys import (ExtendedE8Node, NotRootGenerated, RootSystem,
-                      UnsupportedType, build_root_system,
-                      classify_root_sublattice, extended_e8_node)
+                      UnsupportedType, build_root_system, extended_e8_node)
 from .codes import (BinaryCode, Z4Code, construction_A, dual_code,
                     is_type_II, named_code, residue_code_B)
 from .griess import (AlgebraContext, BadSpectrum, ContextMismatch,

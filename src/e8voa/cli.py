@@ -48,6 +48,13 @@ def _nodes(config):
     return config.node_filter or list(range(9))
 
 
+def _even_unimodular(lam):
+    """Rank 24, determinant 1 and even; a failure states all three."""
+    rank, det, even = lam.rank, lam.det_gram(), lam.is_even()
+    ok = rank == 24 and det == 1 and even
+    return ok, None, None if ok else f"rank {rank}, det {det}, even {even}"
+
+
 def _codes_claims(config: RunConfig):
     def h8():
         return codes.named_code("Hamming8")
@@ -61,9 +68,12 @@ def _codes_claims(config: RunConfig):
     lat = cache(lambda: codes.construction_A(h8()))
     bc = cache(lambda: codes.residue_code_B(z4()))
 
-    def z4_lattice():
-        lam = codes.construction_A(z4())
-        return lam.rank == 24 and lam.det_gram() == 1 and lam.is_even(), None, None
+    def z4_type_II():
+        c = z4()
+        if codes.is_type_II(c):
+            return True, None, None
+        weights = sorted({codes.euclidean_weight(g) % 8 for g in c.generators})
+        return False, None, f"self-dual {codes.dual_code(c) == c}, weights mod 8 {weights}"
 
     def hamming_block(k):
         blk = codes.block_subcode(bc(), range(8 * k, 8 * k + 8))
@@ -80,13 +90,14 @@ def _codes_claims(config: RunConfig):
     yield "codes/rm42/dual-is-rm41", lambda: (
         codes.dual_code(rm42()) == codes.named_code("RM41"), None, None)
     yield "codes/z4/cardinality", lambda: _equals(2 ** 24, z4().cardinality())
-    yield "codes/z4/type-II", lambda: (codes.is_type_II(z4()), None, None)
+    yield "codes/z4/type-II", z4_type_II
     yield "codes/construction-a/h8-det", lambda: _equals(256, lat().det_gram())
     yield "codes/construction-a/h8-doubly-even", lambda: (
         lat().is_doubly_even(), None, None)
     yield "codes/construction-a/h8-norm4-count", lambda: (
         len(lattice.coords_of_norm(lat(), 4)) == 240, 240, None)
-    yield "codes/construction-a/z4-rank-det", z4_lattice
+    yield "codes/construction-a/z4-rank-det", lambda: _even_unimodular(
+        codes.construction_A(z4()))
     yield "codes/residue/dimension", lambda: _equals(17, bc().dimension)
     for k in range(3):
         yield f"codes/residue/hamming-block-{k}", lambda k=k: hamming_block(k)
@@ -96,19 +107,17 @@ def _leech_claims(config: RunConfig):
     def survey():
         return leech.minimal_coset_survey()
 
-    def even_unimodular():
-        lam = leech.build_leech().lattice
-        return lam.rank == 24 and lam.det_gram() == 1 and lam.is_even(), None, None
-
     def block_gram():
         emb = leech.embed_sqrt2E8_cubed(leech.build_leech())
         return (emb.det_gram() == 256 ** 3 and emb.is_doubly_even(),
                 256 ** 3, emb.det_gram())
 
     def block_count(k):
-        return leech.block_norm4_count(leech.build_leech(), k) == 240, 240, None
+        n = leech.block_norm4_count(leech.build_leech(), k)
+        return n == 240, 240, None if n == 240 else n
 
-    yield "leech/lattice/even-unimodular-rank24", even_unimodular
+    yield "leech/lattice/even-unimodular-rank24", lambda: _even_unimodular(
+        leech.build_leech().lattice)
     yield "leech/lattice/minimum-norm-4", lambda: (
         leech.certify_minimum(), None, None)
     yield "leech/embedding/block-gram", block_gram

@@ -29,8 +29,7 @@ from functools import cached_property
 from math import gcd, isqrt, lcm
 from operator import add, mul, neg, sub
 
-from .linalg import (RowSpace, clear_denominators, det, hermite_normal_form,
-                     invert)
+from .linalg import clear_denominators, det, hermite_normal_form, invert
 
 
 class NotPositiveDefinite(ValueError):
@@ -70,7 +69,6 @@ class EvenLattice:
         basis and the Gram matrix (by default the basis rows' dot products)."""
         self._int_rows = int_basis
         self.rank = len(int_basis[0])
-        self._span = None
         self._hermite_rows = None
         self._ldl = None
         if int_gram is None:
@@ -90,11 +88,26 @@ class EvenLattice:
         ints, den = self._int_gram_rows
         return det(ints) / den ** self.rank
 
+    @cached_property
+    def _normal(self):
+        """(K, d) with (B B^T)^-1 = K / d for the int basis rows B (not the
+        Gram matrix, which need not be their dot products)."""
+        rows = self._int_rows[0]
+        return clear_denominators(invert([[sum(map(mul, u, v)) for v in rows] for u in rows]))
+
     def coords(self, ambient_vec):
-        """Rational coefficients of an ambient vector over the basis, or None."""
-        if self._span is None:
-            self._span = RowSpace(self.basis)
-        return self._span.coords(ambient_vec)
+        """Rational coefficients of an ambient vector over the basis, or None.
+
+        Normal equations on ints: v = w / s and basis B / b give c = (w B^T K)
+        b / (d s), and v is in the span exactly when (w B^T K) B == d w."""
+        rows, b = self._int_rows
+        k, d = self._normal
+        w, s = _over_one_den(ambient_vec)
+        wb = [sum(map(mul, w, row)) for row in rows]
+        c = [sum(map(mul, wb, row)) for row in k]  # K is symmetric
+        if any(sum(map(mul, c, col)) != d * x for col, x in zip(zip(*rows), w)):
+            return None
+        return [Fraction(x * b, d * s) for x in c]
 
     def contains(self, vec, den=1) -> bool:
         """Whether vec / den (int or Fraction entries) lies in the lattice:

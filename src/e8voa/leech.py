@@ -54,8 +54,6 @@ def build_leech() -> LeechContext:
     if not is_type_II(code):
         raise CodeCheckFailed("the Z4 code is not type II self-dual")
     lam = construction_A(code)
-    if lam.rank != 24 or lam.det_gram() != 1 or not lam.is_even():
-        raise CodeCheckFailed("Construction A did not produce an even unimodular lattice")
     return LeechContext(code, lam, size_reduce_basis(lam))
 
 

@@ -1,7 +1,8 @@
-"""Exact linear algebra over Q and over cyclotomic fields.
+"""Exact linear algebra on ints, over F_p and over Q.
 
-Matrices are lists of row lists.  Field entries may be int, Fraction, or
-Cyclotomic; everything here is division-exact, no floating point anywhere.
+Matrices are lists of row lists.  Determinants, inverses and the Hermite
+form run fraction-free on int rows; ``rref`` and ``kernel_basis`` also take
+Cyclotomic entries.  Everything is division-exact, no floating point.
 ``rank_mod_p`` bounds the rank over Q(zeta_m) from below on sparse {column:
 int} rows mod a prime below 2^15 (``residues_mod_p`` maps Q(zeta_m) there),
 where a product of residues is a one-digit int: on the U2 blocks it takes
@@ -10,7 +11,6 @@ where a product of residues is a one-digit int: on the U2 blocks it takes
 
 from __future__ import annotations
 
-from bisect import bisect
 from fractions import Fraction
 from math import lcm
 
@@ -289,92 +289,3 @@ def hermite_normal_form(rows):
                 m[i] = [a - q * b for a, b in zip(m[i], m[r])]
         r += 1
     return [row for row in m[:r]]
-
-
-class RowSpace:
-    """The span of rows added one at a time, kept in reduced row echelon form.
-
-    Each echelon row records its combination of the input rows, so one
-    reduction answers every later ``coords`` query.  Scalars may be int,
-    Fraction or Cyclotomic, as in ``rref``.
-    """
-
-    def __init__(self, rows=()):
-        self.rows = []  # 1 on its own pivot column, 0 on the other pivots
-        self.pivots = []
-        self.inputs = 0  # input rows added, dependent ones included
-        self._combos = []  # per echelon row: {input index: coefficient}
-        self._tails = None  # per echelon row: its nonzero (column, entry) off the pivots
-        for row in rows:
-            self.add(row)
-
-    def add(self, v):
-        """Add one input row and return the echelon row it inserted, as inserted;
-        None, with the form unchanged, if it is in the span."""
-        res = list(v)
-        used = []
-        for p, row, c in zip(self.pivots, self.rows, self._combos):
-            f = res[p]
-            if not is_zero(f):
-                res = _minus_scaled(res, f, row)
-                used.append((f, c))
-        self.inputs += 1
-        q = next((j for j, x in enumerate(res) if not is_zero(x)), None)
-        if q is None:
-            return None
-        inv = scalar_inverse(res[q])
-        res = [x if is_zero(x) else x * inv for x in res]
-        combo = {self.inputs - 1: inv}
-        for f, c in used:
-            _combo_sub(combo, f * inv, c)
-        for i, row in enumerate(self.rows):
-            f = row[q]
-            if not is_zero(f):
-                self.rows[i] = _minus_scaled(row, f, res)
-                _combo_sub(self._combos[i], f, combo)
-        at = bisect(self.pivots, q)
-        self.rows.insert(at, res)
-        self.pivots.insert(at, q)
-        self._combos.insert(at, combo)
-        self._tails = None
-        return res
-
-    def coords(self, v):
-        """Coefficients c over the input rows with sum(c_i * input_i) = v, or None.
-
-        The residual of v must vanish on every column, not only on the pivots.
-        """
-        if self._tails is None:
-            pivots = set(self.pivots)
-            self._tails = [[(j, x) for j, x in enumerate(row)
-                            if j not in pivots and not is_zero(x)]
-                           for row in self.rows]
-        pivots = self.pivots
-        res = list(v)
-        for p, tail in zip(pivots, self._tails):
-            f = v[p]
-            if not is_zero(f):
-                for j, y in tail:
-                    res[j] = res[j] - f * y
-        for p in pivots:
-            res[p] = 0
-        if any(not is_zero(x) for x in res):
-            return None
-        out = [Fraction(0)] * self.inputs
-        for p, combo in zip(pivots, self._combos):
-            f = v[p]
-            if not is_zero(f):
-                for k, y in combo.items():
-                    out[k] = out[k] + f * y
-        return out
-
-
-def _minus_scaled(row, f, other):
-    """row - f * other, skipping the zero entries of other."""
-    return [x if is_zero(y) else x - f * y for x, y in zip(row, other)]
-
-
-def _combo_sub(combo, f, other):
-    """combo -= f * other, on {index: coefficient} dicts."""
-    for k, y in other.items():
-        combo[k] = combo.get(k, 0) - f * y

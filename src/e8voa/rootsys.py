@@ -12,7 +12,7 @@ from fractions import Fraction
 from operator import mul, sub
 
 from .codes import data_cached
-from .lattice import EvenLattice, coords_of_norm, hermite_normal_form
+from .lattice import EvenLattice, coords_of_norm
 from .linalg import det, vec_mat
 
 
@@ -162,21 +162,6 @@ class RootComponent:
         self.h = coxeter_number(letter, rank)
 
 
-def decompose_root_lattice(lat: EvenLattice):
-    """Split an unscaled root-generated lattice into ADE components.
-
-    Returns a list of RootComponent with coefficient-space data.  The
-    lattice must be generated by its norm-2 vectors.
-    """
-    coords = coords_of_norm(lat, 2)
-    if not coords:
-        raise NotRootGenerated("lattice has no roots")
-    h = hermite_normal_form(coords)
-    if len(h) < lat.rank or abs(det(h)) != 1:
-        raise NotRootGenerated("norm-2 vectors do not generate the lattice")
-    return root_components(coords, lat)
-
-
 def root_components(roots, lattice: EvenLattice):
     """Split a root system into its ADE components.
 
@@ -212,11 +197,6 @@ def root_components(roots, lattice: EvenLattice):
         out.append(comp)
     out.sort(key=lambda c: (c.rank, c.letter, c.simple_coords))
     return out
-
-
-def classify_root_sublattice(lat: EvenLattice):
-    """Multiset of (letter, rank) for a root-generated unscaled lattice."""
-    return sorted((c.letter, c.rank) for c in decompose_root_lattice(lat))
 
 
 EXTENDED_COEFFS = (1, 2, 3, 4, 5, 6, 4, 2, 3)

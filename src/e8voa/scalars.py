@@ -5,7 +5,12 @@ in the power basis 1, zeta, ..., zeta^(phi(N)-1) reduced modulo the N-th
 cyclotomic polynomial, which makes equality testing canonical.  The
 coefficients are integer numerators over one denominator: a product is an
 integer convolution folded back by the rows of ``power_table``, and the
-inverse is the product of the other Galois conjugates over the norm.
+inverse is the product of the other Galois conjugates over the norm.  A
+value hashes as its normalized trace Tr(x)/phi(N): an embedding scales
+trace and degree alike, so equal values from different fields hash alike
+and a rational hashes as its Fraction, while distinct values may share a
+hash (zeta_3, zeta_3^2 and -1/2 do).  This module imports nothing from
+the package.
 """
 
 from __future__ import annotations
@@ -301,23 +306,13 @@ class Cyclotomic:
             return self.den == other.den and self._nums_in(n) == other._nums_in(n)
         return NotImplemented
 
-    def _minimal_form(self):
-        """(m, coeffs) in Q(zeta_m) for the least m; equal values share it,
-        since Q(zeta_a) and Q(zeta_b) meet in Q(zeta_gcd(a, b))."""
-        from .linalg import RowSpace
-        n = self.order
-        for m in range(3, n):
-            if n % m == 0:
-                rows = [Cyclotomic.zeta(m, j)._nums_in(n) for j in range(euler_phi(m))]
-                c = RowSpace(rows).coords(self.coeffs)
-                if c is not None:
-                    return m, tuple(c)
-        return n, self.coeffs
-
     def __hash__(self):
-        if self.is_rational():
-            return hash(Fraction(self.nums[0], self.den))
-        return hash(self._minimal_form())
+        """The hash of Tr(x)/phi(N); Tr(x) is the constant term of the
+        rational sum of the Galois images sigma_k(x), k a unit mod N."""
+        n, deg = self.order, len(self.nums)
+        tr = sum(_apply(_images(n, k, deg), self.nums, deg)[0]
+                 for k in range(n) if gcd(k, n) == 1)
+        return hash(Fraction(tr, self.den * deg))
 
     def __repr__(self):
         return f"Cyclotomic({self.order}, {list(self.coeffs)})"

@@ -4,8 +4,12 @@ matrices and the codes.
 Plain Fraction versions of ``linalg.det``, ``linalg.invert``,
 ``lattice.size_reduce_basis``, ``EvenLattice.ldl``,
 ``ExtendedE8Node.coset_classes`` and the component split of
-``rootsys.decompose_root_lattice``, as they were before those moved onto
-int-scaled rows; ``ambient_node`` is the ambient L(i) and the node's
+``decompose_root_lattice``, as they were before those moved onto
+int-scaled rows; ``RowSpace`` is the incremental echelon form over Q or
+Q(zeta_m) that ``EvenLattice.coords`` and the ``Cyclotomic`` hash used
+before they moved onto ints; ``decompose_root_lattice`` and
+``classify_root_sublattice`` split a general root-generated lattice, which
+no claim needs; ``ambient_node`` is the ambient L(i) and the node's
 components as ``ExtendedE8Node`` built them before it moved onto E8
 coefficient coordinates alone; and the eigenvector construction of
 ``griess.tau_from_matrix`` as it was before tau became a polynomial in the
@@ -13,8 +17,9 @@ action matrix, and ``lattice.count_X_eta`` as it was before it moved onto
 int tuples; ``rank`` is the rank over Q that ``linalg.rank_mod_p`` bounds
 from below; ``FractionCyclotomic`` is ``scalars.Cyclotomic`` as it was
 before it moved onto integer numerators over one denominator, with one
-Fraction per power-basis coefficient and the inverse by the extended
-Euclidean algorithm over Q[x].  ``steps`` is ``griess._steps`` as it was
+Fraction per power-basis coefficient, the inverse by the extended
+Euclidean algorithm over Q[x] and the hash of the normalized trace by
+Ramanujan sums.  ``steps`` is ``griess._steps`` as it was
 before lowering pairs were found by int key codes: one dot product per
 pair of vectors and an ``("e", y)`` lookup per hit; ``opp_terms`` is
 ``_Tables.opp_terms`` as it was built then, summing equal indices;
@@ -40,11 +45,15 @@ rather than code objects; ``z4_cardinality`` counts a Z4 code from its
 residue and torsion codes.  The oracle tests compare the two.
 """
 
+from bisect import bisect
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
 from operator import mul
 from types import SimpleNamespace
+
+from e8voa.linalg import scalar_inverse
+from e8voa.scalars import is_zero
 
 
 def rref(mat):
@@ -125,6 +134,95 @@ def kernel_basis(mat):
     return basis
 
 
+class RowSpace:
+    """The span of rows added one at a time, kept in reduced row echelon form.
+
+    Each echelon row records its combination of the input rows, so one
+    reduction answers every later ``coords`` query.  Scalars may be int,
+    Fraction or Cyclotomic, as in ``rref``.
+    """
+
+    def __init__(self, rows=()):
+        self.rows = []  # 1 on its own pivot column, 0 on the other pivots
+        self.pivots = []
+        self.inputs = 0  # input rows added, dependent ones included
+        self._combos = []  # per echelon row: {input index: coefficient}
+        self._tails = None  # per echelon row: its nonzero (column, entry) off the pivots
+        for row in rows:
+            self.add(row)
+
+    def add(self, v):
+        """Add one input row and return the echelon row it inserted, as inserted;
+        None, with the form unchanged, if it is in the span."""
+        res = list(v)
+        used = []
+        for p, row, c in zip(self.pivots, self.rows, self._combos):
+            f = res[p]
+            if not is_zero(f):
+                res = _minus_scaled(res, f, row)
+                used.append((f, c))
+        self.inputs += 1
+        q = next((j for j, x in enumerate(res) if not is_zero(x)), None)
+        if q is None:
+            return None
+        inv = scalar_inverse(res[q])
+        res = [x if is_zero(x) else x * inv for x in res]
+        combo = {self.inputs - 1: inv}
+        for f, c in used:
+            _combo_sub(combo, f * inv, c)
+        for i, row in enumerate(self.rows):
+            f = row[q]
+            if not is_zero(f):
+                self.rows[i] = _minus_scaled(row, f, res)
+                _combo_sub(self._combos[i], f, combo)
+        at = bisect(self.pivots, q)
+        self.rows.insert(at, res)
+        self.pivots.insert(at, q)
+        self._combos.insert(at, combo)
+        self._tails = None
+        return res
+
+    def coords(self, v):
+        """Coefficients c over the input rows with sum(c_i * input_i) = v, or None.
+
+        The residual of v must vanish on every column, not only on the pivots.
+        """
+        if self._tails is None:
+            pivots = set(self.pivots)
+            self._tails = [[(j, x) for j, x in enumerate(row)
+                            if j not in pivots and not is_zero(x)]
+                           for row in self.rows]
+        pivots = self.pivots
+        res = list(v)
+        for p, tail in zip(pivots, self._tails):
+            f = v[p]
+            if not is_zero(f):
+                for j, y in tail:
+                    res[j] = res[j] - f * y
+        for p in pivots:
+            res[p] = 0
+        if any(not is_zero(x) for x in res):
+            return None
+        out = [Fraction(0)] * self.inputs
+        for p, combo in zip(pivots, self._combos):
+            f = v[p]
+            if not is_zero(f):
+                for k, y in combo.items():
+                    out[k] = out[k] + f * y
+        return out
+
+
+def _minus_scaled(row, f, other):
+    """row - f * other, skipping the zero entries of other."""
+    return [x if is_zero(y) else x - f * y for x, y in zip(row, other)]
+
+
+def _combo_sub(combo, f, other):
+    """combo -= f * other, on {index: coefficient} dicts."""
+    for k, y in other.items():
+        combo[k] = combo.get(k, 0) - f * y
+
+
 def tau_matrix(mat, allowed):
     """tau = C D C^-1: the columns of C are a kernel basis of mat - lam for
     each allowed lam, D is -1 on the 1/16 class and +1 elsewhere; raises
@@ -200,6 +298,29 @@ def ldl(gram):
             [[int(x * m_den) for x in row] for row in u])
 
 
+def decompose_root_lattice(lat):
+    """Split an unscaled root-generated lattice into ADE components.
+
+    Returns a list of RootComponent with coefficient-space data.  The
+    lattice must be generated by its norm-2 vectors.
+    """
+    from e8voa.lattice import coords_of_norm
+    from e8voa.linalg import det, hermite_normal_form
+    from e8voa.rootsys import NotRootGenerated, root_components
+    coords = coords_of_norm(lat, 2)
+    if not coords:
+        raise NotRootGenerated("lattice has no roots")
+    h = hermite_normal_form(coords)
+    if len(h) < lat.rank or abs(det(h)) != 1:
+        raise NotRootGenerated("norm-2 vectors do not generate the lattice")
+    return root_components(coords, lat)
+
+
+def classify_root_sublattice(lat):
+    """Multiset of (letter, rank) for a root-generated unscaled lattice."""
+    return sorted((c.letter, c.rank) for c in decompose_root_lattice(lat))
+
+
 @cache
 def ambient_node(i):
     """Node i's ambient data: ``alphas``, the Fraction rows of alpha_0 ..
@@ -209,7 +330,7 @@ def ambient_node(i):
     mapped back to E8 coordinates by ``vec_mat``."""
     from e8voa.lattice import EvenLattice
     from e8voa.linalg import vec_mat
-    from e8voa.rootsys import decompose_root_lattice, e8_paper_data, extended_e8_node
+    from e8voa.rootsys import e8_paper_data, extended_e8_node
     e8 = e8_paper_data()["lattice"]
     node = extended_e8_node(i)
     alphas = [e8.ambient(c) for c in node.alpha_coords]
@@ -224,7 +345,6 @@ def ambient_node(i):
 def coset_classes(node):
     """Root coords -> j with root in j*alpha_i + L(i), by solving rational
     coordinates over the L(i) basis and trying each j."""
-    from e8voa.linalg import RowSpace
     from e8voa.rootsys import e8_paper_data
     e8 = e8_paper_data()["lattice"]
     amb = ambient_node(node.i)
@@ -332,6 +452,19 @@ def minimal_coset_survey():
         cosets.append({"min_norm": k, "rep": match,
                        "n_minimal": len(info["reps"]), "split": split})
     return cosets
+
+
+def _mobius(m):
+    """The Moebius function mu(m), by trial division."""
+    out, p = 1, 2
+    while p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return -out if m > 1 else out
 
 
 class FractionCyclotomic:
@@ -519,23 +652,13 @@ class FractionCyclotomic:
             return a == b
         return NotImplemented
 
-    def _minimal_form(self):
-        from e8voa.linalg import RowSpace
+    def __hash__(self):
+        """The hash of the normalized trace Tr(x)/phi(N), by Ramanujan sums:
+        Tr(zeta_N^j)/phi(N) = mu(m)/phi(m) with m = N/gcd(j, N)."""
         from e8voa.scalars import euler_phi
         n = self.order
-        for m in range(3, n):
-            if n % m == 0:
-                rows = [FractionCyclotomic.zeta(m, j)._embedded_coeffs(n)
-                        for j in range(euler_phi(m))]
-                c = RowSpace(rows).coords(self.coeffs)
-                if c is not None:
-                    return m, tuple(c)
-        return n, self.coeffs
-
-    def __hash__(self):
-        if self.is_rational():
-            return hash(self.coeffs[0])
-        return hash(self._minimal_form())
+        return hash(sum((c * Fraction(_mobius(n // gcd(j, n)), euler_phi(n // gcd(j, n)))
+                         for j, c in enumerate(self.coeffs) if c), Fraction(0)))
 
     def __repr__(self):
         return f"Cyclotomic({self.order}, {list(self.coeffs)})"
@@ -648,9 +771,8 @@ def multiply_coords(u2, u, v):
 
 def closure_dim(u2, seeds):
     """The dimension over Q(zeta_m) of the smallest product-closed subspace
-    of U2 containing the seeds, on an exact ``linalg.RowSpace``: each new
+    of U2 containing the seeds, on an exact ``RowSpace``: each new
     echelon row is multiplied by every one before it and by itself."""
-    from e8voa.linalg import RowSpace
     space, gens, todo = RowSpace(), [], list(seeds)
     while todo:
         a = space.add(todo.pop())

@@ -373,18 +373,28 @@ CODE_MUTATIONS = {
                               lambda honest: lambda c: lattice_over(c._rows, c.q)),
     # the residue code of C-perp, without the dual that turns it into B
     "codes/residue/": ("residue_code_B", lambda honest: lambda c: codes.dual_code(honest(c))),
+    # the Lee weight (2 counts 2) in place of the Euclidean weight (2 counts 4)
+    "codes/z4/type-II": ("euclidean_weight",
+                         lambda honest: lambda w: sum(min(x % 4, -x % 4) for x in w)),
+    # one factor 2 of the torsion lost
+    "codes/z4/cardinality": ("Z4Code.cardinality", lambda honest: lambda c: honest(c) // 2),
 }
 
 
 @pytest.mark.parametrize("family", CODE_MUTATIONS)
 def test_a_targeted_mutation_fails_exactly_its_code_family(family, monkeypatch, fresh_caches):
     name, mutate = CODE_MUTATIONS[family]
+    owner, _, attr = name.rpartition(".")
+    target = getattr(codes, owner) if owner else codes
     clean = cli.run_claims(registry(RunConfig("verify-codes")))
     codes.clear_caches()
-    monkeypatch.setattr(codes, name, mutate(getattr(codes, name)))
+    monkeypatch.setattr(target, attr, mutate(getattr(target, attr)))
     mutated = cli.run_claims(registry(RunConfig("verify-codes")))
     failed = [r["claim"] for r in clean if r["claim"].startswith(family)]
     assert failed and all(r["pass"] for r in clean)
     assert [r["claim"] for r in mutated if not r["pass"]] == failed
+    if family.startswith("codes/z4/"):
+        # the Z4 claims state what they found
+        assert all("actual" in r for r in mutated if not r["pass"])
     assert ([r for r in mutated if r["claim"] not in failed]
             == [r for r in clean if r["claim"] not in failed])

@@ -433,6 +433,18 @@ def test_contains_matches_integral_coords(data):
         assert lat.contains(v) == _contains_by_coords(lat, v), v
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_coords_match_the_row_space_reference(data):
+    # rank below the ambient dimension, scaled Gram matrices, probes off the
+    # span and denominators that the basis denominator does not divide
+    import fraction_reference as ref
+    lat = data.draw(_lattices())
+    span = ref.RowSpace(lat.basis)
+    for v in _probe_vectors(data.draw, lat):
+        assert lat.coords(v) == span.coords(v), v
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.data())
 def test_contains_matches_integral_coords_on_a_leech_block(data):

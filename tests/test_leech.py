@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import assert_only_failed, data_copy
 
+from e8voa import leech
+from e8voa.lattice import EvenLattice
 from e8voa.leech import (MINIMAL_SHAPES, block_frames, block_norm4_count,
                          build_leech, certify_minimum, embed_sqrt2E8_cubed,
                          minimal_coset_survey, sigma_tilde_order)
@@ -345,6 +347,46 @@ def test_a_shape_missing_from_the_list_fails_exactly_the_dual_coset_claims(
     assert len(failed) == 4
     assert_only_failed(clean, mutated, failed, "ShapeMismatch: no minimal "
                        "representative matches the shape list")
+
+
+def _gram_doubled(honest):
+    # the sqrt(2) scaling applied twice: the same rows under twice their Gram
+    def embed(ctx):
+        emb = honest(ctx)
+        return EvenLattice(emb.basis, gram=[[2 * x for x in row] for row in emb.gram])
+    return embed
+
+
+# one targeted mutation per Leech claim family, as (owner, attribute, mutate,
+# the claims that must fail, the start of their actual), with mutate(honest
+# attribute) -> the replacement
+LEECH_MUTATIONS = {
+    # the diagonal and off-diagonal divisors of the evenness test swapped
+    "even-unimodular-rank24": (EvenLattice, "is_even",
+                               lambda honest: lambda lat: lat._gram_divisible(1, 2),
+                               ["leech/lattice/even-unimodular-rank24"],
+                               "rank 24, det 1, even False"),
+    "embedding/block-gram": (leech, "embed_sqrt2E8_cubed", _gram_doubled,
+                             ["leech/embedding/block-gram"], str(2 ** 24 * 256 ** 3)),
+    # each pair of opposite vectors counted once
+    "embedding/block-counts": (leech, "block_norm4_count",
+                               lambda honest: lambda ctx, k: honest(ctx, k) // 2,
+                               [f"leech/embedding/block-{k}-norm4-count" for k in range(3)],
+                               "120"),
+}
+
+
+@pytest.mark.parametrize("family", LEECH_MUTATIONS)
+def test_a_targeted_mutation_fails_exactly_its_leech_claims(family, monkeypatch,
+                                                            fresh_caches):
+    from e8voa.cli import RunConfig, registry, run_claims
+    from e8voa.codes import clear_caches
+    owner, name, mutate, failed, actual = LEECH_MUTATIONS[family]
+    clean = run_claims(registry(RunConfig("verify-leech")))
+    clear_caches()
+    monkeypatch.setattr(owner, name, mutate(getattr(owner, name)))
+    mutated = run_claims(registry(RunConfig("verify-leech")))
+    assert_only_failed(clean, mutated, failed, actual)
 
 
 def test_hamming_context_follows_the_data_dir(tmp_path, monkeypatch):

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from e8voa.linalg import RowSpace, rref
+from fraction_reference import RowSpace
+from e8voa.linalg import rref
 from e8voa.scalars import Cyclotomic, euler_phi, is_zero
 
 small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)

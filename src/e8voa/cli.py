@@ -18,7 +18,8 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
+from itertools import combinations
 
 from . import __version__, codes, griess, lattice, leech, mckay
 from .rootsys import build_root_system, extended_e8_node
@@ -48,23 +49,28 @@ def _nodes(config):
     return config.node_filter or list(range(9))
 
 
+def _found(ok, actual):
+    """A check with no expected value; a failure states what it found."""
+    return ok, None, None if ok else actual
+
+
+def _count(want, n):
+    """The count n against want; a failure states n."""
+    return n == want, want, None if n == want else n
+
+
+@codes.data_cached()
 def _even_unimodular(lam):
     """Rank 24, determinant 1 and even; a failure states all three."""
     rank, det, even = lam.rank, lam.det_gram(), lam.is_even()
-    ok = rank == 24 and det == 1 and even
-    return ok, None, None if ok else f"rank {rank}, det {det}, even {even}"
+    return _found(rank == 24 and det == 1 and even,
+                  f"rank {rank}, det {det}, even {even}")
 
 
 def _codes_claims(config: RunConfig):
-    def h8():
-        return codes.named_code("Hamming8")
-
-    def rm42():
-        return codes.named_code("RM42")
-
-    def z4():
-        return codes.named_code("Z4Leech")
-
+    h8 = partial(codes.named_code, "Hamming8")
+    rm42 = partial(codes.named_code, "RM42")
+    z4 = partial(codes.named_code, "Z4Leech")
     lat = cache(lambda: codes.construction_A(h8()))
     bc = cache(lambda: codes.residue_code_B(z4()))
 
@@ -75,27 +81,35 @@ def _codes_claims(config: RunConfig):
         weights = sorted({codes.euclidean_weight(g) % 8 for g in c.generators})
         return False, None, f"self-dual {codes.dual_code(c) == c}, weights mod 8 {weights}"
 
+    def dual_is(c, want):
+        d = codes.dual_code(c)
+        return _found(d == want, f"dual weights {d.weight_distribution()}")
+
+    def doubly_even():
+        # the Gram entries off their divisor: 4 on the diagonal, 2 off it
+        bad = [f"Gram[{a}][{b}] = {x}" for a, row in enumerate(lat().gram)
+               for b, x in enumerate(row) if x % (4 if a == b else 2)]
+        return _found(lat().is_doubly_even(), ", ".join(bad[:1]))
+
     def hamming_block(k):
         blk = codes.block_subcode(bc(), range(8 * k, 8 * k + 8))
-        perm = (codes.find_column_permutation(blk, h8())
-                if blk.dimension == 4 else None)
-        return perm is not None, None, None
+        ok = (blk.dimension == 4
+              and codes.find_column_permutation(blk, h8()) is not None)
+        return _found(ok, f"dimension {blk.dimension}, weights {blk.weight_distribution()}")
 
     yield "codes/hamming8/weight-distribution", lambda: (
         h8().weight_distribution() == (1, 0, 0, 0, 14, 0, 0, 0, 1),
         "(1,0,0,0,14,0,0,0,1)", h8().weight_distribution())
-    yield "codes/hamming8/self-dual", lambda: (
-        codes.dual_code(h8()) == h8(), None, None)
+    yield "codes/hamming8/self-dual", lambda: dual_is(h8(), h8())
     yield "codes/rm42/dimension", lambda: _equals(11, rm42().dimension)
-    yield "codes/rm42/dual-is-rm41", lambda: (
-        codes.dual_code(rm42()) == codes.named_code("RM41"), None, None)
+    yield "codes/rm42/dual-is-rm41", lambda: dual_is(
+        rm42(), codes.named_code("RM41"))
     yield "codes/z4/cardinality", lambda: _equals(2 ** 24, z4().cardinality())
     yield "codes/z4/type-II", z4_type_II
     yield "codes/construction-a/h8-det", lambda: _equals(256, lat().det_gram())
-    yield "codes/construction-a/h8-doubly-even", lambda: (
-        lat().is_doubly_even(), None, None)
-    yield "codes/construction-a/h8-norm4-count", lambda: (
-        len(lattice.coords_of_norm(lat(), 4)) == 240, 240, None)
+    yield "codes/construction-a/h8-doubly-even", doubly_even
+    yield "codes/construction-a/h8-norm4-count", lambda: _count(
+        240, len(lattice.coords_of_norm(lat(), 4)))
     yield "codes/construction-a/z4-rank-det", lambda: _even_unimodular(
         codes.construction_A(z4()))
     yield "codes/residue/dimension", lambda: _equals(17, bc().dimension)
@@ -112,10 +126,6 @@ def _leech_claims(config: RunConfig):
         return (emb.det_gram() == 256 ** 3 and emb.is_doubly_even(),
                 256 ** 3, emb.det_gram())
 
-    def block_count(k):
-        n = leech.block_norm4_count(leech.build_leech(), k)
-        return n == 240, 240, None if n == 240 else n
-
     yield "leech/lattice/even-unimodular-rank24", lambda: _even_unimodular(
         leech.build_leech().lattice)
     yield "leech/lattice/minimum-norm-4", lambda: (
@@ -123,7 +133,7 @@ def _leech_claims(config: RunConfig):
     yield "leech/embedding/block-gram", block_gram
     for k in range(3):
         yield (f"leech/embedding/block-{k}-norm4-count",
-               lambda k=k: block_count(k))
+               lambda k=k: _count(240, leech.block_norm4_count(leech.build_leech(), k)))
     for i in _nodes(config):
         yield f"leech/sigma-order/i={i}", lambda i=i: _equals(
             extended_e8_node(i).n, leech.sigma_tilde_order(i))
@@ -205,11 +215,24 @@ def _hamming_claims():
     def ham():
         return griess.build_hamming_family()
 
-    @cache
-    def vectors():
-        reps = griess.hamming_cosets_even()
-        return {(eps, delta): ham().e_hat(eps, delta)
-                for eps in (0, 1) for delta in reps}
+    hctx = cache(lambda: ham().ctx)
+
+    def frame_memos(build):
+        """Memos of one frame: its vectors keyed in frame order, their central
+        charges, and (a_1 b is zero, <a, b>) on the pairs a < b.  A vector
+        that is not idempotent fails only the claims that square it."""
+        vectors = cache(build)
+        ccs = cache(lambda: [as_rational(griess.conformal_check(hctx(), v))
+                             for v in vectors().values()])
+        pairs = cache(lambda: {
+            (ka, kb): (griess.product(hctx(), u, v).is_zero(),
+                       as_rational(griess.inner(hctx(), u, v)))
+            for (ka, u), (kb, v) in combinations(vectors().items(), 2)})
+        return vectors, ccs, pairs
+
+    standard = frame_memos(lambda: dict(enumerate(ham().standard_frame())))
+    hamming = frame_memos(lambda: ham().hamming_frame())
+    _, hamming_ccs, hamming_pairs = hamming
 
     def x_ones():
         ones = tuple([1] * 8)
@@ -219,33 +242,16 @@ def _hamming_claims():
         """Pairings are 0 across signs and 1/32 or 0 within one, by the parity
         of delta + delta'.  Every delta of ``hamming_cosets_even`` has even
         weight, so only the zero branch is reached: all 120 pairings are 0."""
-        items = sorted(vectors().items())
-        for ka, va in items:
-            for kb, vb in items:
-                if ka >= kb:
-                    continue
-                val = as_rational(griess.inner(ham().ctx, va, vb))
-                if ka[0] != kb[0]:
-                    want = Fraction(0)
-                else:
-                    parity = sum((a + b) % 2 for a, b in zip(ka[1], kb[1])) % 2
-                    want = Fraction(1, 32) if parity else Fraction(0)
-                if val != want:
-                    return False, None, None
-        return True, None, None
+        def want(ka, kb):
+            parity = sum(a + b for a, b in zip(ka[1], kb[1])) % 2
+            return Fraction(1, 32) if ka[0] == kb[0] and parity else 0
+        return all(val == want(ka, kb)
+                   for (ka, kb), (_, val) in hamming_pairs().items()), None, None
 
-    def orthogonal_frame(frame):
-        hctx = ham().ctx
-        ok = len(frame) == 16
-        total = hctx.zero()
-        for v in frame:
-            ok = ok and as_rational(griess.conformal_check(hctx, v)) == half
-            total = total + v
-        for a in range(16):
-            for b in range(a + 1, 16):
-                ok = ok and griess.product(hctx, frame[a], frame[b]).is_zero()
-                ok = ok and griess.inner(hctx, frame[a], frame[b]) == 0
-        ok = ok and (total - hctx.omega()).is_zero()
+    def orthogonal_frame(vectors, ccs, pairs):
+        ok = (len(vectors()) == 16 and all(cc == half for cc in ccs())
+              and all(zero and val == 0 for zero, val in pairs().values())
+              and (sum(vectors().values(), hctx().zero()) - hctx().omega()).is_zero())
         return ok, "16 orthogonal, sum omega", None
 
     def tau_blocks():
@@ -255,13 +261,10 @@ def _hamming_claims():
 
     yield "griess/hamming/x-ones-vanishes", x_ones
     yield "griess/hamming/conformal-cc-half", lambda: (
-        all(as_rational(griess.conformal_check(ham().ctx, v)) == half
-            for v in vectors().values()), "cc 1/2", None)
+        all(cc == half for cc in hamming_ccs()), "cc 1/2", None)
     yield "griess/hamming/inner-trichotomy", trichotomy
-    yield "griess/frame/standard", lambda: orthogonal_frame(
-        ham().standard_frame())
-    yield "griess/frame/hamming", lambda: orthogonal_frame(
-        ham().hamming_frame())
+    yield "griess/frame/standard", lambda: orthogonal_frame(*standard)
+    yield "griess/frame/hamming", lambda: orthogonal_frame(*hamming)
     yield "griess/tau/weight2-equals-theta", tau_blocks
     yield "griess/tau/negates-dual-exponentials", lambda: (
         mckay.tau_e_negates_dual_exponentials(), None, None)

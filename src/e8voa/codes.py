@@ -224,6 +224,7 @@ def is_type_II(c: Z4Code) -> bool:
     return all(euclidean_weight(g) % 8 == 0 for g in c.generators)
 
 
+@data_cached()
 def construction_A(c) -> EvenLattice:
     """The lattice L / (q / 2): L itself for a binary code, L / 2 for a Z4
     code."""

@@ -853,7 +853,7 @@ def hamming_cosets_even():
 
 
 class HammingFamilies:
-    """X^eps_gamma, e-hat^eps_delta, and the standard Virasoro frame."""
+    """X^eps_gamma, e-hat^eps_delta, and the standard and Hamming frames."""
 
     def __init__(self):
         ctx = hamming_context()
@@ -889,8 +889,9 @@ class HammingFamilies:
         return frame
 
     def hamming_frame(self):
-        reps = hamming_cosets_even()
-        return [self.e_hat(eps, delta) for eps in (0, 1) for delta in reps]
+        """The 16 e-hat(eps, delta), keyed by (eps, delta) in frame order."""
+        return {(eps, delta): self.e_hat(eps, delta) for eps in (0, 1)
+                for delta in hamming_cosets_even()}
 
 
 @data_cached("Hamming8")

@@ -267,13 +267,10 @@ def _block(ctx: LeechContext, k: int):
 
 
 @data_cached("Hamming8")
-def block_frames(ctx: LeechContext):
-    """The diagram frame m_1..m_8 of each block, in Leech coordinates."""
-    frames = []
-    for k in range(3):
-        block, norm4 = _block(ctx, k)
-        frames.append([block.ambient(m) for m in _paper_frame_in(block, norm4)])
-    return frames
+def block_frame(ctx: LeechContext, k: int):
+    """The diagram frame m_1..m_8 of block k, in Leech coordinates."""
+    block, norm4 = _block(ctx, k)
+    return [block.ambient(m) for m in _paper_frame_in(block, norm4)]
 
 
 def block_norm4_count(ctx: LeechContext, k: int) -> int:
@@ -292,7 +289,7 @@ def sigma_tilde_order(i: int) -> int:
     node = extended_e8_node(i)
     ctx = build_leech()
     (glue,), g_den = clear_denominators([node.glue_coords])
-    frame, f_den = clear_denominators(block_frames(ctx)[0])
+    frame, f_den = clear_denominators(block_frame(ctx, 0))
     beta = vec_mat(glue, frame)
     rows, den = ctx.lattice._int_rows
     den *= g_den * f_den

@@ -393,8 +393,93 @@ def test_a_targeted_mutation_fails_exactly_its_code_family(family, monkeypatch, 
     failed = [r["claim"] for r in clean if r["claim"].startswith(family)]
     assert failed and all(r["pass"] for r in clean)
     assert [r["claim"] for r in mutated if not r["pass"]] == failed
-    if family.startswith("codes/z4/"):
-        # the Z4 claims state what they found
-        assert all("actual" in r for r in mutated if not r["pass"])
+    # every failing code claim states what it found
+    assert all("actual" in r for r in mutated if not r["pass"])
     assert ([r for r in mutated if r["claim"] not in failed]
             == [r for r in clean if r["claim"] not in failed])
+
+
+def _failed_exactly(clean, mutated, failed):
+    """Every clean record passes; exactly the claims in failed fail, and
+    every other record is the clean one."""
+    assert all(r["pass"] for r in clean)
+    assert [r["claim"] for r in mutated if not r["pass"]] == failed
+    assert ([r for r in mutated if r["claim"] not in failed]
+            == [r for r in clean if r["claim"] not in failed])
+
+
+@functools.cache
+def _clean_hamming_records():
+    # the Hamming section of verify-griess; the root systems read no frame
+    return cli.run_claims(cli._hamming_claims())
+
+
+@pytest.mark.parametrize("method, pos, replace, failed, actual", [
+    # a Hamming vector doubled is not idempotent: the claims that square it
+    ("hamming_frame", 5, lambda vs: vs[5].scaled(2),
+     ["griess/hamming/conformal-cc-half", "griess/frame/hamming"], "NotConformal: "),
+    # a Hamming vector repeated: it pairs with its copy to 1/4
+    ("hamming_frame", 6, lambda vs: vs[5],
+     ["griess/hamming/inner-trichotomy", "griess/frame/hamming"], ""),
+    # the sign of e^x + e^-x flipped in the first standard vector makes it
+    # the second one
+    ("standard_frame", 0, lambda vs: vs[1], ["griess/frame/standard"], ""),
+], ids=["hamming-doubled", "hamming-duplicated", "standard-sign-flipped"])
+def test_a_frame_vector_mutation_fails_exactly_the_claims_that_read_it(
+        method, pos, replace, failed, actual, monkeypatch):
+    from e8voa import griess
+    honest = getattr(griess.HammingFamilies, method)
+
+    def mutated_frame(self):
+        frame = honest(self)
+        keys = list(frame) if isinstance(frame, dict) else list(range(len(frame)))
+        frame[keys[pos]] = replace([frame[k] for k in keys])
+        return frame
+
+    clean = _clean_hamming_records()
+    monkeypatch.setattr(griess.HammingFamilies, method, mutated_frame)
+    mutated = cli.run_claims(cli._hamming_claims())
+    _failed_exactly(clean, mutated, failed)
+    assert all(r.get("actual", "").startswith(actual)
+               for r in mutated if not r["pass"])
+
+
+def _node_records(k):
+    return cli.run_claims(registry(RunConfig("verify-mckay", node_filter=[k])))
+
+
+def test_a_broken_sigma_character_fails_exactly_the_claims_on_its_certificate(
+        monkeypatch):
+    # node 7's sigma exponent moved by +1 on one e^x and by -1 on e^-x: the
+    # exponents still cancel on opp but no longer add along nbr, so sigma is
+    # not certified as an automorphism; the tau orders, the dihedral check
+    # and the Conway sigma^j rows rest on that certificate
+    from e8voa import griess, mckay
+    k = 7
+    clean = _node_records(k)
+    fams = griess.build_node_family(k)
+    ctx, glue = fams.ctx, tuple(fams.node.glue_coords)
+    n, exps = ctx.sigma_phases(glue)
+    opp, nbr = ctx.tables.opp, ctx.tables.nbr
+    x = next(x for x in range(ctx.expo_start, len(exps)) if nbr[x])
+    broken = list(exps)
+    broken[x], broken[opp[x]] = (exps[x] + 1) % n, (exps[opp[x]] - 1) % n
+    monkeypatch.setitem(ctx._phases, glue, (n, tuple(broken)))
+    monkeypatch.delitem(mckay.conjugation_verified.memo, ((k,),))
+    mutated = _node_records(k)
+    _failed_exactly(clean, mutated, [f"mckay/{name}/i={k}"
+                                     for name in ("tau-orders", "dihedral", "conway")])
+
+
+def test_a_planted_sigma_error_fails_the_claims_that_read_f_hat(monkeypatch):
+    # sigma planted as the identity while node 7's family is rebuilt, so
+    # f-hat = e-hat: <e, f> and U2, which read f-hat, fail; the Conway rows
+    # no longer apply sigma, so they pass
+    from e8voa import griess
+    k = 7
+    clean = _node_records(k)
+    monkeypatch.setattr(griess, "apply_sigma", lambda ctx, glue, el, power=1: el)
+    monkeypatch.delitem(griess.build_node_family.memo, ((k,),))
+    mutated = _node_records(k)
+    _failed_exactly(clean, mutated, [f"mckay/inner/i={k}", f"mckay/u2/i={k}"])
+    assert all("actual" in r for r in mutated if not r["pass"])

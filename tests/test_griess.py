@@ -163,7 +163,7 @@ def test_e_hat_eps_delta_coset_equality():
 def test_frames_sum_to_omega():
     ham = build_hamming_family()
     omega = ham.ctx.omega()
-    for frame in (ham.standard_frame(), ham.hamming_frame()):
+    for frame in (ham.standard_frame(), list(ham.hamming_frame().values())):
         total = ham.ctx.zero()
         for v in frame:
             total = total + v

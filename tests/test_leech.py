@@ -9,7 +9,7 @@ from conftest import assert_only_failed, data_copy
 
 from e8voa import leech
 from e8voa.lattice import EvenLattice
-from e8voa.leech import (MINIMAL_SHAPES, block_frames, block_norm4_count,
+from e8voa.leech import (MINIMAL_SHAPES, block_frame, block_norm4_count,
                          build_leech, certify_minimum, embed_sqrt2E8_cubed,
                          minimal_coset_survey, sigma_tilde_order)
 
@@ -123,7 +123,7 @@ def test_embedding_gram_and_orthogonality():
     from e8voa.rootsys import e8_paper_data
     cart = e8_paper_data()["lattice"].gram
     for k in range(3):
-        for fr in [block_frames(ctx)[k]]:
+        for fr in [block_frame(ctx, k)]:
             for i in range(8):
                 for j in range(8):
                     dot = sum(x * y for x, y in zip(fr[i], fr[j]))
@@ -137,7 +137,7 @@ def test_each_block_has_240_minimal_vectors():
 
 
 def test_block_vectors_and_frames_lie_in_leech():
-    # block_norm4_count and block_frames rely on the certified block rows
+    # block_norm4_count and block_frame rely on the certified block rows
     # instead of checking each vector; this keeps that fact checked
     from e8voa.leech import _block
     ctx = build_leech()
@@ -146,7 +146,7 @@ def test_block_vectors_and_frames_lie_in_leech():
         block, norm4 = _block(ctx, k)
         assert len(norm4) == 240
         assert all(lam.contains(*block.ambient_ints(z)) for z in norm4)
-        assert all(lam.contains(v) for v in block_frames(ctx)[k])
+        assert all(lam.contains(v) for v in block_frame(ctx, k))
 
 
 def test_embedding_is_built_from_the_block_int_rows():
@@ -237,7 +237,7 @@ def test_phase_map_is_additive(mask_a, mask_b):
     ctx = build_leech()
     basis = ctx.lattice.basis
     embed_sqrt2E8_cubed(ctx)
-    frame = block_frames(ctx)[0]
+    frame = block_frame(ctx, 0)
     from e8voa.rootsys import extended_e8_node
     glue = extended_e8_node(5).glue_coords
     beta = [F(0)] * 24
